@@ -1,0 +1,148 @@
+"""Paired benchmark runs of two checkouts, summarised into a BENCH_<n>.json.
+
+Runs ``perfbench/run.py --workload W --seed S --seconds 30`` in a base
+checkout and in a changed one, alternating which side goes first from one
+pair to the next, and records each run's end-to-end metrics and
+``attempted``/``failed`` counts.  The summary gives, per workload and
+metric, each side's median and quartiles, the change's wins counted over
+pairs (ties count for neither side), and whether the gain rule holds: the
+change wins at least 9 of 10 pairs and the medians differ by more than the
+base's interquartile range.
+
+    python3 scripts/bench_pairs.py --base ../parent --change . \\
+        --workloads modem,long_recording,sweep --seeds 1-10 \\
+        --runs runs.jsonl --out BENCH_2.json
+
+Each run is appended to ``--runs`` as one JSON line as soon as it ends, and
+runs already in that file are not repeated, so an interrupted series
+resumes where it stopped.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = {  # end-to-end metrics of BENCHMARK.json, and which way is better
+    "setup_s": "lower",
+    "item_ms_p50": "lower",
+    "audio_s_per_s": "higher",
+    "peak_rss_mb": "lower",
+}
+
+
+def parse_seeds(text: str) -> list[int]:
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: run failed ({proc.returncode}):\n{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
+    }
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:  # a single check pair has no spread
+        return {"q1": values[0], "median": values[0], "q3": values[0], "n": 1}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
+
+
+def summarise(runs: list[dict], workload: str) -> dict:
+    pairs: dict[int, dict] = {}
+    for run in runs:
+        if run["workload"] == workload:
+            pairs.setdefault(run["seed"], {})[run["side"]] = run
+    pairs = {seed: p for seed, p in sorted(pairs.items()) if len(p) == 2}
+    out: dict = {
+        "pairs": len(pairs),
+        "counts_identical": all(
+            (p["base"]["attempted"], p["base"]["failed"])
+            == (p["change"]["attempted"], p["change"]["failed"])
+            for p in pairs.values()
+        ),
+        "all_correct": all(p[s]["correct"] for p in pairs.values() for s in p),
+        "metrics": {},
+    }
+    for name, better in METRICS.items():
+        base = [p["base"]["metrics"][name] for p in pairs.values()]
+        change = [p["change"]["metrics"][name] for p in pairs.values()]
+        sign = 1.0 if better == "lower" else -1.0
+        wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+        losses = sum(sign * (b - c) < 0 for b, c in zip(base, change))
+        b, c = quartiles(base), quartiles(change)
+        out["metrics"][name] = {
+            "better": better,
+            "base": b,
+            "change": c,
+            "change_vs_base": c["median"] / b["median"] - 1.0,
+            "change_wins": wins,
+            "base_wins": losses,
+            "gain_rule_met": wins >= 0.9 * len(pairs)
+            and sign * (b["median"] - c["median"]) > b["q3"] - b["q1"],
+        }
+    return out
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", type=Path, required=True, help="checkout measured as the base")
+    ap.add_argument("--change", type=Path, required=True, help="checkout measured as the change")
+    ap.add_argument("--workloads", default="modem,long_recording,sweep")
+    ap.add_argument("--seeds", default="1-10", help="one pair per seed, e.g. 1-10 or 1,4,7")
+    ap.add_argument("--seconds", type=int, default=30)
+    ap.add_argument("--runs", type=Path, required=True, help="JSON-lines file of finished runs")
+    ap.add_argument("--out", type=Path, required=True, help="summary file to write")
+    args = ap.parse_args(argv)
+
+    workloads = args.workloads.split(",")
+    seeds = parse_seeds(args.seeds)
+    runs = []
+    if args.runs.exists():
+        runs = [json.loads(line) for line in args.runs.read_text().splitlines() if line]
+    done = {(r["workload"], r["seed"], r["side"]) for r in runs}
+    checkouts = {"base": args.base, "change": args.change}
+    for workload in workloads:
+        for i, seed in enumerate(seeds):
+            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                if (workload, seed, side) in done:
+                    continue
+                run = {"workload": workload, "seed": seed, "side": side,
+                       "ran_first": (side == "base") == (i % 2 == 0),
+                       **run_once(checkouts[side], workload, seed, args.seconds)}
+                with open(args.runs, "a") as fh:
+                    fh.write(json.dumps(run) + "\n")
+                runs.append(run)
+
+    runs = [r for r in runs if r["workload"] in workloads and r["seed"] in seeds]
+    summary = {
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds}",
+        "seeds": seeds,
+        "workloads": {w: summarise(runs, w) for w in workloads},
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(summary, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import AudioBuffer, default_stft_config, stft
 from .dereverb import DereverbConfig, dereverberate
-from .errors import EstimationError, InvalidArgumentError
+from .errors import EstimationError, InvalidArgumentError, SonolinkError
 from .metrics import lsd, rr
 from .modem import Packet, decode_packet, encode_packet, profile_by_name
 from .rt60 import estimate_rt60
@@ -167,8 +167,17 @@ def _item_seed(*entropy) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+def _error_entry(rir_id: str, exc: Exception) -> dict:
+    return {"rir_id": rir_id, "error": str(exc), "type": type(exc).__name__}
+
+
 def _process_rir(cfg: BenchConfig, profile, rt_index, rir_index, true_rt60, rir, rir_id):
-    """Run every packet of one impulse response; exceptions become counts."""
+    """Run every packet of one impulse response.
+
+    A domain error (SonolinkError) on one packet counts as a failure in the
+    row; any other exception is a bug, and propagates so the whole room is
+    reported in ``errors`` with its type.
+    """
     fs = rir.sample_rate
     stft_cfg = default_stft_config(fs)
     want_dereverb = cfg.dereverb in ("on", "both")
@@ -220,7 +229,7 @@ def _process_rir(cfg: BenchConfig, profile, rt_index, rir_index, true_rt60, rir,
                 lsd_before_vals.append(lsd(clean_spec, wet_spec))
                 lsd_after_vals.append(lsd(clean_spec, proc_spec))
                 rr_vals.append(rr(wet_spec, proc_spec, clean_spec)[0])
-        except Exception:
+        except SonolinkError:
             failures += 1
 
     n = cfg.packets_per_rir
@@ -307,8 +316,9 @@ def _thread_count(cfg: BenchConfig) -> int:
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     """Execute the sweep and return the deterministic report.
 
-    Per-packet failures are counted in their row; per-RIR failures become
-    entries in the report's ``errors`` list.  Neither aborts the run.
+    Per-packet domain errors are counted in their row; any other failure
+    drops the room's row and becomes an entry in the report's ``errors``
+    list, naming the exception type.  Neither aborts the run.
     Timing is printed to stderr only, keeping report bytes seed-determined.
     """
     profile = profile_by_name(cfg.profile)
@@ -333,7 +343,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
                         cfg.sample_rate,
                     )
                 except Exception as exc:
-                    errors.append({"rir_id": rir_id, "error": str(exc)})
+                    errors.append(_error_entry(rir_id, exc))
                     continue
                 work.append((ri, si, rt, rir, rir_id))
 
@@ -341,7 +351,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         try:
             return _process_rir(cfg, profile, *item)
         except Exception as exc:  # a whole-RIR failure: report it, keep going
-            return {"rir_id": item[4], "error": str(exc)}
+            return _error_entry(item[4], exc)
 
     n_threads = _thread_count(cfg)
     started = time.perf_counter()

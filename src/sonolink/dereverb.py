@@ -212,7 +212,7 @@ def dereverberate(
     fallback = False
     if rt60 is None:
         try:
-            rt60_value = estimate_rt60(buf, stft_cfg).rt60
+            rt60_value = estimate_rt60(grid).rt60
             estimated = True
         except EstimationError:
             rt60_value = FALLBACK_RT60

@@ -6,9 +6,13 @@ into 5-bit symbols, and Reed-Solomon parity.  Payloads longer than a single
 GF(32) codeword can carry are split across several equally-sized codewords,
 each with its own parity group appended after all the data symbols.
 
-Demodulation measures per-tone magnitudes with a sliding-window DTFT
-(Goertzel-style single-bin magnitudes, evaluated as one matrix product per
-window set), picks the strongest tone per symbol slot, and hands
+The receiver measures per-tone magnitudes with single-bin DTFTs
+(Goertzel-style).  The preamble scan slides a symbol window over the whole
+recording by symbol/8 and evaluates it as a block DFT: one matrix product
+gives every hop-sized block's partial DTFT, and each window sums its
+blocks' partials, so work and memory grow with the samples, not with
+samples x window length.  Demodulation then evaluates the few symbol slots
+after a preamble directly, picks the strongest tone per slot, and hands
 low-confidence symbols to the Reed-Solomon decoder as erasures.
 """
 
@@ -242,21 +246,41 @@ def encode_packet(pkt: Packet, profile: ProtocolProfile, sample_rate: int) -> Au
 
 @lru_cache(maxsize=8)
 def _dtft_tables(profile: ProtocolProfile, sample_rate: int):
-    """cos/sin kernels for full-symbol and central-80% window magnitudes."""
+    """cos/sin kernels for the central-80% window magnitudes of demodulation."""
     freqs = tone_frequencies(profile, sample_rate)
     sym = profile.symbol_samples(sample_rate)
     skip = int(round(0.1 * sym))
     core = sym - 2 * skip
+    phase = 2.0 * np.pi * np.outer(np.arange(core), freqs) / sample_rate
+    c = np.cos(phase)
+    s = np.sin(phase)
+    c.setflags(write=False)
+    s.setflags(write=False)
+    return (c, s), skip, core
 
-    def kernels(length: int):
-        phase = 2.0 * np.pi * np.outer(np.arange(length), freqs) / sample_rate
-        c = np.cos(phase)
-        s = np.sin(phase)
-        c.setflags(write=False)
-        s.setflags(write=False)
-        return c, s
 
-    return kernels(sym), kernels(core), skip, core
+@lru_cache(maxsize=8)
+def _scan_tables(profile: ProtocolProfile, sample_rate: int):
+    """Kernels of the preamble scan's block DFT.
+
+    Returns (hop, kernel, rotations).  ``kernel`` is [hop x 2*tones] with
+    interleaved cos/-sin columns, so a real matmul of blocks against it,
+    viewed as complex, is each block's per-tone partial DTFT.  Row j of
+    ``rotations`` is exp(-i*omega*j*hop): the phase that places block j at
+    its offset within a symbol window, for j = 0..sym//hop.
+    """
+    freqs = tone_frequencies(profile, sample_rate)
+    omega = 2.0 * np.pi * freqs / sample_rate
+    sym = profile.symbol_samples(sample_rate)
+    hop = max(1, sym // 8)
+    phase = np.outer(np.arange(hop), omega)
+    kernel = np.empty((hop, 2 * freqs.size))
+    kernel[:, 0::2] = np.cos(phase)
+    kernel[:, 1::2] = -np.sin(phase)
+    rotations = np.exp(-1j * np.outer(np.arange(sym // hop + 1) * hop, omega))
+    kernel.setflags(write=False)
+    rotations.setflags(write=False)
+    return hop, kernel, rotations
 
 
 def _window_magnitudes(x: np.ndarray, starts: np.ndarray, kernels) -> np.ndarray:
@@ -267,25 +291,63 @@ def _window_magnitudes(x: np.ndarray, starts: np.ndarray, kernels) -> np.ndarray
     return np.hypot(windows @ cos_tab, windows @ sin_tab)
 
 
+def _partials(x: np.ndarray, length: int, count: int, kernel: np.ndarray) -> np.ndarray:
+    """Partial DTFTs of x[b*hop : b*hop + length] for blocks b < count.
+
+    The rows are a strided view of ``x`` that BLAS reads in place, so a
+    contiguous signal is never copied.
+    """
+    hop = kernel.shape[0]
+    rows = np.lib.stride_tricks.sliding_window_view(x, length)[::hop][:count]
+    return (rows @ kernel[:length]).view(np.complex128)
+
+
+def _scan_magnitudes(x: np.ndarray, count: int, sym: int, tables) -> np.ndarray:
+    """Per-tone DTFT magnitudes of windows x[i*hop : i*hop + sym], i < count.
+
+    Block DFT: one matmul gives every hop-sized block's partial DTFT, and a
+    window's DTFT is the sum of its q = sym // hop block partials, block j
+    rotated by exp(-i*omega*j*hop), plus one partial over the remaining
+    sym - q*hop samples.  Partial sums restart every window, so rounding
+    does not accumulate along the signal.
+    """
+    hop, kernel, rotations = tables
+    q, rest = divmod(sym, hop)
+    blocks = _partials(x, hop, count + q - 1, kernel)
+    acc = blocks[:count].copy()  # rotations[0] is 1
+    for j in range(1, q):
+        acc += blocks[j:j + count] * rotations[j]
+    if rest:
+        acc += _partials(x[q * hop:], rest, count, kernel) * rotations[q]
+    return np.abs(acc)
+
+
 def detect_preamble(buf: AudioBuffer, profile: ProtocolProfile) -> list[int]:
     """Scan for the two-symbol preamble; returns candidate sample offsets.
 
-    A sliding symbol-length window advances by symbol/8.  An offset is a hit
-    when the first preamble tone dominates its window and the second
+    A sliding symbol-length window advances by hop = symbol/8.  An offset is
+    a hit when the first preamble tone dominates its window and the second
     preamble tone dominates the window one symbol later, each exceeding 6x
     the median magnitude of the non-preamble tones in its own window.  Hits
     closer than one symbol apart collapse to the strongest of their cluster;
     the returned offsets are sorted ascending.
+
+    Window magnitudes come from a block DFT (see ``_scan_magnitudes``).  Per
+    window set that costs 2*tones multiply-adds per sample for the block
+    partials plus 8 complex multiply-adds per window and tone to combine
+    them; evaluating each window directly costs 8 times the first term,
+    since every sample lies in 8 overlapping windows.  Memory is a few
+    [windows x tones] grids; the signal itself is only viewed.
     """
     x = buf.samples
-    full, _, _, _ = _dtft_tables(profile, buf.sample_rate)
+    tables = _scan_tables(profile, buf.sample_rate)
     sym = profile.symbol_samples(buf.sample_rate)
-    hop = max(1, sym // 8)
+    hop = tables[0]
     if x.size < 2 * sym:
         return []
     starts = np.arange(0, x.size - 2 * sym + 1, hop)
-    mags_first = _window_magnitudes(x, starts, full)
-    mags_second = _window_magnitudes(x, starts + sym, full)
+    mags_first = _scan_magnitudes(x, starts.size, sym, tables)
+    mags_second = _scan_magnitudes(x[sym:], starts.size, sym, tables)
 
     tone_a, tone_b = profile.preamble
     others = [t for t in range(profile.tone_count) if t not in {tone_a, tone_b}]
@@ -339,7 +401,7 @@ def demodulate_symbols(
         ratio (inf when only one tone carries any energy).
     """
     x = buf.samples
-    _, core_kernels, skip, core = _dtft_tables(profile, buf.sample_rate)
+    core_kernels, skip, core = _dtft_tables(profile, buf.sample_rate)
     sym = profile.symbol_samples(buf.sample_rate)
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")

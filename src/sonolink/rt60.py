@@ -149,40 +149,47 @@ def _fit_line_db(edc_db: np.ndarray, frame_period: float) -> tuple[float, float]
     return float(slope), 1.0 - ss_res / ss_tot
 
 
-def fit_rt60_band(edc_db: np.ndarray, frame_period: float) -> float:
-    """RT60 of one band from its decay curve, or 0 when the fit is invalid.
+def fit_rt60_band(edc_db: np.ndarray, frame_period: float) -> tuple[float, float]:
+    """RT60 of one band from its decay curve, with the fit's r^2.
 
     The fitted line must cover at least MIN_FIT_SAMPLES points between
     -5 and -35 dB with r^2 >= 0.8 and a negative slope; the reverberation
-    time is where the line crosses -60 dB (x-intercept method).
+    time is where the line crosses -60 dB (x-intercept method).  Returns
+    (rt60_k, r2), with rt60_k = 0 when the fit is invalid.
     """
     if frame_period <= 0:
         raise InvalidArgumentError("frame_period must be positive")
     slope, r2 = _fit_line_db(np.asarray(edc_db, dtype=np.float64), frame_period)
     if slope >= 0.0 or r2 < MIN_FIT_R2:
-        return 0.0
-    return -60.0 / slope
+        return 0.0, r2
+    return -60.0 / slope, r2
 
 
 def estimate_rt60(
-    buf: AudioBuffer,
+    buf: AudioBuffer | Spectrogram,
     cfg: StftConfig | None = None,
     threshold_db: float = DEFAULT_THRESHOLD_DB,
     decay_offset: float = DEFAULT_DECAY_OFFSET,
 ) -> RtEstimate:
     """Blind RT60 estimate of a reverberant signal.
 
-    Runs the full subband pipeline and averages the nonzero per-band
-    estimates.  Raises EstimationError when no band produces a valid fit
-    (for example on silence or pure noise).
+    ``buf`` is a recording, analyzed with ``cfg`` (default: the 46 ms
+    configuration for its rate), or a spectrogram already computed from one,
+    whose own configuration then applies.  Runs the full subband pipeline
+    and averages the nonzero per-band estimates.  Raises EstimationError
+    when no band produces a valid fit (for example on silence or pure
+    noise).
     """
-    cfg = cfg or default_stft_config(buf.sample_rate)
-    grid = stft(buf, cfg)
-    frame_period = cfg.frame_period(buf.sample_rate)
+    if isinstance(buf, Spectrogram):
+        if cfg is not None and cfg != buf.config:
+            raise InvalidArgumentError("cfg does not match the spectrogram's configuration")
+        grid = buf
+    else:
+        grid = stft(buf, cfg or default_stft_config(buf.sample_rate))
+    frame_period = grid.config.frame_period(grid.sample_rate)
     offset_frames = math.ceil(decay_offset / frame_period)
 
     per_band: list[tuple[int, float, float]] = []
-    estimates = []
     for env in subband_envelopes(grid, threshold_db):
         try:
             start = decay_start(env, offset_frames)
@@ -190,13 +197,8 @@ def estimate_rt60(
         except (NoPeakError, EmptyBandError):
             per_band.append((env.band_index, 0.0, 0.0))
             continue
-        slope, r2 = _fit_line_db(curve, frame_period)
-        if slope < 0.0 and r2 >= MIN_FIT_R2:
-            rt60_k = -60.0 / slope
-            estimates.append(rt60_k)
-            per_band.append((env.band_index, rt60_k, r2))
-        else:
-            per_band.append((env.band_index, 0.0, r2))
+        per_band.append((env.band_index, *fit_rt60_band(curve, frame_period)))
+    estimates = [rt60_k for _, rt60_k, _ in per_band if rt60_k > 0.0]
     if not estimates:
         raise EstimationError("no subband produced a usable decay fit")
     return RtEstimate(

@@ -14,7 +14,7 @@ from sonolink.bench import (
     run_benchmark,
     write_report,
 )
-from sonolink.errors import InvalidArgumentError
+from sonolink.errors import InvalidArgumentError, MetricError
 from sonolink.simulate import CorpusEntry, RirSpec, save_rir_corpus, synth_rir
 
 # Small but real: two reverberation times, two rooms each, one packet per
@@ -115,6 +115,29 @@ class TestSyntheticRun:
         base = json.dumps(tiny_report.to_dict(), sort_keys=True)
         assert json.dumps(again.to_dict(), sort_keys=True) == base
         assert json.dumps(threaded.to_dict(), sort_keys=True) == base
+
+    def test_bug_in_a_layer_is_an_error_not_a_failure(self, monkeypatch):
+        # a programming error must surface with its type, not hide in the
+        # failure count of an otherwise plausible row
+        def broken(*args):
+            raise ValueError("cannot reshape array")
+
+        monkeypatch.setattr("sonolink.bench.lsd", broken)
+        report = run_benchmark(dataclasses.replace(TINY, rt60_values=(0.4,), rirs_per_rt=1))
+        assert report.rows == []
+        assert report.errors == [
+            {"rir_id": "rt0.4_r00", "error": "cannot reshape array", "type": "ValueError"}
+        ]
+
+    def test_domain_error_in_a_layer_counts_as_failure(self, monkeypatch):
+        def undefined(*args):
+            raise MetricError("metric undefined")
+
+        monkeypatch.setattr("sonolink.bench.lsd", undefined)
+        report = run_benchmark(dataclasses.replace(TINY, rt60_values=(0.4,), rirs_per_rt=1))
+        assert report.errors == []
+        (row,) = report.rows
+        assert row.failures == TINY.packets_per_rir
 
     def test_dereverb_off_leaves_after_columns_empty(self):
         cfg = dataclasses.replace(

@@ -16,6 +16,7 @@ from sonolink.dereverb import (
     spectral_gain,
 )
 from sonolink.errors import InvalidArgumentError
+from sonolink.rt60 import estimate_rt60
 
 SMALL = StftConfig(window_length=256, hop=16)
 
@@ -193,6 +194,15 @@ class TestDereverberate:
         _, diag = dereverberate(buf, DereverbConfig(stft=StftConfig(512, 32)))
         assert diag.rt60_estimated and not diag.rt60_fallback
         assert 0.2 <= diag.rt60 <= 0.8
+
+    @pytest.mark.parametrize("cfg", [DereverbConfig(), DereverbConfig(stft=StftConfig(512, 32))])
+    def test_blind_rt60_is_estimate_rt60_bit_exact(self, cfg):
+        # the suppressor estimates from the grid it already holds; the figure
+        # must be exactly what estimate_rt60 reports for the same recording
+        buf = _decaying_noise(9600, seed=2)
+        _, diag = dereverberate(buf, cfg)
+        assert diag.rt60_estimated
+        assert diag.rt60 == estimate_rt60(buf, cfg.stft).rt60
 
     def test_fallback_on_undecidable_input(self):
         x = np.zeros(8000)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sonolink.core import AudioBuffer, Spectrogram, StftConfig
+from sonolink.core import AudioBuffer, Spectrogram, StftConfig, stft
 from sonolink.errors import (
     EmptyBandError,
     EstimationError,
@@ -110,22 +110,26 @@ class TestFit:
         period = 0.01
         t = np.arange(120) * period
         curve = -60.0 / rt60 * t
-        assert fit_rt60_band(curve, period) == pytest.approx(rt60, rel=1e-9)
+        rt60_k, r2 = fit_rt60_band(curve, period)
+        assert rt60_k == pytest.approx(rt60, rel=1e-9)
+        assert r2 == pytest.approx(1.0)
 
     def test_too_few_points_in_window(self):
         # one frame per 30 dB leaves a single sample between -5 and -35
         curve = np.array([0.0, -30.0, -60.0, -90.0])
-        assert fit_rt60_band(curve, 0.5) == 0.0
+        assert fit_rt60_band(curve, 0.5) == (0.0, 0.0)
 
     def test_rising_curve_rejected(self):
         t = np.arange(100) * 0.01
-        assert fit_rt60_band(-20.0 + 0.0 * t, 0.01) == 0.0
+        assert fit_rt60_band(-20.0 + 0.0 * t, 0.01)[0] == 0.0
 
     def test_poor_fit_rejected(self):
         rng = np.random.default_rng(8)
         t = np.arange(200) * 0.01
         wild = -30.0 + 15.0 * rng.standard_normal(200)
-        assert fit_rt60_band(wild, 0.01) == 0.0
+        rt60_k, r2 = fit_rt60_band(wild, 0.01)
+        assert rt60_k == 0.0
+        assert r2 < 0.8
 
     def test_bad_period(self):
         with pytest.raises(InvalidArgumentError):
@@ -178,6 +182,19 @@ class TestEstimate:
         assert est.bands_used == len(valid)
         assert est.rt60 == pytest.approx(np.mean(valid), rel=1e-12)
         assert est.rt60 > 0
+
+    def test_spectrogram_input_matches_buffer_bit_exact(self):
+        buf = _burst(0.4, seed=0)
+        ref = estimate_rt60(buf, SMALL)
+        from_grid = estimate_rt60(stft(buf, SMALL))
+        assert from_grid.rt60 == ref.rt60
+        assert from_grid.per_band == ref.per_band
+        assert estimate_rt60(stft(buf, SMALL), SMALL).rt60 == ref.rt60
+
+    def test_spectrogram_with_other_config_rejected(self):
+        grid = stft(_burst(0.4, seed=0), SMALL)
+        with pytest.raises(InvalidArgumentError, match="configuration"):
+            estimate_rt60(grid, StftConfig(window_length=256, hop=16))
 
     def test_impulse_has_no_decay_to_fit(self):
         x = np.zeros(8000)
