@@ -24,80 +24,4 @@ cli
     The ``sonolink`` command-line tool.
 """
 
-from .bench import (
-    SCHEMA_VERSION,
-    BenchConfig,
-    BenchReport,
-    RirRow,
-    read_report,
-    run_benchmark,
-    write_report,
-)
-from .core import (
-    AudioBuffer,
-    Spectrogram,
-    StftConfig,
-    convolve,
-    default_stft_config,
-    istft,
-    make_window,
-    stft,
-)
-from .dereverb import (
-    FALLBACK_RT60,
-    DereverbConfig,
-    DereverbDiagnostics,
-    GainGrid,
-    ReverbModel,
-    decay_constant,
-    dereverberate,
-    reverberant_psd,
-    spectral_gain,
-)
-from .errors import (
-    EmptyBandError,
-    EstimationError,
-    FecError,
-    FormatError,
-    InvalidArgumentError,
-    MetricError,
-    NoPeakError,
-    SonolinkError,
-)
-from .metrics import MetricReport, decode_rate, lsd, metric_report, rr
-from .modem import (
-    AUDIBLE,
-    ULTRASONIC,
-    DecodeResult,
-    Packet,
-    ProtocolProfile,
-    decode_packet,
-    demodulate_symbols,
-    detect_preamble,
-    encode_packet,
-    packet_symbols,
-    profile_by_name,
-    tone_frequencies,
-)
-from .rs import FIELD_SIZE, MAX_CODEWORD, generator_poly, rs_decode, rs_encode
-from .rt60 import (
-    RtEstimate,
-    SubbandEnvelope,
-    decay_start,
-    edc,
-    estimate_rt60,
-    fit_rt60_band,
-    subband_envelopes,
-)
-from .simulate import (
-    ChannelSpec,
-    CorpusEntry,
-    RirSpec,
-    apply_channel,
-    load_rir_corpus,
-    save_rir_corpus,
-    synth_rir,
-)
-from .wavio import wav_read, wav_write
-
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +83,8 @@ class BenchConfig:
             raise InvalidArgumentError("payload_bytes must be in 1..16")
         if not (self.direct_gain > 0 and math.isfinite(self.direct_gain)):
             raise InvalidArgumentError("direct_gain must be positive")
-        if self.dereverb not in ("on", "off", "both"):
-            raise InvalidArgumentError("dereverb must be 'on', 'off', or 'both'")
+        if self.dereverb not in ("off", "both"):
+            raise InvalidArgumentError("dereverb must be 'off' or 'both'")
         if self.threads is not None and self.threads < 1:
             raise InvalidArgumentError("threads must be at least 1")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
@@ -93,19 +93,10 @@ class BenchConfig:
     def serializable(self) -> dict:
         """Config as report-ready JSON. ``threads`` is execution detail, not
         part of the experiment's identity, so it stays out."""
-        return {
-            "profile": self.profile,
-            "sample_rate": self.sample_rate,
-            "rt60_values": list(self.rt60_values),
-            "rirs_per_rt": self.rirs_per_rt,
-            "packets_per_rir": self.packets_per_rir,
-            "payload_bytes": self.payload_bytes,
-            "direct_gain": self.direct_gain,
-            "corpus_dir": self.corpus_dir,
-            "snr_db": self.snr_db,
-            "seed": self.seed,
-            "dereverb": self.dereverb,
-        }
+        blob = asdict(self)
+        del blob["threads"]
+        blob["rt60_values"] = list(self.rt60_values)
+        return blob
 
 
 @dataclass
@@ -123,17 +114,7 @@ class RirRow:
     failures: int
 
 
-CSV_COLUMNS = [
-    "rir_id",
-    "true_rt60",
-    "estimated_rt60",
-    "decode_rate_before",
-    "decode_rate_after",
-    "mean_lsd_before",
-    "mean_lsd_after",
-    "mean_rr",
-    "failures",
-]
+CSV_COLUMNS = [f.name for f in fields(RirRow)]
 
 
 @dataclass
@@ -180,7 +161,7 @@ def _process_rir(cfg: BenchConfig, profile, rt_index, rir_index, true_rt60, rir,
     """
     fs = rir.sample_rate
     stft_cfg = default_stft_config(fs)
-    want_dereverb = cfg.dereverb in ("on", "both")
+    want_dereverb = cfg.dereverb == "both"
     dcfg = DereverbConfig(stft=stft_cfg)
 
     before_hits = 0
@@ -209,14 +190,16 @@ def _process_rir(cfg: BenchConfig, profile, rt_index, rir_index, true_rt60, rir,
             if before.payload == payload:
                 before_hits += 1
 
+            if j == 0 or want_dereverb:
+                wet_spec = stft(wet, stft_cfg)
             if j == 0:
                 try:
-                    estimated = estimate_rt60(wet, stft_cfg).rt60
+                    estimated = estimate_rt60(wet_spec).rt60
                 except EstimationError:
                     estimated = None
 
             if want_dereverb:
-                processed, _diag = dereverberate(wet, dcfg, rt60=estimated)
+                processed, _diag = dereverberate(wet_spec, dcfg, rt60=estimated)
                 after = decode_packet(processed, profile)
                 if after.payload == payload:
                     after_hits += 1
@@ -224,7 +207,6 @@ def _process_rir(cfg: BenchConfig, profile, rt_index, rir_index, true_rt60, rir,
                 clean = np.zeros(len(wet))
                 clean[: len(dry)] = dry.samples
                 clean_spec = stft(AudioBuffer(clean, fs), stft_cfg)
-                wet_spec = stft(wet, stft_cfg)
                 proc_spec = stft(processed, stft_cfg)
                 lsd_before_vals.append(lsd(clean_spec, wet_spec))
                 lsd_after_vals.append(lsd(clean_spec, proc_spec))
@@ -251,15 +233,16 @@ def _mean_or_none(values) -> float | None:
     return _round4(np.mean(values)) if values else None
 
 
+_ROW_MEANS = ("decode_rate_before", "decode_rate_after", "mean_lsd_before",
+              "mean_lsd_after", "mean_rr")
+
+
+def _means(rows: list[RirRow], names) -> dict:
+    return {name: _mean_or_none(getattr(r, name) for r in rows) for name in names}
+
+
 def _aggregate(rows: list[RirRow]) -> dict:
-    agg = {
-        "row_count": len(rows),
-        "decode_rate_before": _mean_or_none(r.decode_rate_before for r in rows),
-        "decode_rate_after": _mean_or_none(r.decode_rate_after for r in rows),
-        "mean_lsd_before": _mean_or_none(r.mean_lsd_before for r in rows),
-        "mean_lsd_after": _mean_or_none(r.mean_lsd_after for r in rows),
-        "mean_rr": _mean_or_none(r.mean_rr for r in rows),
-    }
+    agg = {"row_count": len(rows), **_means(rows, _ROW_MEANS)}
 
     paired = [
         (r.mean_lsd_before, r.mean_lsd_after)
@@ -287,15 +270,7 @@ def _aggregate(rows: list[RirRow]) -> dict:
         key = "unlabeled" if row.true_rt60 is None else f"{row.true_rt60:g}"
         by_rt.setdefault(key, []).append(row)
     agg["by_rt60"] = {
-        key: {
-            "rows": len(group),
-            "decode_rate_before": _mean_or_none(r.decode_rate_before for r in group),
-            "decode_rate_after": _mean_or_none(r.decode_rate_after for r in group),
-            "mean_lsd_before": _mean_or_none(r.mean_lsd_before for r in group),
-            "mean_lsd_after": _mean_or_none(r.mean_lsd_after for r in group),
-            "mean_rr": _mean_or_none(r.mean_rr for r in group),
-            "estimated_rt60": _mean_or_none(r.estimated_rt60 for r in group),
-        }
+        key: {"rows": len(group), **_means(group, _ROW_MEANS + ("estimated_rt60",))}
         for key, group in sorted(by_rt.items())
     }
     return agg

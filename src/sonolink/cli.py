@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .bench import BenchConfig, run_benchmark, write_report
+from .bench import BenchConfig, _item_seed, run_benchmark, write_report
 from .core import default_stft_config
 from .dereverb import dereverberate
 from .errors import SonolinkError
@@ -44,10 +44,6 @@ def _sweep(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("sweep COUNT must be at least 1")
     values = [lo] if count == 1 else np.linspace(lo, hi, count)
     return tuple(round(float(v), 6) for v in values)
-
-
-def _derived_seed(*entropy) -> int:
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def _bit_depth(args) -> int:
@@ -133,7 +129,7 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
                 spec = RirSpec(
                     rt60=rt,
                     direct_gain=args.direct_gain,
-                    seed=_derived_seed(args.seed, ri, si),
+                    seed=_item_seed(args.seed, ri, si),
                 )
                 entries.append(
                     CorpusEntry(
@@ -282,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--corpus", help="RIR corpus directory (overrides the synthetic sweep)")
     ben.add_argument("--snr", type=float, help="channel noise SNR in dB")
     ben.add_argument("--threads", type=int, help="worker threads (default: SONOLINK_THREADS or CPU count)")
-    ben.add_argument("--dereverb", default="both", choices=["on", "off", "both"])
+    ben.add_argument("--dereverb", default="both", choices=["off", "both"])
     ben.add_argument("-o", "--output", required=True, help="report output directory")
     ben.set_defaults(run=_cmd_bench)
 

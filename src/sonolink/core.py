@@ -152,11 +152,6 @@ class Spectrogram:
         """Center frequency of each bin in Hz."""
         return np.arange(self.num_bands) * (self.sample_rate / self.config.window_length)
 
-    @property
-    def frame_times(self) -> np.ndarray:
-        """Start time of each frame in seconds."""
-        return np.arange(self.num_frames) * (self.config.hop / self.sample_rate)
-
     def power(self) -> np.ndarray:
         """Per-bin power envelope |X(k,l)|^2."""
         return np.abs(self.bins) ** 2

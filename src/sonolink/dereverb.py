@@ -193,19 +193,26 @@ def spectral_gain(
 
 
 def dereverberate(
-    buf: AudioBuffer,
+    buf: AudioBuffer | Spectrogram,
     cfg: DereverbConfig | None = None,
     rt60: float | None = None,
 ) -> tuple[AudioBuffer, DereverbDiagnostics]:
     """Suppress late reverberation in a signal.
 
+    ``buf`` is a recording, analyzed with ``cfg.stft`` (default: the 46 ms
+    configuration for its rate), or a spectrogram already computed from one,
+    whose configuration must then match ``cfg.stft`` if that is set.
     When ``rt60`` is not supplied it is estimated blindly from the input;
     if that estimation fails the suppressor falls back to 0.5 s and flags
-    it in the diagnostics.  Output length equals input length.
+    it in the diagnostics.  Output length equals the analyzed signal's.
     """
     cfg = cfg or DereverbConfig()
-    stft_cfg = cfg.stft or default_stft_config(buf.sample_rate)
-    grid = stft(buf, stft_cfg)
+    if isinstance(buf, Spectrogram):
+        if cfg.stft is not None and cfg.stft != buf.config:
+            raise InvalidArgumentError("cfg.stft does not match the spectrogram's configuration")
+        grid = buf
+    else:
+        grid = stft(buf, cfg.stft or default_stft_config(buf.sample_rate))
     power = grid.power()
 
     estimated = False
@@ -223,15 +230,15 @@ def dereverberate(
         rt60_value = float(rt60)
 
     model = ReverbModel(rt60_value)
-    frame_period = stft_cfg.frame_period(buf.sample_rate)
+    frame_period = grid.config.frame_period(grid.sample_rate)
     gamma_rr = reverberant_psd(power, model, cfg, frame_period)
     gains = spectral_gain(power, gamma_rr, cfg)
 
     shaped = Spectrogram(
         bins=grid.bins * gains.gain,
-        config=stft_cfg,
-        sample_rate=buf.sample_rate,
-        num_samples=len(buf),
+        config=grid.config,
+        sample_rate=grid.sample_rate,
+        num_samples=grid.num_samples,
     )
     out = istft(shaped)
     diagnostics = DereverbDiagnostics(

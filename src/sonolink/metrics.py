@@ -9,40 +9,16 @@ decode-rate percentages.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Spectrogram
 from .errors import InvalidArgumentError, MetricError
 
-__all__ = ["MetricReport", "lsd", "rr", "decode_rate", "metric_report"]
+__all__ = ["lsd", "rr", "decode_rate"]
 
 ACTIVITY_THRESHOLD_DB = 40.0  # frames/bands this far below the peak count as silent
 DYNAMIC_RANGE_DB = 50.0
-
-
-@dataclass
-class MetricReport:
-    """Bundle of metrics for one clean/reverberant/processed triple."""
-
-    mean_lsd: float
-    mean_rr: float
-    per_band_rr: list[tuple[int, float]]
-    frames_used: int
-    bands_used: int
-
-
-def _clipped_log_magnitudes(bins: np.ndarray, fallback_top: float | None) -> np.ndarray:
-    """20*log10|X| clamped to 50 dB below the spectrogram's own maximum."""
-    with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(np.abs(bins))
-    top = db.max() if db.size else -np.inf
-    if not np.isfinite(top):
-        if fallback_top is None or not np.isfinite(fallback_top):
-            return None
-        top = fallback_top
-    return np.maximum(db, top - DYNAMIC_RANGE_DB)
 
 
 def _active_frames(reference: Spectrogram, n_frames: int) -> np.ndarray:
@@ -51,7 +27,15 @@ def _active_frames(reference: Spectrogram, n_frames: int) -> np.ndarray:
     return frame_power > peak * 10.0 ** (-ACTIVITY_THRESHOLD_DB / 10.0)
 
 
-def _lsd_details(clean: Spectrogram, test: Spectrogram) -> tuple[float, int]:
+def lsd(clean: Spectrogram, test: Spectrogram) -> float:
+    """Mean log spectral distortion over frames carrying signal, in dB.
+
+    Per frame the RMS over bins of the clipped-log-magnitude difference is
+    taken; frames whose clean power sits more than 40 dB below the loudest
+    frame are excluded from the average.  Each spectrogram is clamped to a
+    50 dB dynamic range below its own maximum before comparison; a silent
+    side takes the other side's maximum instead.
+    """
     if clean.num_bands != test.num_bands:
         raise InvalidArgumentError(
             f"bin counts differ: {clean.num_bands} vs {test.num_bands}"
@@ -63,43 +47,37 @@ def _lsd_details(clean: Spectrogram, test: Spectrogram) -> tuple[float, int]:
         warnings.warn(
             f"frame counts differ ({clean.num_frames} vs {test.num_frames}); "
             "truncating to the shorter",
-            stacklevel=3,
+            stacklevel=2,
         )
-    clean_bins = clean.bins[:, :n_frames]
-    test_bins = test.bins[:, :n_frames]
-
     with np.errstate(divide="ignore"):
-        top_clean = 20.0 * np.log10(np.max(np.abs(clean_bins))) if clean_bins.size else -np.inf
-        top_test = 20.0 * np.log10(np.max(np.abs(test_bins))) if test_bins.size else -np.inf
-    log_clean = _clipped_log_magnitudes(clean_bins, top_test)
-    log_test = _clipped_log_magnitudes(test_bins, top_clean)
-    if log_clean is None or log_test is None:
-        return 0.0, 0  # both sides silent: zero distortion by convention
+        log_clean = 20.0 * np.log10(np.abs(clean.bins[:, :n_frames]))
+        log_test = 20.0 * np.log10(np.abs(test.bins[:, :n_frames]))
+    top_clean, top_test = log_clean.max(), log_test.max()
+    if not (np.isfinite(top_clean) or np.isfinite(top_test)):
+        return 0.0  # both sides silent: zero distortion by convention
+    for db, top, other in ((log_clean, top_clean, top_test), (log_test, top_test, top_clean)):
+        top = top if np.isfinite(top) else other
+        np.maximum(db, top - DYNAMIC_RANGE_DB, out=db)
 
     active = _active_frames(clean, n_frames)
-    frames_used = int(np.count_nonzero(active))
-    if frames_used == 0:
-        return 0.0, 0
+    if not active.any():
+        return 0.0
     per_frame = np.sqrt(np.mean((log_clean - log_test) ** 2, axis=0))
-    return float(np.mean(per_frame[active])), frames_used
+    return float(np.mean(per_frame[active]))
 
 
-def lsd(clean: Spectrogram, test: Spectrogram) -> float:
-    """Mean log spectral distortion over frames carrying signal, in dB.
-
-    Per frame the RMS over bins of the clipped-log-magnitude difference is
-    taken; frames whose clean power sits more than 40 dB below the loudest
-    frame are excluded from the average.  Each spectrogram is clamped to a
-    50 dB dynamic range below its own maximum before comparison.
-    """
-    return _lsd_details(clean, test)[0]
-
-
-def _rr_details(
+def rr(
     reverberant: Spectrogram,
     processed: Spectrogram,
     clean: Spectrogram | None = None,
 ) -> tuple[float, list[tuple[int, float]]]:
+    """Reverberation reduction on tone-free subbands, mean and per-band dB.
+
+    Silent bands are those whose peak power (in the clean reference when
+    given, else in the reverberant signal) sits more than 40 dB below the
+    global maximum.  Positive values mean the processed signal carries less
+    energy there than the reverberant one.
+    """
     if reverberant.bins.shape != processed.bins.shape:
         raise InvalidArgumentError("reverberant and processed shapes must match")
     reference = clean if clean is not None else reverberant
@@ -123,21 +101,6 @@ def _rr_details(
     return float(np.mean(ratios)), per_band
 
 
-def rr(
-    reverberant: Spectrogram,
-    processed: Spectrogram,
-    clean: Spectrogram | None = None,
-) -> tuple[float, list[tuple[int, float]]]:
-    """Reverberation reduction on tone-free subbands, mean and per-band dB.
-
-    Silent bands are those whose peak power (in the clean reference when
-    given, else in the reverberant signal) sits more than 40 dB below the
-    global maximum.  Positive values mean the processed signal carries less
-    energy there than the reverberant one.
-    """
-    return _rr_details(reverberant, processed, clean)
-
-
 def decode_rate(results) -> float:
     """Percentage of decodes whose payload exactly matches the truth.
 
@@ -154,17 +117,3 @@ def decode_rate(results) -> float:
             hits += 1
     return 100.0 * hits / len(results)
 
-
-def metric_report(
-    clean: Spectrogram, reverberant: Spectrogram, processed: Spectrogram
-) -> MetricReport:
-    """LSD of the processed signal plus RR, bundled with usage counts."""
-    mean_lsd, frames_used = _lsd_details(clean, processed)
-    mean_rr, per_band = _rr_details(reverberant, processed, clean)
-    return MetricReport(
-        mean_lsd=mean_lsd,
-        mean_rr=mean_rr,
-        per_band_rr=per_band,
-        frames_used=frames_used,
-        bands_used=len(per_band),
-    )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import AudioBuffer, convolve
 from .dereverb import decay_constant
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, SonolinkError
 from .wavio import wav_read, wav_write
 
 __all__ = [
@@ -188,7 +188,7 @@ def load_rir_corpus(
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # stereo downmix notes are fine here
                 audio = wav_read(path)
-        except Exception as exc:
+        except SonolinkError as exc:
             warnings.warn(f"skipping {path.name}: {exc}")
             continue
         if reference_rate is None:

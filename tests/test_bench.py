@@ -59,6 +59,7 @@ class TestConfig:
             ({"dereverb": "sometimes"}, "dereverb"),
             ({"threads": 0}, "threads"),
             ({"snr_db": float("nan")}, "snr_db"),
+            ({"dereverb": "on"}, "dereverb"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):

@@ -204,6 +204,23 @@ class TestDereverberate:
         assert diag.rt60_estimated
         assert diag.rt60 == estimate_rt60(buf, cfg.stft).rt60
 
+    @pytest.mark.parametrize("rt60", [None, 0.4])
+    def test_spectrogram_input_is_bit_exact(self, rt60):
+        buf = _decaying_noise(9600, seed=2)
+        dcfg = DereverbConfig(stft=StftConfig(512, 32))
+        from_grid, grid_diag = dereverberate(stft(buf, dcfg.stft), dcfg, rt60=rt60)
+        from_buf, buf_diag = dereverberate(buf, dcfg, rt60=rt60)
+        np.testing.assert_array_equal(from_grid.samples, from_buf.samples)
+        assert from_grid.sample_rate == from_buf.sample_rate
+        assert grid_diag.rt60 == buf_diag.rt60
+        assert grid_diag.rt60_estimated == buf_diag.rt60_estimated
+        np.testing.assert_array_equal(grid_diag.gain_grid.gain, buf_diag.gain_grid.gain)
+
+    def test_spectrogram_config_mismatch(self):
+        grid = stft(_decaying_noise(4000, seed=1), StftConfig(512, 32))
+        with pytest.raises(InvalidArgumentError, match="does not match"):
+            dereverberate(grid, DereverbConfig(stft=SMALL), rt60=0.4)
+
     def test_fallback_on_undecidable_input(self):
         x = np.zeros(8000)
         x[1500] = 1.0

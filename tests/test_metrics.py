@@ -7,7 +7,7 @@ import pytest
 
 from sonolink.core import Spectrogram, StftConfig
 from sonolink.errors import InvalidArgumentError, MetricError
-from sonolink.metrics import decode_rate, lsd, metric_report, rr
+from sonolink.metrics import decode_rate, lsd, rr
 
 CFG = StftConfig(window_length=16, hop=4)  # 9 bins
 
@@ -79,13 +79,19 @@ def test_lsd_bin_mismatch():
 def test_lsd_frame_mismatch_truncates_with_warning():
     a = _random_spec(5, frames=12)
     b = _spec(a.bins[:, :8])
-    with pytest.warns(UserWarning, match="truncating"):
+    with pytest.warns(UserWarning, match="truncating") as caught:
         value = lsd(a, b)
     assert value == 0.0  # identical on the compared stretch
+    assert caught[0].filename == __file__  # blamed on the caller, not on lsd
 
 
 def test_lsd_both_silent():
     assert lsd(_spec(np.zeros((9, 4))), _spec(np.zeros((9, 4)))) == 0.0
+
+
+def test_lsd_silent_side_takes_the_other_floor():
+    # a silent test grid sits at the clean grid's floor, 50 dB below its peak
+    assert lsd(_spec(np.ones((9, 4))), _spec(np.zeros((9, 4)))) == 50.0
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +150,7 @@ def test_rr_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# decode rate / bundled report
+# decode rate / one clean-reverberant-processed triple
 # ---------------------------------------------------------------------------
 
 
@@ -164,11 +170,11 @@ def test_decode_rate_empty():
         decode_rate([])
 
 
-def test_metric_report_bundle():
+def test_lsd_and_rr_on_one_triple():
     clean, reverberant, processed = _rr_triple()
-    report = metric_report(clean, reverberant, processed)
-    assert report.mean_rr == pytest.approx(10.0, rel=1e-9)
-    assert report.bands_used == 3
-    assert report.frames_used == 10
-    assert report.mean_lsd >= 0.0
-    assert np.isfinite(report.mean_lsd)
+    mean_rr, per_band = rr(reverberant, processed, clean)
+    assert mean_rr == pytest.approx(10.0, rel=1e-9)
+    assert len(per_band) == 3
+    mean_lsd = lsd(clean, processed)
+    assert mean_lsd >= 0.0
+    assert np.isfinite(mean_lsd)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonolink.core import AudioBuffer
 from sonolink.errors import InvalidArgumentError
@@ -33,15 +35,13 @@ def test_pack_symbols_oracles():
     assert pack_symbols(b"") == []
 
 
-def test_pack_unpack_roundtrip():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(rng.integers(1, 17))
-        payload = rng.bytes(n)
-        symbols = pack_symbols(payload)
-        assert len(symbols) == -(-8 * n // 5)
-        assert all(0 <= s < 32 for s in symbols)
-        assert unpack_payload(symbols, n) == payload
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.binary(min_size=0, max_size=16))
+def test_pack_unpack_roundtrip(payload):
+    symbols = pack_symbols(payload)
+    assert len(symbols) == -(-8 * len(payload) // 5)
+    assert all(0 <= s < 32 for s in symbols)
+    assert unpack_payload(symbols, len(payload)) == payload
 
 
 def test_unpack_needs_enough_symbols():

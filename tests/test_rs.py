@@ -7,6 +7,8 @@ root-by-root product, so the tables under test never verify themselves.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonolink import rs
 from sonolink.errors import FecError, InvalidArgumentError
@@ -193,6 +195,32 @@ def test_monte_carlo_error_erasure_bound():
         decoded, fixed = rs.rs_decode(corrupted, 8, erasures=pos[e:])
         assert decoded == data, f"trial {trial}: e={e} f={f}"
         assert fixed <= e
+
+
+@st.composite
+def corrupted_codewords(draw):
+    """A codeword at any parity 1..30 with e errors and f erasures, 2e + f <= nparity."""
+    nparity = draw(st.integers(1, 30))
+    data = draw(st.lists(st.integers(0, 31), min_size=1, max_size=rs.MAX_CODEWORD - nparity))
+    codeword = rs.rs_encode(data, nparity)
+    e = draw(st.integers(0, nparity // 2))
+    f = draw(st.integers(0, nparity - 2 * e))
+    positions = draw(st.permutations(range(len(codeword))))[: e + f]
+    corrupted = list(codeword)
+    for p in positions[:e]:
+        corrupted[p] ^= draw(st.integers(1, 31))
+    for p in positions[e:]:
+        corrupted[p] = draw(st.integers(0, 31))
+    return data, corrupted, nparity, e, positions[e:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(corrupted_codewords())
+def test_error_erasure_bound_at_every_parity(case):
+    data, corrupted, nparity, e, erasures = case
+    decoded, fixed = rs.rs_decode(corrupted, nparity, erasures=erasures)
+    assert decoded == data
+    assert fixed <= e
 
 
 def test_beyond_capability_never_returns_the_original():

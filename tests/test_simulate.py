@@ -1,5 +1,7 @@
 """Synthetic RIR generator, channel application, and corpus IO."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.io.wavfile
@@ -202,6 +204,14 @@ class TestCorpus:
         with pytest.warns(UserWarning, match="skipping broken.wav"):
             loaded = load_rir_corpus(tmp_path)
         assert [e.name for e in loaded] == ["good.wav"]
+
+    def test_reader_bug_is_not_a_skipped_file(self, tmp_path):
+        # wav_read reports bad files as FormatError; anything else is a bug
+        # and must surface, not turn into a "skipping" warning
+        save_rir_corpus([_entry("good", 0)], tmp_path)
+        with mock.patch("sonolink.simulate.wav_read", side_effect=ValueError("bug")):
+            with pytest.raises(ValueError, match="bug"):
+                load_rir_corpus(tmp_path)
 
     def test_bad_labels_header_ignored(self, tmp_path):
         save_rir_corpus([_entry("good", 0, rt60=0.5)], tmp_path)
