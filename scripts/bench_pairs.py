@@ -5,9 +5,11 @@ checkout and in a changed one, alternating which side goes first from one
 pair to the next, and records each run's end-to-end metrics and
 ``attempted``/``failed`` counts.  The summary gives, per workload and
 metric, each side's median and quartiles, the change's wins counted over
-pairs (ties count for neither side), and whether the gain rule holds: the
+pairs (ties count for neither side), whether the gain rule holds (the
 change wins at least 9 of 10 pairs and the medians differ by more than the
-base's interquartile range.
+base's interquartile range) and whether the no-regression rule holds (the
+change's median is worse than the base's by no more than the metric's
+relative bound in BENCHMARK.json).
 
     python3 scripts/bench_pairs.py --base ../parent --change . \\
         --workloads modem,long_recording,sweep --seeds 1-10 \\
@@ -27,12 +29,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = {  # end-to-end metrics of BENCHMARK.json, and which way is better
-    "setup_s": "lower",
-    "item_ms_p50": "lower",
-    "audio_s_per_s": "higher",
-    "peak_rss_mb": "lower",
-}
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def end_to_end_metrics(path: Path = BENCHMARK) -> dict[str, dict]:
+    """Each end-to-end metric's better direction and regression bound."""
+    spec = json.loads(path.read_text())
+    return {m["name"]: {"better": m["better"], "bound": m["bound"]} for m in spec["end_to_end"]}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -68,7 +71,7 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
 
 
-def summarise(runs: list[dict], workload: str) -> dict:
+def summarise(runs: list[dict], workload: str, metrics: dict[str, dict]) -> dict:
     pairs: dict[int, dict] = {}
     for run in runs:
         if run["workload"] == workload:
@@ -84,7 +87,8 @@ def summarise(runs: list[dict], workload: str) -> dict:
         "all_correct": all(p[s]["correct"] for p in pairs.values() for s in p),
         "metrics": {},
     }
-    for name, better in METRICS.items():
+    for name, rule in metrics.items():
+        better = rule["better"]
         base = [p["base"]["metrics"][name] for p in pairs.values()]
         change = [p["change"]["metrics"][name] for p in pairs.values()]
         sign = 1.0 if better == "lower" else -1.0
@@ -100,6 +104,8 @@ def summarise(runs: list[dict], workload: str) -> dict:
             "base_wins": losses,
             "gain_rule_met": wins >= 0.9 * len(pairs)
             and sign * (b["median"] - c["median"]) > b["q3"] - b["q1"],
+            "bound": rule["bound"],
+            "within_bound": sign * (c["median"] - b["median"]) <= rule["bound"] * b["median"],
         }
     return out
 
@@ -115,6 +121,7 @@ def main(argv=None) -> None:
     ap.add_argument("--out", type=Path, required=True, help="summary file to write")
     args = ap.parse_args(argv)
 
+    metrics = end_to_end_metrics()
     workloads = args.workloads.split(",")
     seeds = parse_seeds(args.seeds)
     runs = []
@@ -138,7 +145,7 @@ def main(argv=None) -> None:
     summary = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds}",
         "seeds": seeds,
-        "workloads": {w: summarise(runs, w) for w in workloads},
+        "workloads": {w: summarise(runs, w, metrics) for w in workloads},
         "runs": runs,
     }
     args.out.write_text(json.dumps(summary, indent=1) + "\n")

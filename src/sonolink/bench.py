@@ -186,9 +186,7 @@ def _process_rir(cfg: BenchConfig, profile, rt_index, rir_index, true_rt60, rir,
             )
             wet = apply_channel(dry, chan)
 
-            before = decode_packet(wet, profile)
-            if before.payload == payload:
-                before_hits += 1
+            before_hit = decode_packet(wet, profile).payload == payload
 
             if j == 0 or want_dereverb:
                 wet_spec = stft(wet, stft_cfg)
@@ -200,19 +198,25 @@ def _process_rir(cfg: BenchConfig, profile, rt_index, rir_index, true_rt60, rir,
 
             if want_dereverb:
                 processed, _diag = dereverberate(wet_spec, dcfg, rt60=estimated)
-                after = decode_packet(processed, profile)
-                if after.payload == payload:
-                    after_hits += 1
+                after_hit = decode_packet(processed, profile).payload == payload
 
                 clean = np.zeros(len(wet))
                 clean[: len(dry)] = dry.samples
                 clean_spec = stft(AudioBuffer(clean, fs), stft_cfg)
                 proc_spec = stft(processed, stft_cfg)
-                lsd_before_vals.append(lsd(clean_spec, wet_spec))
-                lsd_after_vals.append(lsd(clean_spec, proc_spec))
-                rr_vals.append(rr(wet_spec, proc_spec, clean_spec)[0])
+                packet_lsd = (lsd(clean_spec, wet_spec), lsd(clean_spec, proc_spec))
+                packet_rr = rr(wet_spec, proc_spec, clean_spec)[0]
         except SonolinkError:
             failures += 1
+            continue
+        # a packet counts in the row's rates and means only once it has
+        # completed, so every column averages over the same packets
+        before_hits += before_hit
+        if want_dereverb:
+            after_hits += after_hit
+            lsd_before_vals.append(packet_lsd[0])
+            lsd_after_vals.append(packet_lsd[1])
+            rr_vals.append(packet_rr)
 
     n = cfg.packets_per_rir
     return RirRow(
@@ -282,9 +286,14 @@ def _thread_count(cfg: BenchConfig) -> int:
     env = os.environ.get("SONOLINK_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
-            pass
+            threads = 0
+        if threads < 1:
+            raise InvalidArgumentError(
+                f"SONOLINK_THREADS must be a positive integer, got {env!r}"
+            )
+        return threads
     return min(os.cpu_count() or 1, 8)
 
 

@@ -6,6 +6,12 @@ speaks two currencies: :class:`AudioBuffer` for time-domain signals and
 implemented here uses a periodic Hann window with weighted overlap-add
 resynthesis, so ``istft(stft(x))`` reproduces ``x`` on the interior to
 floating-point accuracy for any hop that divides the window length.
+
+Whole-grid work runs over blocks of :data:`BLOCK_FRAMES` frames written
+through preallocated buffers, so a pass over a long recording's grid keeps
+its temporaries in cache instead of allocating a grid-sized one per
+operation.  Each output element is computed by the same operations, in the
+same order, as a single pass over the whole grid would use.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ __all__ = [
     "istft",
     "convolve",
 ]
+
+# Frames per block in whole-grid passes.  At the 44.1 kHz default (1025
+# bins) a complex block of 64 frames is 1 MB, small enough to stay in cache.
+BLOCK_FRAMES = 64
 
 
 @dataclass(eq=False)
@@ -154,7 +164,12 @@ class Spectrogram:
 
     def power(self) -> np.ndarray:
         """Per-bin power envelope |X(k,l)|^2."""
-        return np.abs(self.bins) ** 2
+        out = np.empty_like(self.bins, dtype=np.float64)
+        for s in range(0, self.num_frames, BLOCK_FRAMES):
+            block = out[:, s:s + BLOCK_FRAMES]
+            np.abs(self.bins[:, s:s + BLOCK_FRAMES], out=block)
+            np.square(block, out=block)
+        return out
 
 
 def make_window(length: int) -> np.ndarray:
@@ -208,8 +223,14 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
         x = np.concatenate([x, np.zeros(padded_len - x.size)])
     frames = np.lib.stride_tricks.sliding_window_view(x, win)[:: cfg.hop]
     window = make_window(win)
-    bins = np.fft.rfft(frames * window, axis=1).T
-    return Spectrogram(bins=bins, config=cfg, sample_rate=buf.sample_rate,
+    # frame-major, so each block of frames is one contiguous slab
+    bins = np.empty((n_frames, cfg.num_bins), dtype=np.complex128)
+    windowed = np.empty((BLOCK_FRAMES, win))
+    for s in range(0, n_frames, BLOCK_FRAMES):
+        block = frames[s:s + BLOCK_FRAMES]
+        np.multiply(block, window, out=windowed[: len(block)])
+        bins[s:s + len(block)] = np.fft.rfft(windowed[: len(block)], axis=1)
+    return Spectrogram(bins=bins.T, config=cfg, sample_rate=buf.sample_rate,
                        num_samples=buf.samples.size)
 
 
@@ -226,18 +247,27 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     n_frames = spec.num_frames
     if n_frames < 1:
         raise InvalidArgumentError("cannot invert an empty spectrogram")
+    hop = cfg.hop
+    overlap = win // hop  # frames covering each hop-long chunk of output
     window = make_window(win)
-    frames = np.fft.irfft(spec.bins.T, n=win, axis=1) * window
-    total = (n_frames - 1) * cfg.hop + win
-    out = np.zeros(total)
-    norm = np.zeros(total)
-    win_sq = window * window
-    for l in range(n_frames):
-        start = l * cfg.hop
-        out[start:start + win] += frames[l]
-        norm[start:start + win] += win_sq
-    nonzero = norm > 0.0
-    out[nonzero] /= norm[nonzero]
+    # Output as [chunk, hop]: frame l covers chunks l .. l + overlap - 1, so
+    # part r of every frame in a block lands on one run of consecutive
+    # chunks.  Parts go in descending r so each sample sums its frames in
+    # ascending frame order, as a frame-by-frame overlap-add does.
+    out = np.zeros((n_frames + overlap - 1, hop))
+    for s in range(0, n_frames, BLOCK_FRAMES):
+        frames = np.fft.irfft(spec.bins[:, s:s + BLOCK_FRAMES].T, n=win, axis=1)
+        frames *= window
+        parts = frames.reshape(len(frames), overlap, hop)
+        for r in range(overlap - 1, -1, -1):
+            out[s + r:s + r + len(frames)] += parts[:, r]
+    norm = np.zeros_like(out)
+    win_sq = (window * window).reshape(overlap, hop)
+    for r in range(overlap - 1, -1, -1):
+        norm[r:r + n_frames] += win_sq[r]
+    out = out.reshape(-1)
+    norm = norm.reshape(-1)
+    np.divide(out, norm, out=out, where=norm > 0.0)
     if spec.num_samples is not None:
         out = out[: spec.num_samples]
     return AudioBuffer(out, spec.sample_rate)

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.ndimage
 
 from .core import (
+    BLOCK_FRAMES,
     AudioBuffer,
     Spectrogram,
     StftConfig,
@@ -24,7 +24,7 @@ from .core import (
     stft,
 )
 from .errors import EstimationError, InvalidArgumentError
-from .rt60 import estimate_rt60
+from .rt60 import _estimate_from_power
 
 __all__ = [
     "DereverbConfig",
@@ -145,11 +145,32 @@ def reverberant_psd(
     if frame_period <= 0:
         raise InvalidArgumentError("frame_period must be positive")
     shift = cfg.delay_frames(frame_period)
-    smoothed = scipy.ndimage.uniform_filter1d(power, size=3, axis=1, mode="nearest")
     attenuation = math.exp(-2.0 * model.delta * cfg.late_delay)
-    out = np.zeros_like(power)
-    if shift < power.shape[1]:
-        out[:, shift:] = attenuation * smoothed[:, :-shift]
+    n_bands, n_frames = power.shape
+    last = n_frames - 1
+    out = np.empty_like(power)
+    out[:, :shift] = 0.0
+    # The 3-frame average is a running sum over edge-repeated frames,
+    # total(l) = total(l-1) + (power[l+1] - power[l-2]), divided by 3: the
+    # arithmetic of scipy.ndimage.uniform_filter1d(size=3, mode="nearest"),
+    # carried from block to block.  Only frames whose delayed copy lands
+    # inside the grid are averaged.
+    total = power[:, 0] + power[:, 0] + power[:, min(1, last)]
+    sums = np.empty((BLOCK_FRAMES, n_bands)).T
+    for s in range(0, n_frames - shift, BLOCK_FRAMES):
+        e = min(s + BLOCK_FRAMES, n_frames - shift)
+        frames = np.arange(s, e)
+        block = sums[:, : e - s]
+        np.subtract(power[:, np.minimum(frames + 1, last)],
+                    power[:, np.maximum(frames - 2, 0)], out=block)
+        for l, column in enumerate(block.T, start=s):
+            if l == 0:
+                column[:] = total
+            else:
+                total = np.add(total, column, out=column)
+        total = total.copy()  # the next block reuses its column
+        np.divide(block, 3.0, out=block)
+        np.multiply(block, attenuation, out=out[:, s + shift:e + shift])
     return out
 
 
@@ -171,24 +192,60 @@ def spectral_gain(
     n_bands, n_frames = power.shape
     beta = cfg.snr_smoothing
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        snr_post = np.where(gamma_rr > 0.0, power / gamma_rr, np.inf)
-
-    gain = np.empty_like(power)
-    snr_prio = np.empty_like(power)
+    # frame-major storage: a block of frames, and each frame, is contiguous
+    gain = np.empty((n_frames, n_bands)).T
+    snr_post = np.empty((n_frames, n_bands)).T
+    snr_prio = np.empty((n_frames, n_bands)).T
+    rectified_buf = np.empty((BLOCK_FRAMES, n_bands)).T
+    update_buf = np.empty((BLOCK_FRAMES, n_bands)).T
     carry = np.zeros(n_bands)
     seen_valid = np.zeros(n_bands, dtype=bool)
-    for l in range(n_frames):
-        valid = gamma_rr[:, l] > 0.0
-        rectified = np.where(valid, np.maximum(snr_post[:, l] - 1.0, 0.0), 0.0)
-        rectified = np.minimum(rectified, cfg.snr_ceiling)
-        smoothed = beta * carry + (1.0 - beta) * rectified
-        prio = np.where(valid, np.where(seen_valid, smoothed, rectified), carry)
-        g = 1.0 - 1.0 / np.sqrt(1.0 + prio)
-        gain[:, l] = np.where(valid, np.maximum(g, cfg.gain_floor), 1.0)
-        snr_prio[:, l] = prio
-        carry = prio
-        seen_valid |= valid
+    for s in range(0, n_frames, BLOCK_FRAMES):
+        e = min(s + BLOCK_FRAMES, n_frames)
+        valid = gamma_rr[:, s:e] > 0.0
+        invalid = ~valid
+        post = snr_post[:, s:e]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(power[:, s:e], gamma_rr[:, s:e], out=post)
+        np.copyto(post, np.inf, where=invalid)
+
+        rectified = rectified_buf[:, : e - s]
+        np.subtract(post, 1.0, out=rectified)
+        np.maximum(rectified, 0.0, out=rectified)
+        np.minimum(rectified, cfg.snr_ceiling, out=rectified)
+        np.copyto(rectified, 0.0, where=invalid)
+        update = update_buf[:, : e - s]
+        np.multiply(rectified, 1.0 - beta, out=update)
+
+        # prio = beta * carry + update wherever a bin was valid before and
+        # is valid now.  The exceptions are a bin's first valid frame,
+        # where prio = rectified, and an invalid frame after it, where prio
+        # holds carry.  Invalid frames before the first valid one need no
+        # fix: carry and update are both zero there.
+        exception = invalid & seen_valid[:, None]
+        fresh = np.flatnonzero(~seen_valid & valid.any(axis=1))
+        if fresh.size:
+            first = valid[fresh].argmax(axis=1)
+            after_first = np.arange(e - s) > first[:, None]
+            exception[fresh] = valid[fresh] ^ after_first
+            seen_valid[fresh] = True
+        exception_frames = set(np.flatnonzero(exception.any(axis=0)).tolist())
+
+        for j, column in enumerate(snr_prio[:, s:e].T):
+            np.multiply(carry, beta, out=column)
+            column += update[:, j]
+            if j in exception_frames:
+                rows = np.flatnonzero(exception[:, j])
+                column[rows] = np.where(valid[rows, j], rectified[rows, j], carry[rows])
+            carry = column
+
+        g = gain[:, s:e]
+        np.add(snr_prio[:, s:e], 1.0, out=g)
+        np.sqrt(g, out=g)
+        np.divide(1.0, g, out=g)
+        np.subtract(1.0, g, out=g)
+        np.maximum(g, cfg.gain_floor, out=g)
+        np.copyto(g, 1.0, where=invalid)
     return GainGrid(gain=gain, snr_post=snr_post, snr_prio=snr_prio)
 
 
@@ -217,9 +274,10 @@ def dereverberate(
 
     estimated = False
     fallback = False
+    frame_period = grid.config.frame_period(grid.sample_rate)
     if rt60 is None:
         try:
-            rt60_value = estimate_rt60(grid).rt60
+            rt60_value = _estimate_from_power(power, frame_period).rt60
             estimated = True
         except EstimationError:
             rt60_value = FALLBACK_RT60
@@ -230,9 +288,9 @@ def dereverberate(
         rt60_value = float(rt60)
 
     model = ReverbModel(rt60_value)
-    frame_period = grid.config.frame_period(grid.sample_rate)
     gamma_rr = reverberant_psd(power, model, cfg, frame_period)
     gains = spectral_gain(power, gamma_rr, cfg)
+    del power, gamma_rr  # free both grids before the shaped one is built
 
     shaped = Spectrogram(
         bins=grid.bins * gains.gain,

@@ -74,7 +74,10 @@ def subband_envelopes(
     Bands whose peak power sits more than ``threshold_db`` below the global
     maximum are dropped.  An all-zero spectrogram yields an empty list.
     """
-    power = spec.power()
+    return _power_envelopes(spec.power(), threshold_db)
+
+
+def _power_envelopes(power: np.ndarray, threshold_db: float) -> list[SubbandEnvelope]:
     if power.size == 0:
         return []
     peaks = power.max(axis=1)
@@ -186,11 +189,22 @@ def estimate_rt60(
         grid = buf
     else:
         grid = stft(buf, cfg or default_stft_config(buf.sample_rate))
-    frame_period = grid.config.frame_period(grid.sample_rate)
+    return _estimate_from_power(
+        grid.power(), grid.config.frame_period(grid.sample_rate), threshold_db, decay_offset
+    )
+
+
+def _estimate_from_power(
+    power: np.ndarray,
+    frame_period: float,
+    threshold_db: float = DEFAULT_THRESHOLD_DB,
+    decay_offset: float = DEFAULT_DECAY_OFFSET,
+) -> RtEstimate:
+    """estimate_rt60 on a grid's power(), for callers that already hold it."""
     offset_frames = math.ceil(decay_offset / frame_period)
 
     per_band: list[tuple[int, float, float]] = []
-    for env in subband_envelopes(grid, threshold_db):
+    for env in _power_envelopes(power, threshold_db):
         try:
             start = decay_start(env, offset_frames)
             curve = edc(env, start)

@@ -10,6 +10,7 @@ from sonolink.bench import (
     BenchConfig,
     BenchReport,
     RirRow,
+    _thread_count,
     read_report,
     run_benchmark,
     write_report,
@@ -139,6 +140,35 @@ class TestSyntheticRun:
         assert report.errors == []
         (row,) = report.rows
         assert row.failures == TINY.packets_per_rir
+
+    def test_failed_packet_leaves_no_partial_results(self, monkeypatch):
+        # the packet decodes before and after dereverb, then rr raises: its
+        # hits and LSD values must not stay in the row beside a failure
+        def undefined(*args):
+            raise MetricError("metric undefined")
+
+        monkeypatch.setattr("sonolink.bench.rr", undefined)
+        report = run_benchmark(dataclasses.replace(TINY, rt60_values=(0.4,), rirs_per_rt=1))
+        (row,) = report.rows
+        assert row.failures == 1
+        assert row.decode_rate_before == 0.0
+        assert row.decode_rate_after == 0.0
+        assert row.mean_lsd_before is None
+        assert row.mean_lsd_after is None
+        assert row.mean_rr is None
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_env_is_a_typed_error(self, monkeypatch, value):
+        monkeypatch.setenv("SONOLINK_THREADS", value)
+        with pytest.raises(InvalidArgumentError, match="SONOLINK_THREADS"):
+            run_benchmark(
+                dataclasses.replace(TINY, rt60_values=(0.4,), rirs_per_rt=1, threads=None)
+            )
+
+    def test_thread_env_and_precedence(self, monkeypatch):
+        monkeypatch.setenv("SONOLINK_THREADS", "3")
+        assert _thread_count(dataclasses.replace(TINY, threads=None)) == 3
+        assert _thread_count(TINY) == 1  # the config's value wins
 
     def test_dereverb_off_leaves_after_columns_empty(self):
         cfg = dataclasses.replace(

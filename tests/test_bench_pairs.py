@@ -1,0 +1,92 @@
+"""scripts/bench_pairs.py: the gain and no-regression rules on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+RULES = {
+    "item_ms_p50": {"better": "lower", "bound": 0.25},
+    "audio_s_per_s": {"better": "higher", "bound": 0.25},
+}
+
+
+def _runs(base, change, failed=(0, 0)):
+    """One pair per seed from per-seed metric dicts of each side."""
+    runs = []
+    for seed, (b, c) in enumerate(zip(base, change), start=1):
+        for side, metrics, fails in (("base", b, failed[0]), ("change", c, failed[1])):
+            runs.append({"workload": "w", "seed": seed, "side": side, "correct": True,
+                         "attempted": 10, "failed": fails, "metrics": metrics})
+    return runs
+
+
+def _pairs(base_ms, change_ms):
+    return _runs([{"item_ms_p50": v, "audio_s_per_s": 1000.0 / v} for v in base_ms],
+                 [{"item_ms_p50": v, "audio_s_per_s": 1000.0 / v} for v in change_ms])
+
+
+def test_clear_gain_meets_both_rules():
+    base = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+    change = [v * 0.7 for v in base]
+    out = bench_pairs.summarise(_pairs(base, change), "w", RULES)
+    assert out["pairs"] == 10 and out["counts_identical"] and out["all_correct"]
+    for name in RULES:
+        m = out["metrics"][name]
+        assert m["change_wins"] == 10 and m["base_wins"] == 0
+        assert m["gain_rule_met"] and m["within_bound"]
+        assert m["bound"] == 0.25
+    assert out["metrics"]["item_ms_p50"]["change_vs_base"] == pytest.approx(-0.3)
+
+
+def test_eight_wins_of_ten_is_no_gain():
+    base = [100.0] * 10
+    change = [70.0] * 8 + [110.0] * 2
+    m = bench_pairs.summarise(_pairs(base, change), "w", RULES)["metrics"]["item_ms_p50"]
+    assert m["change_wins"] == 8 and m["base_wins"] == 2
+    assert not m["gain_rule_met"]
+
+
+def test_gain_inside_the_base_spread_is_no_gain():
+    base = [80.0, 120.0] * 5  # interquartile range 40
+    change = [v - 10.0 for v in base]
+    m = bench_pairs.summarise(_pairs(base, change), "w", RULES)["metrics"]["item_ms_p50"]
+    assert m["change_wins"] == 10
+    assert not m["gain_rule_met"]
+
+
+@pytest.mark.parametrize("factor, within", [(1.2, True), (1.25, True), (1.3, False)])
+def test_no_regression_bound_on_a_lower_is_better_metric(factor, within):
+    base = [100.0] * 10
+    m = bench_pairs.summarise(_pairs(base, [v * factor for v in base]), "w", RULES)
+    assert m["metrics"]["item_ms_p50"]["within_bound"] is within
+
+
+@pytest.mark.parametrize("factor, within", [(0.8, True), (0.75, True), (0.7, False)])
+def test_no_regression_bound_on_a_higher_is_better_metric(factor, within):
+    base = [{"item_ms_p50": 100.0, "audio_s_per_s": 10.0}] * 10
+    change = [{"item_ms_p50": 100.0, "audio_s_per_s": 10.0 * factor}] * 10
+    m = bench_pairs.summarise(_runs(base, change), "w", RULES)
+    assert m["metrics"]["audio_s_per_s"]["within_bound"] is within
+
+
+def test_unpaired_runs_and_changed_counts():
+    runs = _pairs([100.0] * 3, [90.0] * 3)
+    runs.append({"workload": "w", "seed": 9, "side": "base", "correct": True,
+                 "attempted": 10, "failed": 0, "metrics": {}})  # no change side
+    assert bench_pairs.summarise(runs, "w", RULES)["pairs"] == 3
+    moved = _runs([{"item_ms_p50": 1.0, "audio_s_per_s": 1.0}] * 2,
+                  [{"item_ms_p50": 1.0, "audio_s_per_s": 1.0}] * 2, failed=(0, 1))
+    assert not bench_pairs.summarise(moved, "w", RULES)["counts_identical"]
+
+
+def test_rules_come_from_the_benchmark_file():
+    rules = bench_pairs.end_to_end_metrics()
+    assert set(rules) == {"setup_s", "item_ms_p50", "audio_s_per_s", "peak_rss_mb"}
+    assert rules["audio_s_per_s"]["better"] == "higher"
+    assert all(0 < r["bound"] < 1 for r in rules.values())
