@@ -109,11 +109,9 @@ class DereverbConfig:
 
 @dataclass
 class GainGrid:
-    """Spectral gain plus the SNR grids it was derived from."""
+    """Spectral gain per bin and frame, in [gain_floor, 1]."""
 
     gain: np.ndarray
-    snr_post: np.ndarray
-    snr_prio: np.ndarray
 
 
 @dataclass
@@ -135,9 +133,9 @@ def reverberant_psd(
 ) -> np.ndarray:
     """Late-reverberant PSD estimate from delayed, attenuated signal power.
 
-    The smoothed power (3-frame moving average) from ``late_delay`` seconds
-    ago is scaled by e^(-2*delta*late_delay).  Frames with no history yet
-    (the first delay_frames frames) get a zero estimate.
+    The smoothed power (3-frame average, a direct sum) from ``late_delay``
+    seconds ago is scaled by e^(-2*delta*late_delay).  Frames with no
+    history yet (the first delay_frames frames) get a zero estimate.
     """
     power = np.asarray(power, dtype=np.float64)
     if power.ndim != 2 or power.size == 0:
@@ -146,31 +144,20 @@ def reverberant_psd(
         raise InvalidArgumentError("frame_period must be positive")
     shift = cfg.delay_frames(frame_period)
     attenuation = math.exp(-2.0 * model.delta * cfg.late_delay)
-    n_bands, n_frames = power.shape
-    last = n_frames - 1
     out = np.empty_like(power)
     out[:, :shift] = 0.0
-    # The 3-frame average is a running sum over edge-repeated frames,
-    # total(l) = total(l-1) + (power[l+1] - power[l-2]), divided by 3: the
-    # arithmetic of scipy.ndimage.uniform_filter1d(size=3, mode="nearest"),
-    # carried from block to block.  Only frames whose delayed copy lands
-    # inside the grid are averaged.
-    total = power[:, 0] + power[:, 0] + power[:, min(1, last)]
-    sums = np.empty((BLOCK_FRAMES, n_bands)).T
-    for s in range(0, n_frames - shift, BLOCK_FRAMES):
-        e = min(s + BLOCK_FRAMES, n_frames - shift)
-        frames = np.arange(s, e)
-        block = sums[:, : e - s]
-        np.subtract(power[:, np.minimum(frames + 1, last)],
-                    power[:, np.maximum(frames - 2, 0)], out=block)
-        for l, column in enumerate(block.T, start=s):
-            if l == 0:
-                column[:] = total
-            else:
-                total = np.add(total, column, out=column)
-        total = total.copy()  # the next block reuses its column
-        np.divide(block, 3.0, out=block)
-        np.multiply(block, attenuation, out=out[:, s + shift:e + shift])
+    # Only frames whose delayed copy lands inside the grid are averaged, so
+    # frame l's right neighbour l + 1 always exists; the first frame repeats
+    # as its own left neighbour.  A direct sum of non-negative powers is
+    # never negative.
+    n = power.shape[1] - shift
+    if n > 0:
+        avg = out[:, shift:]
+        np.add(power[:, 0], power[:, 0], out=avg[:, 0])
+        np.add(power[:, : n - 1], power[:, 1:n], out=avg[:, 1:])
+        avg += power[:, 1:n + 1]
+        avg /= 3.0
+        avg *= attenuation
     return out
 
 
@@ -179,11 +166,11 @@ def spectral_gain(
 ) -> GainGrid:
     """Floored spectral gain from observed power and reverberant PSD.
 
-    Per bin: SNR_post = power / gamma_rr (infinite where the reverberant
-    estimate is zero — those bins pass through with unit gain); the
-    instantaneous SNR (SNR_post - 1) is half-wave rectified and smoothed
-    over frames into an a-priori SNR; the gain 1 - 1/sqrt(1 + SNR_prio) is
-    clamped to [gain_floor, 1].
+    Per bin: SNR_post = power / gamma_rr; the instantaneous SNR
+    (SNR_post - 1) is half-wave rectified and smoothed over frames into an
+    a-priori SNR; the gain 1 - 1/sqrt(1 + SNR_prio) is clamped to
+    [gain_floor, 1].  Bins whose reverberant estimate is zero pass through
+    with unit gain.
     """
     power = np.asarray(power, dtype=np.float64)
     gamma_rr = np.asarray(gamma_rr, dtype=np.float64)
@@ -192,10 +179,11 @@ def spectral_gain(
     n_bands, n_frames = power.shape
     beta = cfg.snr_smoothing
 
-    # frame-major storage: a block of frames, and each frame, is contiguous
+    # frame-major storage: a block of frames, and each frame, is contiguous.
+    # The SNRs live only in per-block buffers: the a-posteriori SNR becomes
+    # the rectified SNR in place, and the a-priori SNR is written into the
+    # gain block and turned into the gain there.
     gain = np.empty((n_frames, n_bands)).T
-    snr_post = np.empty((n_frames, n_bands)).T
-    snr_prio = np.empty((n_frames, n_bands)).T
     rectified_buf = np.empty((BLOCK_FRAMES, n_bands)).T
     update_buf = np.empty((BLOCK_FRAMES, n_bands)).T
     carry = np.zeros(n_bands)
@@ -204,15 +192,12 @@ def spectral_gain(
         e = min(s + BLOCK_FRAMES, n_frames)
         valid = gamma_rr[:, s:e] > 0.0
         invalid = ~valid
-        post = snr_post[:, s:e]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(power[:, s:e], gamma_rr[:, s:e], out=post)
-        np.copyto(post, np.inf, where=invalid)
-
         rectified = rectified_buf[:, : e - s]
-        np.subtract(post, 1.0, out=rectified)
-        np.maximum(rectified, 0.0, out=rectified)
-        np.minimum(rectified, cfg.snr_ceiling, out=rectified)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(power[:, s:e], gamma_rr[:, s:e], out=rectified)
+            np.subtract(rectified, 1.0, out=rectified)
+            np.maximum(rectified, 0.0, out=rectified)
+            np.minimum(rectified, cfg.snr_ceiling, out=rectified)
         np.copyto(rectified, 0.0, where=invalid)
         update = update_buf[:, : e - s]
         np.multiply(rectified, 1.0 - beta, out=update)
@@ -231,22 +216,23 @@ def spectral_gain(
             seen_valid[fresh] = True
         exception_frames = set(np.flatnonzero(exception.any(axis=0)).tolist())
 
-        for j, column in enumerate(snr_prio[:, s:e].T):
+        g = gain[:, s:e]
+        for j, column in enumerate(g.T):
             np.multiply(carry, beta, out=column)
             column += update[:, j]
             if j in exception_frames:
                 rows = np.flatnonzero(exception[:, j])
                 column[rows] = np.where(valid[rows, j], rectified[rows, j], carry[rows])
             carry = column
+        carry = carry.copy()  # the gain math below overwrites its column
 
-        g = gain[:, s:e]
-        np.add(snr_prio[:, s:e], 1.0, out=g)
+        np.add(g, 1.0, out=g)
         np.sqrt(g, out=g)
         np.divide(1.0, g, out=g)
         np.subtract(1.0, g, out=g)
         np.maximum(g, cfg.gain_floor, out=g)
         np.copyto(g, 1.0, where=invalid)
-    return GainGrid(gain=gain, snr_post=snr_post, snr_prio=snr_prio)
+    return GainGrid(gain=gain)
 
 
 def dereverberate(

@@ -21,8 +21,8 @@ ACTIVITY_THRESHOLD_DB = 40.0  # frames/bands this far below the peak count as si
 DYNAMIC_RANGE_DB = 50.0
 
 
-def _active_frames(reference: Spectrogram, n_frames: int) -> np.ndarray:
-    frame_power = np.sum(np.abs(reference.bins[:, :n_frames]) ** 2, axis=0)
+def _active_frames(power: np.ndarray) -> np.ndarray:
+    frame_power = np.sum(power, axis=0)
     peak = frame_power.max() if frame_power.size else 0.0
     return frame_power > peak * 10.0 ** (-ACTIVITY_THRESHOLD_DB / 10.0)
 
@@ -49,9 +49,10 @@ def lsd(clean: Spectrogram, test: Spectrogram) -> float:
             "truncating to the shorter",
             stacklevel=2,
         )
+    clean_power = clean.power()[:, :n_frames]
     with np.errstate(divide="ignore"):
-        log_clean = 20.0 * np.log10(np.abs(clean.bins[:, :n_frames]))
-        log_test = 20.0 * np.log10(np.abs(test.bins[:, :n_frames]))
+        log_clean = 10.0 * np.log10(clean_power)
+        log_test = 10.0 * np.log10(test.power()[:, :n_frames])
     top_clean, top_test = log_clean.max(), log_test.max()
     if not (np.isfinite(top_clean) or np.isfinite(top_test)):
         return 0.0  # both sides silent: zero distortion by convention
@@ -59,7 +60,7 @@ def lsd(clean: Spectrogram, test: Spectrogram) -> float:
         top = top if np.isfinite(top) else other
         np.maximum(db, top - DYNAMIC_RANGE_DB, out=db)
 
-    active = _active_frames(clean, n_frames)
+    active = _active_frames(clean_power)
     if not active.any():
         return 0.0
     per_frame = np.sqrt(np.mean((log_clean - log_test) ** 2, axis=0))

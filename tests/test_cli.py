@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from sonolink import cli
 from sonolink.cli import _sweep, main
 from sonolink.core import AudioBuffer
 from sonolink.simulate import load_rir_corpus
@@ -198,6 +199,22 @@ def test_bench_tiny_run(tmp_path, capsys):
     assert "rows: 1" in stdout
     blob = json.loads((out_dir / "report.json").read_text())
     assert blob["config"]["rt60_values"] == [0.4]
+
+
+def test_report_digest_command_runs_the_acceptance_sweep(tmp_path, monkeypatch):
+    # the README's report-bytes check must run exactly the acceptance SWEEP
+    from test_acceptance import SWEEP
+
+    class Captured(Exception):
+        pass
+
+    def fake_run(cfg):
+        raise Captured(cfg)
+
+    monkeypatch.setattr(cli, "run_benchmark", fake_run)
+    with pytest.raises(Captured) as caught:
+        main(["bench", "--packets", "2", "--threads", "1", "-o", str(tmp_path)])
+    assert caught.value.args[0] == SWEEP
 
 
 # ---------------------------------------------------------------------------
