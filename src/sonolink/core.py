@@ -148,6 +148,8 @@ class Spectrogram:
                 f"bin count {self.bins.shape[0]} does not match "
                 f"window_length {self.config.window_length} (expected {self.config.num_bins})"
             )
+        if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
+            raise InvalidArgumentError("sample_rate must be a positive integer")
 
     @property
     def num_bands(self) -> int:

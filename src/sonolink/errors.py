@@ -21,14 +21,6 @@ class FecError(SonolinkError):
     """Reed-Solomon decode failure: corruption beyond correction capability."""
 
 
-class NoPeakError(SonolinkError):
-    """A subband envelope has no strict maximum to anchor the decay fit."""
-
-
-class EmptyBandError(SonolinkError):
-    """A subband carries no energy past the decay start frame."""
-
-
 class EstimationError(SonolinkError):
     """Blind reverberation-time estimation produced no valid subband."""
 

@@ -81,18 +81,24 @@ def rr(
     """
     if reverberant.bins.shape != processed.bins.shape:
         raise InvalidArgumentError("reverberant and processed shapes must match")
-    reference = clean if clean is not None else reverberant
-    if reference.num_bands != reverberant.num_bands:
+    if clean is not None and clean.num_bands != reverberant.num_bands:
         raise InvalidArgumentError("clean reference bin count must match")
 
-    band_peak = reference.power().max(axis=1)
+    # one power grid alive at a time, as when each call took its own
+    if clean is None:
+        rev_power = reverberant.power()
+        band_peak = rev_power.max(axis=1)
+    else:
+        band_peak = clean.power().max(axis=1)
+        rev_power = reverberant.power()
     global_peak = band_peak.max()
     silent = band_peak < global_peak * 10.0 ** (-ACTIVITY_THRESHOLD_DB / 10.0)
     if not silent.any():
         raise MetricError("no silent subbands below the activity threshold")
 
     tiny = np.finfo(np.float64).tiny
-    rev_energy = np.sum(reverberant.power()[silent], axis=1)
+    rev_energy = np.sum(rev_power[silent], axis=1)
+    del rev_power
     proc_energy = np.sum(processed.power()[silent], axis=1)
     ratios = 10.0 * np.log10(
         np.maximum(rev_energy, tiny) / np.maximum(proc_energy, tiny)

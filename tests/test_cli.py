@@ -120,6 +120,13 @@ def test_rt60_on_silence_is_a_domain_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-10", "nan", "inf"])
+def test_rt60_bad_threshold_names_the_option(tmp_path, capsys, value):
+    wav = _burst_wav(tmp_path / "burst.wav")
+    assert main(["rt60", str(wav), "--threshold-db", value]) == 1
+    assert "error: threshold_db must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_dereverb_writes_output(tmp_path, capsys):
     wav = _burst_wav(tmp_path / "wet.wav")
     out = tmp_path / "dry.wav"

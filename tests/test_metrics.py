@@ -142,6 +142,20 @@ def test_rr_falls_back_to_reverberant_reference():
     assert mean == pytest.approx(20.0 * np.log10(2.0), rel=1e-9)
 
 
+def test_rr_takes_each_power_once(monkeypatch):
+    clean, reverberant, processed = _rr_triple()
+    quiet = reverberant.bins.copy()
+    quiet[0] *= 1e-5
+    calls = []
+    power = Spectrogram.power
+    monkeypatch.setattr(Spectrogram, "power", lambda self: calls.append(self) or power(self))
+    rr(_spec(quiet), _spec(quiet * 0.5))
+    assert len(calls) == 2  # the reverberant grid is its own reference
+    calls.clear()
+    rr(reverberant, processed, clean)
+    assert len(calls) == 3
+
+
 def test_rr_shape_mismatch():
     a = _random_spec(0, frames=4)
     b = _random_spec(0, frames=5)

@@ -1,23 +1,22 @@
-"""Blind RT60 estimation: EDC math, line fits, and whole-pipeline properties."""
+"""Blind RT60 estimation: decay curves, line fits, and whole-pipeline properties.
+
+The per-band pipeline the block pass replaced (an envelope per band, its
+decay start, its Schroeder curve and an ``np.polyfit`` line) is kept below
+as the reference.  The curves come from the same operations in the same
+order, so band sets and validity must agree exactly; the closed-form line
+fit differs from ``np.polyfit`` only in rounding.
+"""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sonolink.core import AudioBuffer, Spectrogram, StftConfig, stft
-from sonolink.errors import (
-    EmptyBandError,
-    EstimationError,
-    InvalidArgumentError,
-    NoPeakError,
-)
-from sonolink.rt60 import (
-    SubbandEnvelope,
-    decay_start,
-    edc,
-    estimate_rt60,
-    fit_rt60_band,
-    subband_envelopes,
-)
+from sonolink.core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, stft
+from sonolink.errors import EstimationError, InvalidArgumentError
+from sonolink.rt60 import _decay_curves, _estimate_from_power, _fit_decays, estimate_rt60
 from sonolink.simulate import RirSpec, synth_rir
 
 
@@ -34,6 +33,122 @@ def _burst(rt60, seed, fs=8000, dur=1.2):
 SMALL = StftConfig(window_length=512, hop=32)
 
 
+def _decay(n, rt_frames):
+    """Power envelope falling 60 dB every ``rt_frames`` frames from frame 0."""
+    return 10.0 ** (-6.0 * np.arange(n) / rt_frames)
+
+
+def _curve(energy, offset):
+    """One band's decay curve in frame order, and whether it is usable."""
+    power = np.asarray(energy, dtype=np.float64)[None, :]
+    curves, ok = _decay_curves(power, np.array([0]), offset)
+    return curves[0, ::-1], bool(ok[0])
+
+
+def _fit(curve_db, period):
+    rt60_k, r2 = _fit_decays(np.asarray(curve_db, dtype=np.float64)[None, ::-1], period)
+    return float(rt60_k[0]), float(r2[0])
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-band pipeline
+# ---------------------------------------------------------------------------
+
+
+def _reference_fit(edc_db, frame_period):
+    mask = (edc_db <= -5.0) & (edc_db >= -35.0)
+    if np.count_nonzero(mask) < 5:
+        return 0.0, 0.0
+    times = np.nonzero(mask)[0] * frame_period
+    values = edc_db[mask]
+    slope, intercept = np.polyfit(times, values, 1)
+    ss_res = float(np.sum((values - (slope * times + intercept)) ** 2))
+    ss_tot = float(np.sum((values - values.mean()) ** 2))
+    if ss_tot == 0.0:
+        return 0.0, 0.0
+    r2 = 1.0 - ss_res / ss_tot
+    if slope >= 0.0 or r2 < 0.8:
+        return 0.0, r2
+    return -60.0 / float(slope), r2
+
+
+def _reference_per_band(power, frame_period, threshold_db):
+    offset = math.ceil(0.080 / frame_period)
+    if power.size == 0 or power.max() == 0.0:
+        return []
+    peaks = power.max(axis=1)
+    per_band = []
+    for k in np.nonzero(peaks >= peaks.max() * 10.0 ** (-threshold_db / 10.0))[0]:
+        energy = power[k]
+        peak = int(np.argmax(energy))
+        start = min(peak + offset, energy.size - 1)
+        curve = np.cumsum(energy[start:][::-1])[::-1]
+        if np.count_nonzero(energy == energy[peak]) != 1 or curve[0] <= 0.0:
+            per_band.append((int(k), 0.0, 0.0))
+            continue
+        with np.errstate(divide="ignore"):
+            edc_db = 10.0 * np.log10(curve / curve[0])
+        per_band.append((int(k), *_reference_fit(edc_db, frame_period)))
+    return per_band
+
+
+KINDS = 6
+
+
+def _power_grid(n_bands, n_frames, offset, seed, scale):
+    """Bands that cycle through every kind the estimator must sort out.
+
+    Noisy exponential decays with or without a noise floor, tied peaks,
+    energy that ends before the decay start, flat and silent bands, bands
+    far below the others, and late onsets that clamp the decay start to
+    the last frame.
+    """
+    rng = np.random.default_rng(seed)
+    power = np.zeros((n_bands, n_frames))
+    for k in range(n_bands):
+        kind = (k + seed) % KINDS
+        onset = int(rng.integers(0, n_frames if kind == 5 else max(n_frames // 4, 1)))
+        body = _decay(n_frames - onset, rng.uniform(3.0, 200.0)) * rng.exponential(size=n_frames - onset)
+        body[0] = body.max() * 2.0
+        body += rng.choice([0.0, 1e-7, 1e-3]) * body[0]
+        if kind == 1 and body.size > 1:  # a tie for the peak
+            body[int(rng.integers(1, body.size))] = body[0]
+        elif kind == 2:  # nothing left from the decay start on
+            body[min(int(rng.integers(1, offset + 1)), body.size):] = 0.0
+        elif kind == 3:
+            body[:] = rng.choice([0.0, 1.0])
+        elif kind == 4:
+            body *= 10.0 ** -rng.uniform(3.0, 9.0)
+        power[k, onset:] = body
+    return power * scale
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n_bands=st.integers(1, 3 * BLOCK_FRAMES),
+    n_frames=st.integers(1, 160),
+    period=st.sampled_from([0.1, 0.04, 0.02, 0.01, 0.005]),
+    threshold_db=st.sampled_from([0.0, 10.0, 40.0, 80.0]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1.0, 1.0, 2.0**-40, 0.0]),
+)
+@example(n_bands=BLOCK_FRAMES + 3, n_frames=150, period=0.01, threshold_db=80.0, seed=0, scale=1.0)
+@example(n_bands=5, n_frames=40, period=0.01, threshold_db=40.0, seed=1, scale=0.0)
+@example(n_bands=70, n_frames=2, period=0.005, threshold_db=40.0, seed=2, scale=1.0)
+def test_block_pass_matches_per_band_reference(n_bands, n_frames, period, threshold_db, seed, scale):
+    power = _power_grid(n_bands, n_frames, math.ceil(0.080 / period), seed, scale)
+    want = _reference_per_band(power, period, threshold_db)
+    if not any(rt60_k > 0.0 for _, rt60_k, _ in want):
+        with pytest.raises(EstimationError):
+            _estimate_from_power(power, period, threshold_db)
+        return
+    got = _estimate_from_power(power, period, threshold_db).per_band
+    assert [k for k, _, _ in got] == [k for k, _, _ in want]
+    assert [v > 0.0 for _, v, _ in got] == [v > 0.0 for _, v, _ in want]
+    np.testing.assert_allclose([v for _, v, _ in got], [v for _, v, _ in want], rtol=1e-12, atol=0)
+    np.testing.assert_allclose([r for _, _, r in got], [r for _, _, r in want], rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # decay curve
 # ---------------------------------------------------------------------------
@@ -42,35 +157,32 @@ SMALL = StftConfig(window_length=512, hop=32)
 class TestEdc:
     def test_constant_envelope_closed_form(self):
         n = 200
-        env = SubbandEnvelope(band_index=0, energy=np.ones(n), peak_frame=0)
-        curve = edc(env, 0)
+        energy = np.concatenate([[2.0], np.ones(n)])  # strict peak, then a constant tail
+        curve, ok = _curve(energy, 1)
         expected = 10.0 * np.log10((n - np.arange(n)) / n)
-        assert np.allclose(curve, expected, atol=1e-12)
+        assert ok
+        assert np.allclose(curve[1:], expected, atol=1e-12)
 
     def test_matches_backward_cumsum(self):
         rng = np.random.default_rng(4)
         energy = rng.random(300)
-        env = SubbandEnvelope(band_index=3, energy=energy, peak_frame=0)
-        curve = edc(env, 10)
+        energy[0] = 2.0
+        curve, ok = _curve(energy, 10)
         tail = energy[10:]
         ref = np.cumsum(tail[::-1])[::-1]
-        assert np.allclose(curve, 10 * np.log10(ref / ref[0]), atol=1e-12)
+        assert ok
+        assert np.array_equal(curve[10:], 10 * np.log10(ref / ref[0]))
 
     def test_zero_at_start(self):
-        env = SubbandEnvelope(band_index=0, energy=np.random.default_rng(0).random(50),
-                              peak_frame=0)
-        assert edc(env, 7)[0] == 0.0
+        energy = np.random.default_rng(0).random(50)
+        energy[0] = 2.0
+        assert _curve(energy, 7)[0][7] == 0.0
 
     def test_empty_tail(self):
-        energy = np.concatenate([np.ones(10), np.zeros(10)])
-        env = SubbandEnvelope(band_index=0, energy=energy, peak_frame=0)
-        with pytest.raises(EmptyBandError):
-            edc(env, 12)
-
-    def test_bad_start(self):
-        env = SubbandEnvelope(band_index=0, energy=np.ones(10), peak_frame=0)
-        with pytest.raises(InvalidArgumentError):
-            edc(env, 10)
+        energy = np.concatenate([[2.0], np.ones(9), np.zeros(50)])
+        assert not _curve(energy, 12)[1]
+        est = _estimate_from_power(np.stack([_decay(60, 40.0), energy]), 0.08 / 12)
+        assert est.per_band[1] == (1, 0.0, 0.0)
 
 
 class TestDecayStart:
@@ -78,24 +190,21 @@ class TestDecayStart:
         energy = np.zeros(100)
         energy[20] = 1.0
         energy[21:] = 0.5
-        env = SubbandEnvelope(band_index=0, energy=energy, peak_frame=20)
-        assert decay_start(env, 30) == 50
-        assert env.decay_start_frame == 50
+        curve, ok = _curve(energy, 30)
+        assert ok
+        assert curve[50] == 0.0
+        assert curve[49] > 0.0 > curve[51]
 
     def test_clamped_to_last_frame(self):
-        energy = np.linspace(1.0, 0.1, 40)
-        env = SubbandEnvelope(band_index=0, energy=energy, peak_frame=0)
-        assert decay_start(env, 1000) == 39
+        curve, ok = _curve(np.linspace(1.0, 0.1, 40), 1000)
+        assert ok
+        assert curve[39] == 0.0
+        assert curve[38] > 0.0
 
     def test_flat_envelope_has_no_peak(self):
-        env = SubbandEnvelope(band_index=0, energy=np.ones(50), peak_frame=0)
-        with pytest.raises(NoPeakError):
-            decay_start(env, 10)
-
-    def test_negative_offset(self):
-        env = SubbandEnvelope(band_index=0, energy=np.arange(10.0), peak_frame=9)
-        with pytest.raises(InvalidArgumentError):
-            decay_start(env, -1)
+        assert not _curve(np.ones(50), 10)[1]
+        est = _estimate_from_power(np.stack([_decay(200, 40.0), np.ones(200)]), 0.01)
+        assert est.per_band[1] == (1, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,30 +219,30 @@ class TestFit:
         period = 0.01
         t = np.arange(120) * period
         curve = -60.0 / rt60 * t
-        rt60_k, r2 = fit_rt60_band(curve, period)
+        rt60_k, r2 = _fit(curve, period)
         assert rt60_k == pytest.approx(rt60, rel=1e-9)
         assert r2 == pytest.approx(1.0)
 
     def test_too_few_points_in_window(self):
         # one frame per 30 dB leaves a single sample between -5 and -35
         curve = np.array([0.0, -30.0, -60.0, -90.0])
-        assert fit_rt60_band(curve, 0.5) == (0.0, 0.0)
+        assert _fit(curve, 0.5) == (0.0, 0.0)
 
     def test_rising_curve_rejected(self):
         t = np.arange(100) * 0.01
-        assert fit_rt60_band(-20.0 + 0.0 * t, 0.01)[0] == 0.0
+        assert _fit(-20.0 + 0.0 * t, 0.01) == (0.0, 0.0)
 
     def test_poor_fit_rejected(self):
-        rng = np.random.default_rng(8)
-        t = np.arange(200) * 0.01
-        wild = -30.0 + 15.0 * rng.standard_normal(200)
-        rt60_k, r2 = fit_rt60_band(wild, 0.01)
+        # never rising, but a steep drop then a long shelf: two slopes, no line
+        curve = np.concatenate([np.linspace(-5.0, -33.0, 6), np.linspace(-33.2, -35.0, 194)])
+        rt60_k, r2 = _fit(curve, 0.01)
         assert rt60_k == 0.0
         assert r2 < 0.8
 
     def test_bad_period(self):
-        with pytest.raises(InvalidArgumentError):
-            fit_rt60_band(np.linspace(0, -60, 50), 0.0)
+        # the frame period comes from a spectrogram, which needs a positive rate
+        with pytest.raises(InvalidArgumentError, match="sample_rate"):
+            estimate_rt60(_grid(np.stack([_decay(200, 40.0)] * 3), fs=0))
 
 
 # ---------------------------------------------------------------------------
@@ -141,27 +250,31 @@ class TestFit:
 # ---------------------------------------------------------------------------
 
 
-def _grid(power_rows, fs=8000):
-    """Spectrogram with the requested per-band magnitude envelopes."""
+def _grid(power_rows, fs=100):
+    """Spectrogram with the requested per-band power envelopes, hop 1."""
     rows = np.sqrt(np.asarray(power_rows, dtype=np.float64))
-    cfg = StftConfig(window_length=2 * (rows.shape[0] - 1), hop=(rows.shape[0] - 1) // 2)
+    cfg = StftConfig(window_length=2 * (rows.shape[0] - 1), hop=1)
     return Spectrogram(bins=rows.astype(np.complex128), config=cfg, sample_rate=fs)
 
 
 def test_subband_threshold_drops_quiet_bands():
-    loud = np.linspace(1.0, 0.1, 30)
+    loud = _decay(300, 50.0)
     quiet = loud * 1e-6  # 60 dB down, beyond the 40 dB inclusion window
-    spec = _grid(np.stack([loud, quiet, loud * 0.5]))
-    envs = subband_envelopes(spec, threshold_db=40.0)
-    assert [e.band_index for e in envs] == [0, 2]
-    for e in envs:
-        assert np.all(e.energy >= 0.0)
-        assert e.peak_frame == int(np.argmax(e.energy))
+    est = estimate_rt60(_grid(np.stack([loud, quiet, loud * 0.5])), threshold_db=40.0)
+    assert [k for k, _, _ in est.per_band] == [0, 2]
+    assert est.bands_used == 2
+    assert est.rt60 == pytest.approx(0.5, rel=0.05)
 
 
 def test_subband_all_zero():
-    spec = _grid(np.zeros((3, 30)))
-    assert subband_envelopes(spec) == []
+    with pytest.raises(EstimationError):
+        estimate_rt60(_grid(np.zeros((3, 30))))
+
+
+@pytest.mark.parametrize("threshold_db", [-10.0, float("nan"), float("inf"), -float("inf")])
+def test_bad_threshold_is_rejected(threshold_db):
+    with pytest.raises(InvalidArgumentError, match="threshold_db"):
+        estimate_rt60(_burst(0.4, seed=0), SMALL, threshold_db=threshold_db)
 
 
 # ---------------------------------------------------------------------------
