@@ -29,7 +29,7 @@ from .core import AudioBuffer, default_stft_config, stft
 from .dereverb import DereverbConfig, dereverberate
 from .errors import EstimationError, InvalidArgumentError, SonolinkError
 from .metrics import lsd, rr
-from .modem import Packet, decode_packet, encode_packet, profile_by_name
+from .modem import Packet, decode_packet, encode_packet, profile_by_name, tone_frequencies
 from .rt60 import estimate_rt60
 from .simulate import ChannelSpec, RirSpec, apply_channel, load_rir_corpus, synth_rir
 
@@ -70,7 +70,10 @@ class BenchConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        profile_by_name(self.profile)  # raises on unknown names
+        profile = profile_by_name(self.profile)  # raises on unknown names
+        if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
+            raise InvalidArgumentError("sample_rate must be a positive integer")
+        tone_frequencies(profile, self.sample_rate)  # raises when the band tops Nyquist
         if self.packets_per_rir < 1:
             raise InvalidArgumentError("packets_per_rir must be at least 1")
         if self.rirs_per_rt < 1:
@@ -79,7 +82,7 @@ class BenchConfig:
             raise InvalidArgumentError("rt60_values must be non-empty for a synthetic sweep")
         if any(not (v > 0 and math.isfinite(v)) for v in self.rt60_values):
             raise InvalidArgumentError("rt60_values must all be positive")
-        if not 1 <= self.payload_bytes <= 16:
+        if not 1 <= self.payload_bytes <= profile.max_payload_bytes:
             raise InvalidArgumentError("payload_bytes must be in 1..16")
         if not (self.direct_gain > 0 and math.isfinite(self.direct_gain)):
             raise InvalidArgumentError("direct_gain must be positive")

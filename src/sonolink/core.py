@@ -79,7 +79,7 @@ class AudioBuffer:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Analysis parameters for the STFT.
+    """Analysis parameters for the STFT (always the periodic Hann window).
 
     ``hop`` must divide ``window_length`` (exact constant-overlap-add), and
     the window length must be even so the one-sided spectrum has
@@ -88,7 +88,6 @@ class StftConfig:
 
     window_length: int
     hop: int
-    window_kind: str = "hann"
 
     def __post_init__(self):
         if self.window_length < 2 or self.window_length % 2 != 0:
@@ -99,8 +98,6 @@ class StftConfig:
             raise InvalidArgumentError(
                 "hop must divide window_length for exact overlap-add reconstruction"
             )
-        if self.window_kind != "hann":
-            raise InvalidArgumentError(f"unsupported window kind: {self.window_kind!r}")
 
     @property
     def num_bins(self) -> int:

@@ -46,8 +46,8 @@ def decay_constant(rt60: float) -> float:
     Defined so the energy envelope e^(-2*delta*t) falls by 60 dB over one
     reverberation time: delta = 3*ln(10)/rt60.
     """
-    if rt60 <= 0:
-        raise InvalidArgumentError("rt60 must be positive")
+    if not (rt60 > 0 and math.isfinite(rt60)):
+        raise InvalidArgumentError("rt60 must be positive and finite")
     return 3.0 * math.log(10.0) / rt60
 
 
@@ -93,14 +93,14 @@ class DereverbConfig:
     stft: StftConfig | None = None
 
     def __post_init__(self):
-        if self.late_delay <= 0:
-            raise InvalidArgumentError("late_delay must be positive")
+        if not (self.late_delay > 0 and math.isfinite(self.late_delay)):
+            raise InvalidArgumentError("late_delay must be positive and finite")
         if not 0.0 <= self.snr_smoothing < 1.0:
             raise InvalidArgumentError("snr_smoothing must lie in [0, 1)")
         if not 0.0 < self.gain_floor < 1.0:
             raise InvalidArgumentError("gain_floor must lie in (0, 1)")
-        if self.snr_ceiling <= 0:
-            raise InvalidArgumentError("snr_ceiling must be positive")
+        if not (self.snr_ceiling > 0 and math.isfinite(self.snr_ceiling)):
+            raise InvalidArgumentError("snr_ceiling must be positive and finite")
 
     def delay_frames(self, frame_period: float) -> int:
         """Prediction delay rounded to whole frames, at least one."""
@@ -269,8 +269,6 @@ def dereverberate(
             rt60_value = FALLBACK_RT60
             fallback = True
     else:
-        if rt60 <= 0:
-            raise InvalidArgumentError("rt60 must be positive")
         rt60_value = float(rt60)
 
     model = ReverbModel(rt60_value)

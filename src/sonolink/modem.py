@@ -6,21 +6,25 @@ into 5-bit symbols, and Reed-Solomon parity.  Payloads longer than a single
 GF(32) codeword can carry are split across several equally-sized codewords,
 each with its own parity group appended after all the data symbols.
 
-The receiver measures per-tone magnitudes with single-bin DTFTs
-(Goertzel-style).  The preamble scan slides a symbol window over the whole
-recording by symbol/8 and evaluates it as a block DFT: one matrix product
-gives every hop-sized block's partial DTFT, and each window sums its
-blocks' partials, so work and memory grow with the samples, not with
-samples x window length.  Demodulation then evaluates the few symbol slots
-after a preamble directly, picks the strongest tone per slot, and hands
-low-confidence symbols to the Reed-Solomon decoder as erasures.
+The wire format is fixed: ``ProtocolProfile`` holds it as class constants,
+and a profile only chooses the band the 32 tones span.
+
+The receiver measures per-tone magnitudes with single-bin DTFTs against one
+kernel of interleaved cos/-sin columns, evaluated over strided views of the
+signal (``_partials``).  The preamble scan slides a symbol window over the
+whole recording by symbol/8 and evaluates it as a block DFT: one matrix
+product gives every hop-sized block's partial DTFT, and each window sums
+its blocks' partials, so work and memory grow with the samples, not with
+samples x window length.  Demodulation reads the few symbol slots after a
+preamble through the same kernel, picks the strongest tone per slot, and
+hands low-confidence symbols to the Reed-Solomon decoder as erasures.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,53 +55,37 @@ PREAMBLE_SNR = 6.0  # preamble tone must exceed this multiple of the median tone
 
 @dataclass(frozen=True)
 class ProtocolProfile:
-    """Immutable modem configuration for one frequency band.
+    """One frequency band of the fixed wire format.
 
-    Tones are spaced evenly across [band_low, band_high]; the alphabet size
-    is fixed at 32 so each symbol carries 5 bits and Reed-Solomon coding
-    lives in GF(32).
+    A profile only chooses the band: its 32 tones (one per GF(32) symbol,
+    5 bits each) are spaced evenly across [band_low, band_high].  Everything
+    else about a packet is a class constant shared by every profile:
+    80 ms symbols with 5 ms raised-cosine ramps at amplitude 0.5, the
+    preamble tones, 8 Reed-Solomon parity symbols per codeword and at most
+    16 payload bytes.
     """
 
     name: str
     band_low: float
     band_high: float
-    tone_count: int = 32
-    symbol_duration: float = 0.080
-    preamble: tuple[int, int] = (0, 31)
-    rs_parity: int = 8
-    max_payload: int = 26  # payload symbols (16 bytes at 5 bits/symbol)
-    ramp_time: float = 0.005
-    amplitude: float = 0.5
+
+    tone_count: ClassVar[int] = rs.FIELD_SIZE
+    symbol_duration: ClassVar[float] = 0.080
+    preamble: ClassVar[tuple[int, int]] = (0, 31)
+    rs_parity: ClassVar[int] = 8
+    max_payload_bytes: ClassVar[int] = 16
+    ramp_time: ClassVar[float] = 0.005
+    amplitude: ClassVar[float] = 0.5
 
     def __post_init__(self):
-        if self.tone_count != rs.FIELD_SIZE:
-            raise InvalidArgumentError("tone_count must be 32 (one tone per GF(32) symbol)")
         if not 0 < self.band_low < self.band_high:
             raise InvalidArgumentError("require 0 < band_low < band_high")
-        if self.symbol_duration <= 0:
-            raise InvalidArgumentError("symbol_duration must be positive")
         spacing = (self.band_high - self.band_low) / (self.tone_count - 1)
         if spacing < 4.0 / self.symbol_duration:
             raise InvalidArgumentError(
                 f"tone spacing {spacing:.1f} Hz is below the 4/symbol_duration "
                 f"separation bound ({4.0 / self.symbol_duration:.1f} Hz)"
             )
-        if len(self.preamble) != 2 or not all(
-            0 <= s < self.tone_count for s in self.preamble
-        ):
-            raise InvalidArgumentError("preamble must be a pair of valid symbols")
-        if not 1 <= self.rs_parity < rs.MAX_CODEWORD:
-            raise InvalidArgumentError("rs_parity must lie in 1..30")
-        if self.max_payload < 2:
-            raise InvalidArgumentError("max_payload must allow at least one byte")
-        if self.ramp_time < 0 or 2 * self.ramp_time > self.symbol_duration:
-            raise InvalidArgumentError("ramps must fit inside the symbol")
-        if not 0 < self.amplitude <= 1:
-            raise InvalidArgumentError("amplitude must lie in (0, 1]")
-
-    @property
-    def max_payload_bytes(self) -> int:
-        return min(self.max_payload * rs.SYMBOL_BITS // 8, rs.MAX_CODEWORD)
 
     def symbol_samples(self, sample_rate: int) -> int:
         return int(round(self.symbol_duration * sample_rate))
@@ -132,7 +120,7 @@ class Packet:
 
     def __post_init__(self):
         self.payload = bytes(self.payload)
-        if not 1 <= len(self.payload) <= 16:
+        if not 1 <= len(self.payload) <= ProtocolProfile.max_payload_bytes:
             raise InvalidArgumentError("payload must be 1..16 bytes")
 
 
@@ -147,7 +135,6 @@ class DecodeResult:
 
     payload: bytes | None
     preamble_offset: int
-    symbol_confidences: np.ndarray = field(default_factory=lambda: np.zeros(0))
     corrected_errors: int = 0
     erasures_used: int = 0
     failure: str | None = None
@@ -196,10 +183,6 @@ def _rs_block_sizes(n_data: int, nparity: int) -> list[int]:
 def packet_symbols(pkt: Packet, profile: ProtocolProfile) -> list[int]:
     """Body symbols of a packet: length, payload data, then parity groups."""
     data = pack_symbols(pkt.payload)
-    if len(data) > profile.max_payload:
-        raise InvalidArgumentError(
-            f"payload needs {len(data)} symbols, profile allows {profile.max_payload}"
-        )
     parity: list[int] = []
     offset = 0
     for size in _rs_block_sizes(len(data), profile.rs_parity):
@@ -246,35 +229,20 @@ def encode_packet(pkt: Packet, profile: ProtocolProfile, sample_rate: int) -> Au
 
 @lru_cache(maxsize=8)
 def _dtft_tables(profile: ProtocolProfile, sample_rate: int):
-    """cos/sin kernels for the central-80% window magnitudes of demodulation."""
-    freqs = tone_frequencies(profile, sample_rate)
-    sym = profile.symbol_samples(sample_rate)
-    skip = int(round(0.1 * sym))
-    core = sym - 2 * skip
-    phase = 2.0 * np.pi * np.outer(np.arange(core), freqs) / sample_rate
-    c = np.cos(phase)
-    s = np.sin(phase)
-    c.setflags(write=False)
-    s.setflags(write=False)
-    return (c, s), skip, core
+    """The receiver's DTFT kernel and the preamble scan's block rotations.
 
-
-@lru_cache(maxsize=8)
-def _scan_tables(profile: ProtocolProfile, sample_rate: int):
-    """Kernels of the preamble scan's block DFT.
-
-    Returns (hop, kernel, rotations).  ``kernel`` is [hop x 2*tones] with
-    interleaved cos/-sin columns, so a real matmul of blocks against it,
-    viewed as complex, is each block's per-tone partial DTFT.  Row j of
-    ``rotations`` is exp(-i*omega*j*hop): the phase that places block j at
-    its offset within a symbol window, for j = 0..sym//hop.
+    Returns (hop, kernel, rotations).  ``kernel`` is [symbol x 2*tones] with
+    interleaved cos/-sin columns, so a real matmul of length-L rows against
+    ``kernel[:L]``, viewed as complex, is each row's per-tone DTFT.  Row j
+    of ``rotations`` is exp(-i*omega*j*hop): the phase that places scan
+    block j at its offset within a symbol window, for j = 0..sym//hop.
     """
     freqs = tone_frequencies(profile, sample_rate)
     omega = 2.0 * np.pi * freqs / sample_rate
     sym = profile.symbol_samples(sample_rate)
     hop = max(1, sym // 8)
-    phase = np.outer(np.arange(hop), omega)
-    kernel = np.empty((hop, 2 * freqs.size))
+    phase = np.outer(np.arange(sym), omega)
+    kernel = np.empty((sym, 2 * freqs.size))
     kernel[:, 0::2] = np.cos(phase)
     kernel[:, 1::2] = -np.sin(phase)
     rotations = np.exp(-1j * np.outer(np.arange(sym // hop + 1) * hop, omega))
@@ -283,22 +251,13 @@ def _scan_tables(profile: ProtocolProfile, sample_rate: int):
     return hop, kernel, rotations
 
 
-def _window_magnitudes(x: np.ndarray, starts: np.ndarray, kernels) -> np.ndarray:
-    """Per-tone DTFT magnitudes of windows x[s : s+L] for each start s."""
-    cos_tab, sin_tab = kernels
-    length = cos_tab.shape[0]
-    windows = x[starts[:, None] + np.arange(length)[None, :]]
-    return np.hypot(windows @ cos_tab, windows @ sin_tab)
-
-
-def _partials(x: np.ndarray, length: int, count: int, kernel: np.ndarray) -> np.ndarray:
-    """Partial DTFTs of x[b*hop : b*hop + length] for blocks b < count.
+def _partials(x: np.ndarray, length: int, count: int, step: int, kernel: np.ndarray) -> np.ndarray:
+    """Per-tone DTFTs of x[b*step : b*step + length] for rows b < count.
 
     The rows are a strided view of ``x`` that BLAS reads in place, so a
     contiguous signal is never copied.
     """
-    hop = kernel.shape[0]
-    rows = np.lib.stride_tricks.sliding_window_view(x, length)[::hop][:count]
+    rows = np.lib.stride_tricks.sliding_window_view(x, length)[::step][:count]
     return (rows @ kernel[:length]).view(np.complex128)
 
 
@@ -313,12 +272,12 @@ def _scan_magnitudes(x: np.ndarray, count: int, sym: int, tables) -> np.ndarray:
     """
     hop, kernel, rotations = tables
     q, rest = divmod(sym, hop)
-    blocks = _partials(x, hop, count + q - 1, kernel)
+    blocks = _partials(x, hop, count + q - 1, hop, kernel)
     acc = blocks[:count].copy()  # rotations[0] is 1
     for j in range(1, q):
         acc += blocks[j:j + count] * rotations[j]
     if rest:
-        acc += _partials(x[q * hop:], rest, count, kernel) * rotations[q]
+        acc += _partials(x[q * hop:], rest, count, hop, kernel) * rotations[q]
     return np.abs(acc)
 
 
@@ -340,7 +299,7 @@ def detect_preamble(buf: AudioBuffer, profile: ProtocolProfile) -> list[int]:
     [windows x tones] grids; the signal itself is only viewed.
     """
     x = buf.samples
-    tables = _scan_tables(profile, buf.sample_rate)
+    tables = _dtft_tables(profile, buf.sample_rate)
     sym = profile.symbol_samples(buf.sample_rate)
     hop = tables[0]
     if x.size < 2 * sym:
@@ -401,17 +360,19 @@ def demodulate_symbols(
         ratio (inf when only one tone carries any energy).
     """
     x = buf.samples
-    core_kernels, skip, core = _dtft_tables(profile, buf.sample_rate)
+    _, kernel, _ = _dtft_tables(profile, buf.sample_rate)
     sym = profile.symbol_samples(buf.sample_rate)
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
-    starts = start_offset + np.arange(count) * sym + skip
-    if start_offset < 0 or starts[-1] + core > x.size:
+    skip = int(round(0.1 * sym))
+    core = sym - 2 * skip
+    first_start = start_offset + skip
+    end = first_start + (count - 1) * sym + core
+    if start_offset < 0 or end > x.size:
         raise InvalidArgumentError(
-            f"symbol windows [{start_offset}, {starts[-1] + core}) exceed "
-            f"buffer of {x.size} samples"
+            f"symbol windows [{start_offset}, {end}) exceed buffer of {x.size} samples"
         )
-    mags = _window_magnitudes(x, starts, core_kernels)
+    mags = np.abs(_partials(x[first_start:], core, count, sym, kernel))
     order = np.argsort(mags, axis=1)
     symbols = order[:, -1]
     best = mags[np.arange(count), order[:, -1]]
@@ -425,13 +386,13 @@ def demodulate_symbols(
 def _demodulate_body(buf, offset, profile):
     """Demodulate length + body for one preamble candidate.
 
-    Returns (payload, confidences, corrected, erasures) or raises
-    _CandidateFailure carrying the failure label.
+    Returns (payload, corrected, erasures) or raises _CandidateFailure
+    carrying the failure label.
     """
     sym = profile.symbol_samples(buf.sample_rate)
     body_start = offset + 2 * sym
     try:
-        length_sym, length_conf = demodulate_symbols(buf, body_start, 1, profile)
+        length_sym, _ = demodulate_symbols(buf, body_start, 1, profile)
     except InvalidArgumentError:
         raise _CandidateFailure("length-symbol-invalid") from None
     n_bytes = int(length_sym[0])
@@ -481,9 +442,7 @@ def _demodulate_body(buf, offset, profile):
         data_off += size
         parity_off += profile.rs_parity
 
-    payload = unpack_payload(data_symbols, n_bytes)
-    all_conf = np.concatenate([length_conf, confidences])
-    return payload, all_conf, corrected, erasures_used
+    return unpack_payload(data_symbols, n_bytes), corrected, erasures_used
 
 
 class _CandidateFailure(Exception):
@@ -509,7 +468,7 @@ def decode_packet(buf: AudioBuffer, profile: ProtocolProfile) -> DecodeResult:
     worst = "no-preamble"
     for offset in candidates:
         try:
-            payload, confidences, corrected, erasures = _demodulate_body(
+            payload, corrected, erasures = _demodulate_body(
                 buf, offset, profile
             )
         except _CandidateFailure as fail:
@@ -519,7 +478,6 @@ def decode_packet(buf: AudioBuffer, profile: ProtocolProfile) -> DecodeResult:
         return DecodeResult(
             payload=payload,
             preamble_offset=offset,
-            symbol_confidences=confidences,
             corrected_errors=corrected,
             erasures_used=erasures,
         )

@@ -3,10 +3,12 @@
 One test per headline requirement; each prints a single summary line on
 success so the -v run doubles as a checklist.  The reverberation-sweep
 benchmark (5 reverberation times x 20 rooms) is shared by the estimation,
-distortion, reverberation-reduction, and decode-gain checks.
+distortion, reverberation-reduction, and decode-gain checks, and by the
+check that pins the bytes of the report it writes.
 """
 
 import dataclasses
+import hashlib
 import time
 
 import numpy as np
@@ -269,3 +271,22 @@ def test_criterion_7_benchmark_determinism(tmp_path):
         "[criterion 7] PASS: report.json byte-identical across repeated runs "
         "and thread counts 1 vs 2"
     )
+
+
+# ---------------------------------------------------------------------------
+# the acceptance sweep's report bytes
+# ---------------------------------------------------------------------------
+
+# sha256 of the files `sonolink bench --packets 2 --threads 1 -o DIR` writes.
+# A change that moves them updates these digests and says why in CHANGES.md.
+REPORT_SHA256 = {
+    "json": "d03a00398bcbd638b3ab6e68b7cb8bf6c3ce8bc6e009b9222a577ca9280e882d",
+    "csv": "637be2274945d2625556c1bb29d384db1730797e04d9bd68f1125262c997cf5a",
+}
+
+
+def test_sweep_report_bytes_are_pinned(sweep_report, tmp_path):
+    report, _ = sweep_report
+    paths = write_report(report, tmp_path)
+    digests = {kind: hashlib.sha256(path.read_bytes()).hexdigest() for kind, path in paths.items()}
+    assert digests == REPORT_SHA256

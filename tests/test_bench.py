@@ -61,6 +61,11 @@ class TestConfig:
             ({"threads": 0}, "threads"),
             ({"snr_db": float("nan")}, "snr_db"),
             ({"dereverb": "on"}, "dereverb"),
+            ({"sample_rate": 0}, "sample_rate"),
+            ({"sample_rate": -44100}, "sample_rate"),
+            ({"sample_rate": 44100.0}, "sample_rate"),
+            ({"sample_rate": 16000}, "Nyquist"),
+            ({"profile": "ultrasonic", "sample_rate": 32000}, "Nyquist"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):

@@ -137,6 +137,14 @@ def test_dereverb_writes_output(tmp_path, capsys):
     assert len(processed) == len(wav_read(wav))
 
 
+def test_dereverb_nan_rt60_exits_1(tmp_path, capsys):
+    wav = _burst_wav(tmp_path / "wet.wav")
+    out = tmp_path / "dry.wav"
+    assert main(["dereverb", str(wav), "--rt60", "nan", "-o", str(out)]) == 1
+    assert "error: rt60 must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -206,6 +214,20 @@ def test_bench_tiny_run(tmp_path, capsys):
     assert "rows: 1" in stdout
     blob = json.loads((out_dir / "report.json").read_text())
     assert blob["config"]["rt60_values"] == [0.4]
+
+
+@pytest.mark.parametrize("rate, message", [("16000", "Nyquist"), ("0", "sample_rate")])
+def test_bench_bad_rate_exits_1(tmp_path, capsys, rate, message):
+    out_dir = tmp_path / "report"
+    code = main(
+        [
+            "bench", "--sweep", "0.4:0.4:1", "--seeds-per-rt", "1",
+            "--packets", "1", "--rate", rate, "--threads", "1", "-o", str(out_dir),
+        ]
+    )
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_report_digest_command_runs_the_acceptance_sweep(tmp_path, monkeypatch):

@@ -110,10 +110,6 @@ class TestStftConfig:
         with pytest.raises(InvalidArgumentError, match="divide"):
             StftConfig(512, 100)
 
-    def test_bad_window_kind(self):
-        with pytest.raises(InvalidArgumentError, match="window kind"):
-            StftConfig(512, 32, window_kind="hamming")
-
 
 # ---------------------------------------------------------------------------
 # Forward transform

@@ -50,6 +50,16 @@ def test_decay_constant_validation():
         decay_constant(-1.0)
 
 
+@pytest.mark.parametrize("rt60", [math.nan, math.inf])
+def test_non_finite_rt60_is_rejected(rt60):
+    with pytest.raises(InvalidArgumentError, match="rt60"):
+        decay_constant(rt60)
+    with pytest.raises(InvalidArgumentError, match="rt60"):
+        ReverbModel(rt60=rt60)
+    with pytest.raises(InvalidArgumentError, match="rt60"):
+        dereverberate(_decaying_noise(3000, seed=3), DereverbConfig(stft=SMALL), rt60=rt60)
+
+
 def test_reverb_model():
     model = ReverbModel(rt60=1.0)
     assert model.delta == pytest.approx(6.907755278982137)
@@ -64,6 +74,13 @@ def test_config_validation():
         DereverbConfig(gain_floor=0.0)
     with pytest.raises(InvalidArgumentError):
         DereverbConfig(snr_ceiling=0.0)
+
+
+@pytest.mark.parametrize("name", ["late_delay", "snr_ceiling"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(InvalidArgumentError, match=name):
+        DereverbConfig(**{name: value})
 
 
 def test_delay_frames():

@@ -1,5 +1,7 @@
 """FSK modem: packing, packet anatomy, round trips, robustness, confidences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from sonolink.errors import InvalidArgumentError
 from sonolink.modem import (
     AUDIBLE,
     ULTRASONIC,
+    DecodeResult,
     Packet,
     ProtocolProfile,
     decode_packet,
@@ -62,6 +65,14 @@ def test_profiles():
     assert AUDIBLE.max_payload_bytes == 16
     assert AUDIBLE.symbol_samples(44100) == 3528
     assert AUDIBLE.symbol_samples(48000) == 3840
+
+
+def test_wire_format_is_fixed():
+    # a profile chooses only its band; the rest of the format is shared
+    assert [f.name for f in dataclasses.fields(ProtocolProfile)] == ["name", "band_low", "band_high"]
+    assert (AUDIBLE.tone_count, AUDIBLE.rs_parity, AUDIBLE.preamble) == (32, 8, (0, 31))
+    assert ULTRASONIC.symbol_duration == AUDIBLE.symbol_duration == 0.080
+    assert "symbol_confidences" not in {f.name for f in dataclasses.fields(DecodeResult)}
 
 
 def test_tone_frequencies():

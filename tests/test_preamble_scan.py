@@ -72,7 +72,7 @@ def test_block_scan_matches_direct_windows(case):
     fs = buf.sample_rate
     x = buf.samples
     sym = profile.symbol_samples(fs)
-    tables = modem._scan_tables(profile, fs)
+    tables = modem._dtft_tables(profile, fs)
     starts = np.arange(0, x.size - 2 * sym + 1, tables[0])
 
     for shift in (0, sym):  # the first and the second preamble window
