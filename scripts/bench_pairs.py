@@ -7,9 +7,12 @@ pair to the next, and records each run's end-to-end metrics and
 metric, each side's median and quartiles, the change's wins counted over
 pairs (ties count for neither side), whether the gain rule holds (the
 change wins at least 9 of 10 pairs and the medians differ by more than the
-base's interquartile range) and whether the no-regression rule holds (the
+base's interquartile range), whether the no-regression rule holds (the
 change's median is worse than the base's by no more than the metric's
-relative bound in BENCHMARK.json).
+relative bound in BENCHMARK.json) and whether the runs resolve that bound
+at all (the base's interquartile range is within the bound, or every
+change run reads better than every base run; otherwise the metric is
+unresolved, not unchanged).
 
     python3 scripts/bench_pairs.py --base ../parent --change . \\
         --workloads modem,long_recording,sweep --seeds 1-10 \\
@@ -95,6 +98,8 @@ def summarise(runs: list[dict], workload: str, metrics: dict[str, dict]) -> dict
         wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
         losses = sum(sign * (b - c) < 0 for b, c in zip(base, change))
         b, c = quartiles(base), quartiles(change)
+        spread_within_bound = b["q3"] - b["q1"] <= rule["bound"] * b["median"]
+        all_change_better = max(sign * v for v in change) < min(sign * v for v in base)
         out["metrics"][name] = {
             "better": better,
             "base": b,
@@ -106,6 +111,7 @@ def summarise(runs: list[dict], workload: str, metrics: dict[str, dict]) -> dict
             and sign * (b["median"] - c["median"]) > b["q3"] - b["q1"],
             "bound": rule["bound"],
             "within_bound": sign * (c["median"] - b["median"]) <= rule["bound"] * b["median"],
+            "resolved": spread_within_bound or all_change_better,
         }
     return out
 

@@ -15,7 +15,7 @@ rt60
 dereverb
     Late-reverberation suppression by spectral gain.
 metrics
-    Log spectral distortion, reverberation reduction, decode rates.
+    Log spectral distortion and reverberation reduction.
 simulate
     Synthetic impulse responses, channel application, RIR corpora.
 bench

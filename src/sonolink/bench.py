@@ -40,7 +40,6 @@ __all__ = [
     "BenchReport",
     "run_benchmark",
     "write_report",
-    "read_report",
 ]
 
 SCHEMA_VERSION = 1
@@ -129,13 +128,7 @@ class BenchReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "rows": [asdict(r) for r in self.rows],
-            "aggregates": self.aggregates,
-            "errors": self.errors,
-        }
+        return asdict(self)
 
 
 def _round4(value) -> float | None:
@@ -283,23 +276,6 @@ def _aggregate(rows: list[RirRow]) -> dict:
     return agg
 
 
-def _thread_count(cfg: BenchConfig) -> int:
-    if cfg.threads is not None:
-        return cfg.threads
-    env = os.environ.get("SONOLINK_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            raise InvalidArgumentError(
-                f"SONOLINK_THREADS must be a positive integer, got {env!r}"
-            )
-        return threads
-    return min(os.cpu_count() or 1, 8)
-
-
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     """Execute the sweep and return the deterministic report.
 
@@ -340,13 +316,9 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         except Exception as exc:  # a whole-RIR failure: report it, keep going
             return _error_entry(item[4], exc)
 
-    n_threads = _thread_count(cfg)
     started = time.perf_counter()
-    if n_threads == 1 or len(work) <= 1:
-        outcomes = [run_item(item) for item in work]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            outcomes = list(pool.map(run_item, work))
+    with ThreadPoolExecutor(max_workers=cfg.threads or min(os.cpu_count() or 1, 8)) as pool:
+        outcomes = list(pool.map(run_item, work))
     elapsed = time.perf_counter() - started
 
     rows = [o for o in outcomes if isinstance(o, RirRow)]
@@ -376,29 +348,17 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def write_report(report: BenchReport, directory, formats=("json", "csv")) -> dict[str, Path]:
-    """Write report.json / report.csv into a directory; returns the paths."""
+def write_report(report: BenchReport, directory) -> dict[str, Path]:
+    """Write report.json and report.csv into a directory; returns the paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-    if "json" in formats:
-        path = directory / "report.json"
-        text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
-        path.write_text(text + "\n")
-        paths["json"] = path
-    if "csv" in formats:
-        path = directory / "report.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in report.rows:
-                record = asdict(row)
-                writer.writerow([_csv_cell(record[col]) for col in CSV_COLUMNS])
-        paths["csv"] = path
+    paths = {"json": directory / "report.json", "csv": directory / "report.csv"}
+    text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+    paths["json"].write_text(text + "\n")
+    with open(paths["csv"], "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for row in report.rows:
+            record = asdict(row)
+            writer.writerow([_csv_cell(record[col]) for col in CSV_COLUMNS])
     return paths
-
-
-def read_report(path) -> dict:
-    """Load a report.json back into the dict form of BenchReport.to_dict()."""
-    with open(path) as fh:
-        return json.load(fh)

@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--corpus", help="RIR corpus directory (overrides the synthetic sweep)")
     ben.add_argument("--snr", type=float, help="channel noise SNR in dB")
-    ben.add_argument("--threads", type=int, help="worker threads (default: SONOLINK_THREADS or CPU count)")
+    ben.add_argument("--threads", type=int, help="worker threads (default: CPU count, at most 8)")
     ben.add_argument("--dereverb", default="both", choices=["off", "both"])
     ben.add_argument("-o", "--output", required=True, help="report output directory")
     ben.set_defaults(run=_cmd_bench)

@@ -30,6 +30,7 @@ __all__ = [
     "default_stft_config",
     "make_window",
     "stft",
+    "as_spectrogram",
     "istft",
     "convolve",
 ]
@@ -156,11 +157,6 @@ class Spectrogram:
     def num_frames(self) -> int:
         return self.bins.shape[1]
 
-    @property
-    def bin_frequencies(self) -> np.ndarray:
-        """Center frequency of each bin in Hz."""
-        return np.arange(self.num_bands) * (self.sample_rate / self.config.window_length)
-
     def power(self) -> np.ndarray:
         """Per-bin power envelope |X(k,l)|^2."""
         out = np.empty_like(self.bins, dtype=np.float64)
@@ -231,6 +227,20 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
         bins[s:s + len(block)] = np.fft.rfft(windowed[: len(block)], axis=1)
     return Spectrogram(bins=bins.T, config=cfg, sample_rate=buf.sample_rate,
                        num_samples=buf.samples.size)
+
+
+def as_spectrogram(buf: AudioBuffer | Spectrogram, cfg: StftConfig | None = None) -> Spectrogram:
+    """The STFT grid of a recording, or a grid already computed from one.
+
+    A recording is analyzed with ``cfg`` (default: the 46 ms configuration
+    for its rate).  A spectrogram is returned as it is; a ``cfg`` that is
+    set must then equal its configuration.
+    """
+    if isinstance(buf, Spectrogram):
+        if cfg is not None and cfg != buf.config:
+            raise InvalidArgumentError("the STFT configuration does not match the spectrogram's")
+        return buf
+    return stft(buf, cfg or default_stft_config(buf.sample_rate))
 
 
 def istft(spec: Spectrogram) -> AudioBuffer:

@@ -11,18 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .core import (
-    BLOCK_FRAMES,
-    AudioBuffer,
-    Spectrogram,
-    StftConfig,
-    default_stft_config,
-    istft,
-    stft,
-)
+from .core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, as_spectrogram, istft
 from .errors import EstimationError, InvalidArgumentError
 from .rt60 import _estimate_from_power
 
@@ -64,7 +57,13 @@ class ReverbModel:
 
 @dataclass(frozen=True)
 class DereverbConfig:
-    """Tuning knobs of the suppressor.
+    """Analysis configuration of the suppressor, and its fixed tuning.
+
+    stft
+        Analysis configuration; None selects the 46 ms default for the
+        buffer's sample rate.
+
+    The tuning is fixed, as class constants:
 
     late_delay
         Prediction delay in seconds separating direct sound from the late
@@ -81,26 +80,14 @@ class DereverbConfig:
         such a spike would hold the gain open for hundreds of frames after
         the signal stops.  The cap bounds that release time while leaving
         the gain within 1 - 1/sqrt(1 + ceiling) of unity for strong bins.
-    stft
-        Analysis configuration; None selects the 46 ms default for the
-        buffer's sample rate.
     """
 
-    late_delay: float = 0.080
-    snr_smoothing: float = 0.9
-    gain_floor: float = 0.1
-    snr_ceiling: float = 30.0
     stft: StftConfig | None = None
 
-    def __post_init__(self):
-        if not (self.late_delay > 0 and math.isfinite(self.late_delay)):
-            raise InvalidArgumentError("late_delay must be positive and finite")
-        if not 0.0 <= self.snr_smoothing < 1.0:
-            raise InvalidArgumentError("snr_smoothing must lie in [0, 1)")
-        if not 0.0 < self.gain_floor < 1.0:
-            raise InvalidArgumentError("gain_floor must lie in (0, 1)")
-        if not (self.snr_ceiling > 0 and math.isfinite(self.snr_ceiling)):
-            raise InvalidArgumentError("snr_ceiling must be positive and finite")
+    late_delay: ClassVar[float] = 0.080
+    snr_smoothing: ClassVar[float] = 0.9
+    gain_floor: ClassVar[float] = 0.1
+    snr_ceiling: ClassVar[float] = 30.0
 
     def delay_frames(self, frame_period: float) -> int:
         """Prediction delay rounded to whole frames, at least one."""
@@ -250,12 +237,7 @@ def dereverberate(
     it in the diagnostics.  Output length equals the analyzed signal's.
     """
     cfg = cfg or DereverbConfig()
-    if isinstance(buf, Spectrogram):
-        if cfg.stft is not None and cfg.stft != buf.config:
-            raise InvalidArgumentError("cfg.stft does not match the spectrogram's configuration")
-        grid = buf
-    else:
-        grid = stft(buf, cfg.stft or default_stft_config(buf.sample_rate))
+    grid = as_spectrogram(buf, cfg.stft)
     power = grid.power()
 
     estimated = False

@@ -1,9 +1,8 @@
-"""Quality metrics for dereverberation and decoding.
+"""Quality metrics for dereverberation.
 
-Three views of "did processing help": log spectral distortion against a
+Two views of "did processing help": log spectral distortion against a
 clean reference (with each spectrogram's log magnitudes confined to a 50 dB
-dynamic range), reverberation reduction on tone-free subbands, and plain
-decode-rate percentages.
+dynamic range) and reverberation reduction on tone-free subbands.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 from .core import Spectrogram
 from .errors import InvalidArgumentError, MetricError
 
-__all__ = ["lsd", "rr", "decode_rate"]
+__all__ = ["lsd", "rr"]
 
 ACTIVITY_THRESHOLD_DB = 40.0  # frames/bands this far below the peak count as silent
 DYNAMIC_RANGE_DB = 50.0
@@ -106,21 +105,3 @@ def rr(
     bands = np.nonzero(silent)[0]
     per_band = [(int(k), float(v)) for k, v in zip(bands, ratios)]
     return float(np.mean(ratios)), per_band
-
-
-def decode_rate(results) -> float:
-    """Percentage of decodes whose payload exactly matches the truth.
-
-    ``results`` holds (decode_result, expected_bytes) pairs; the first
-    element may be a DecodeResult or a raw payload (bytes or None).
-    """
-    results = list(results)
-    if not results:
-        raise InvalidArgumentError("decode_rate needs at least one result")
-    hits = 0
-    for outcome, truth in results:
-        payload = getattr(outcome, "payload", outcome)
-        if payload is not None and bytes(payload) == bytes(truth):
-            hits += 1
-    return 100.0 * hits / len(results)
-

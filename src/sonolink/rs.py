@@ -126,13 +126,17 @@ def generator_poly(nparity: int) -> list[int]:
     return g
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_symbols(symbols, what: str) -> list[int]:
     out = []
     for s in symbols:
-        try:
-            s = operator.index(s)
-        except TypeError:
-            raise InvalidArgumentError(f"{what} symbols must be integers, got {s!r}") from None
+        s = _integer(s, f"{what} symbol")
         if not 0 <= s < FIELD_SIZE:
             raise InvalidArgumentError(f"{what} symbols must lie in 0..31, got {s}")
         out.append(s)
@@ -146,6 +150,7 @@ def rs_encode(data, nparity: int) -> list[int]:
     31-symbol codeword bound of GF(32).
     """
     data = _check_symbols(data, "data")
+    nparity = _integer(nparity, "nparity")
     if nparity < 1:
         raise InvalidArgumentError("nparity must be >= 1")
     if not data:
@@ -232,11 +237,12 @@ def rs_decode(codeword, nparity: int, erasures=()) -> tuple[list[int], int]:
     """
     received = _check_symbols(codeword, "codeword")
     n = len(received)
+    nparity = _integer(nparity, "nparity")
     if n > MAX_CODEWORD:
         raise InvalidArgumentError(f"codeword length {n} exceeds {MAX_CODEWORD}")
     if not 1 <= nparity < n:
         raise InvalidArgumentError("nparity must satisfy 1 <= nparity < len(codeword)")
-    erasure_set = sorted(set(int(e) for e in erasures))
+    erasure_set = sorted(set(_integer(e, "erasure position") for e in erasures))
     for e in erasure_set:
         if not 0 <= e < n:
             raise InvalidArgumentError(f"erasure position {e} out of range for length {n}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, default_stft_config, stft
+from .core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, as_spectrogram
 from .errors import EstimationError, InvalidArgumentError
 
 __all__ = ["RtEstimate", "estimate_rt60"]
@@ -61,12 +61,7 @@ def estimate_rt60(
     """
     if not (math.isfinite(threshold_db) and threshold_db >= 0.0):
         raise InvalidArgumentError(f"threshold_db must be finite and >= 0, got {threshold_db}")
-    if isinstance(buf, Spectrogram):
-        if cfg is not None and cfg != buf.config:
-            raise InvalidArgumentError("cfg does not match the spectrogram's configuration")
-        grid = buf
-    else:
-        grid = stft(buf, cfg or default_stft_config(buf.sample_rate))
+    grid = as_spectrogram(buf, cfg)
     return _estimate_from_power(
         grid.power(), grid.config.frame_period(grid.sample_rate), threshold_db
     )

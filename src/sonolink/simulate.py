@@ -9,6 +9,7 @@ convolution + noise channel, and a loader for user-supplied RIR corpora
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -156,8 +157,12 @@ def _read_labels(path: Path) -> dict[str, float]:
             return labels
         for row in reader:
             try:
-                labels[row["file"]] = float(row["rt60"])
+                rt60 = float(row["rt60"])
             except (TypeError, ValueError):
+                rt60 = math.nan
+            if rt60 > 0 and math.isfinite(rt60):
+                labels[row["file"]] = rt60
+            else:
                 warnings.warn(f"{path}: bad rt60 for {row.get('file')!r}; row ignored")
     return labels
 
@@ -168,9 +173,10 @@ def load_rir_corpus(
     """Load every readable WAV in a directory, sorted by filename.
 
     An optional ``labels.csv`` (header ``file,rt60``) attaches ground-truth
-    reverberation times by filename.  Files that fail to read, or whose rate
-    differs from ``sample_rate`` (or from the first loaded file when not
-    given), are skipped with a warning; no resampling is attempted.
+    reverberation times by filename; a row whose rt60 is not a positive,
+    finite number is ignored with a warning.  Files that fail to read, or
+    whose rate differs from ``sample_rate`` (or from the first loaded file
+    when not given), are skipped with a warning; no resampling is attempted.
     """
     directory = Path(directory)
     if not directory.is_dir():

@@ -39,7 +39,7 @@ def test_clear_gain_meets_both_rules():
     for name in RULES:
         m = out["metrics"][name]
         assert m["change_wins"] == 10 and m["base_wins"] == 0
-        assert m["gain_rule_met"] and m["within_bound"]
+        assert m["gain_rule_met"] and m["within_bound"] and m["resolved"]
         assert m["bound"] == 0.25
     assert out["metrics"]["item_ms_p50"]["change_vs_base"] == pytest.approx(-0.3)
 
@@ -73,6 +73,14 @@ def test_no_regression_bound_on_a_higher_is_better_metric(factor, within):
     change = [{"item_ms_p50": 100.0, "audio_s_per_s": 10.0 * factor}] * 10
     m = bench_pairs.summarise(_runs(base, change), "w", RULES)
     assert m["metrics"]["audio_s_per_s"]["within_bound"] is within
+
+
+@pytest.mark.parametrize("shift, resolved", [(0.0, False), (-40.0, True)])
+def test_base_spread_wider_than_the_bound_is_unresolved(shift, resolved):
+    base = [85.0, 115.0] * 5  # interquartile range 30, 30% of the median
+    out = bench_pairs.summarise(_pairs(base, [v + shift for v in base]), "w", RULES)
+    for name in RULES:  # a shift of -40 puts every change run past every base run
+        assert out["metrics"][name]["resolved"] is resolved
 
 
 def test_unpaired_runs_and_changed_counts():

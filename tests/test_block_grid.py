@@ -176,8 +176,7 @@ def gain_inputs(draw):
         gamma[rng.integers(n_bands)] = 0.0  # a row that never turns valid
     if draw(st.booleans()):
         power, gamma = np.asfortranarray(power), np.asfortranarray(gamma)
-    cfg = DereverbConfig(snr_smoothing=draw(st.sampled_from([0.0, 0.5, 0.9])))
-    return power, gamma, cfg
+    return power, gamma, DereverbConfig()
 
 
 def _held_in_second_block():

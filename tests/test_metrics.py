@@ -1,13 +1,11 @@
-"""Distortion / reverberation-reduction / decode-rate metric behavior."""
-
-from types import SimpleNamespace
+"""Distortion and reverberation-reduction metric behavior."""
 
 import numpy as np
 import pytest
 
 from sonolink.core import Spectrogram, StftConfig
 from sonolink.errors import InvalidArgumentError, MetricError
-from sonolink.metrics import decode_rate, lsd, rr
+from sonolink.metrics import lsd, rr
 
 CFG = StftConfig(window_length=16, hop=4)  # 9 bins
 
@@ -164,24 +162,8 @@ def test_rr_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# decode rate / one clean-reverberant-processed triple
+# one clean-reverberant-processed triple
 # ---------------------------------------------------------------------------
-
-
-def test_decode_rate_counts_matches():
-    results = [
-        (b"\x01\x02", b"\x01\x02"),
-        (b"\x01\x03", b"\x01\x02"),
-        (None, b"\x01\x02"),
-        (SimpleNamespace(payload=b"\xff"), b"\xff"),
-        (SimpleNamespace(payload=None), b"\xff"),
-    ]
-    assert decode_rate(results) == pytest.approx(40.0)
-
-
-def test_decode_rate_empty():
-    with pytest.raises(InvalidArgumentError):
-        decode_rate([])
 
 
 def test_lsd_and_rr_on_one_triple():

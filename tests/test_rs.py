@@ -129,6 +129,8 @@ def test_encode_bounds():
         rs.rs_encode([32], 8)
     with pytest.raises(InvalidArgumentError):
         rs.rs_encode([1, 2], 0)
+    with pytest.raises(InvalidArgumentError, match="nparity must be an integer"):
+        rs.rs_encode([1, 2], 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +262,8 @@ def test_decode_validation():
     corrupted[0] ^= 1
     with pytest.raises(FecError, match="exceed parity budget"):
         rs.rs_decode(corrupted, 8, erasures=list(range(9)))
+    for erasure in (2.7, "a"):
+        with pytest.raises(InvalidArgumentError, match="erasure position must be an integer"):
+            rs.rs_decode(cw, 8, erasures=[erasure])
+    with pytest.raises(InvalidArgumentError, match="nparity must be an integer"):
+        rs.rs_decode(cw, 2.5)

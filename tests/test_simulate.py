@@ -222,10 +222,12 @@ class TestCorpus:
 
     def test_bad_label_value_skipped(self, tmp_path):
         save_rir_corpus([_entry("good", 0)], tmp_path)
-        (tmp_path / "labels.csv").write_text("file,rt60\ngood.wav,fast\n")
-        with pytest.warns(UserWarning, match="bad rt60"):
-            loaded = load_rir_corpus(tmp_path)
-        assert loaded[0].rt60 is None
+        # unparseable, and parseable but no reverberation time a room can have
+        for value in ("fast", "-1", "0", "nan", "inf"):
+            (tmp_path / "labels.csv").write_text(f"file,rt60\ngood.wav,{value}\n")
+            with pytest.warns(UserWarning, match="bad rt60"):
+                loaded = load_rir_corpus(tmp_path)
+            assert loaded[0].rt60 is None, value
 
     def test_labels_may_omit_extension(self, tmp_path):
         save_rir_corpus([_entry("good", 0)], tmp_path)
