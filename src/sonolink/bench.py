@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -73,6 +74,14 @@ class BenchConfig:
         if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
             raise InvalidArgumentError("sample_rate must be a positive integer")
         tone_frequencies(profile, self.sample_rate)  # raises when the band tops Nyquist
+        for name in ("packets_per_rir", "rirs_per_rt", "payload_bytes", "seed", "threads"):
+            value = getattr(self, name)
+            if name == "threads" and value is None:
+                continue
+            try:
+                operator.index(value)
+            except TypeError:
+                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
         if self.packets_per_rir < 1:
             raise InvalidArgumentError("packets_per_rir must be at least 1")
         if self.rirs_per_rt < 1:

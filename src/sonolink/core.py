@@ -7,15 +7,16 @@ implemented here uses a periodic Hann window with weighted overlap-add
 resynthesis, so ``istft(stft(x))`` reproduces ``x`` on the interior to
 floating-point accuracy for any hop that divides the window length.
 
-Whole-grid work runs over blocks of :data:`BLOCK_FRAMES` frames written
-through preallocated buffers, so a pass over a long recording's grid keeps
-its temporaries in cache instead of allocating a grid-sized one per
-operation.  Each output element is computed by the same operations, in the
+Whole-grid work that needs temporaries runs over blocks of
+:data:`BLOCK_FRAMES` frames written through preallocated buffers, so a pass
+over a long recording's grid keeps its temporaries in cache instead of
+allocating a grid-sized one per operation.  Each output element is computed by the same operations, in the
 same order, as a single pass over the whole grid would use.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,12 @@ class StftConfig:
     hop: int
 
     def __post_init__(self):
+        for name in ("window_length", "hop"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
         if self.window_length < 2 or self.window_length % 2 != 0:
             raise InvalidArgumentError("window_length must be an even integer >= 2")
         if self.hop < 1:
@@ -159,12 +166,8 @@ class Spectrogram:
 
     def power(self) -> np.ndarray:
         """Per-bin power envelope |X(k,l)|^2."""
-        out = np.empty_like(self.bins, dtype=np.float64)
-        for s in range(0, self.num_frames, BLOCK_FRAMES):
-            block = out[:, s:s + BLOCK_FRAMES]
-            np.abs(self.bins[:, s:s + BLOCK_FRAMES], out=block)
-            np.square(block, out=block)
-        return out
+        out = np.abs(self.bins, dtype=np.float64)
+        return np.square(out, out=out)
 
 
 def make_window(length: int) -> np.ndarray:

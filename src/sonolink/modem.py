@@ -172,24 +172,29 @@ def unpack_payload(symbols, n_bytes: int) -> bytes:
     return int(value).to_bytes(n_bytes, "big") if n_bytes else b""
 
 
-def _rs_block_sizes(n_data: int, nparity: int) -> list[int]:
-    """Split data symbols into the fewest equal-ish Reed-Solomon blocks."""
-    max_data = rs.MAX_CODEWORD - nparity
-    n_blocks = -(-n_data // max_data)
+def _rs_blocks(n_data: int, nparity: int) -> list[tuple[slice, slice]]:
+    """(data, parity) slices of each Reed-Solomon block in the packet body.
+
+    The body follows the length symbol: the data, split into the fewest
+    equal-ish blocks (larger first), then one parity group per block.
+    """
+    n_blocks = -(-n_data // (rs.MAX_CODEWORD - nparity))
     q, r = divmod(n_data, n_blocks)
-    return [q + 1] * r + [q] * (n_blocks - r)
+    starts = [b * q + min(b, r) for b in range(n_blocks + 1)]
+    return [
+        (slice(starts[b], starts[b + 1]), slice(n_data + b * nparity, n_data + (b + 1) * nparity))
+        for b in range(n_blocks)
+    ]
 
 
 def packet_symbols(pkt: Packet, profile: ProtocolProfile) -> list[int]:
     """Body symbols of a packet: length, payload data, then parity groups."""
     data = pack_symbols(pkt.payload)
-    parity: list[int] = []
-    offset = 0
-    for size in _rs_block_sizes(len(data), profile.rs_parity):
-        codeword = rs.rs_encode(data[offset:offset + size], profile.rs_parity)
-        parity.extend(codeword[size:])
-        offset += size
-    return [len(pkt.payload)] + data + parity
+    blocks = _rs_blocks(len(data), profile.rs_parity)
+    body = data + [0] * (blocks[-1][1].stop - len(data))
+    for d, p in blocks:
+        body[p] = rs.rs_encode(data[d], profile.rs_parity)[-profile.rs_parity:]
+    return [len(pkt.payload)] + body
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +293,8 @@ def detect_preamble(buf: AudioBuffer, profile: ProtocolProfile) -> list[int]:
     a hit when the first preamble tone dominates its window and the second
     preamble tone dominates the window one symbol later, each exceeding 6x
     the median magnitude of the non-preamble tones in its own window.  Hits
-    closer than one symbol apart collapse to the strongest of their cluster;
-    the returned offsets are sorted ascending.
+    closer than one symbol apart form a cluster, which yields its earliest
+    and its strongest hit; the returned offsets are sorted ascending.
 
     Window magnitudes come from a block DFT (see ``_scan_magnitudes``).  Per
     window set that costs 2*tones multiply-adds per sample for the block
@@ -324,24 +329,12 @@ def detect_preamble(buf: AudioBuffer, profile: ProtocolProfile) -> list[int]:
     # tails bias the peak score late, while the true packet start is at the
     # front edge of its cluster.
     candidates: list[int] = []
-
-    def flush(first: int, best: int) -> None:
-        candidates.append(first)
-        if best != first:
-            candidates.append(best)
-
-    cluster_first = cluster_best = int(positions[0])
-    cluster_score = float(scores[0])
-    last_pos = positions[0]
-    for pos, score in zip(positions[1:], scores[1:]):
-        if pos - last_pos > sym:
-            flush(cluster_first, cluster_best)
-            cluster_first = int(pos)
-            cluster_score = -1.0
-        if score > cluster_score:
-            cluster_best, cluster_score = int(pos), float(score)
-        last_pos = pos
-    flush(cluster_first, cluster_best)
+    cuts = np.flatnonzero(np.diff(positions) > sym) + 1
+    for pos, score in zip(np.split(positions, cuts), np.split(scores, cuts)):
+        candidates.append(int(pos[0]))
+        best = int(np.argmax(score))  # the first maximum, so ties go earliest
+        if best:
+            candidates.append(int(pos[best]))
     return candidates
 
 
@@ -383,46 +376,28 @@ def demodulate_symbols(
     return symbols.astype(np.int64), confidences
 
 
-def _demodulate_body(buf, offset, profile):
-    """Demodulate length + body for one preamble candidate.
+def _decode_at(buf: AudioBuffer, offset: int, profile: ProtocolProfile) -> DecodeResult:
+    """Demodulate and correct the packet whose preamble starts at ``offset``.
 
-    Returns (payload, corrected, erasures) or raises _CandidateFailure
-    carrying the failure label.
+    A length outside 1..max_payload_bytes, or a body that runs past the
+    buffer, fails as "length-symbol-invalid"; a Reed-Solomon block that
+    decodes neither with erasures nor errors-only fails as "fec-failure".
     """
     sym = profile.symbol_samples(buf.sample_rate)
-    body_start = offset + 2 * sym
     try:
-        length_sym, _ = demodulate_symbols(buf, body_start, 1, profile)
+        n_bytes = int(demodulate_symbols(buf, offset + 2 * sym, 1, profile)[0][0])
+        if not 1 <= n_bytes <= profile.max_payload_bytes:
+            return DecodeResult(None, offset, failure="length-symbol-invalid")
+        blocks = _rs_blocks(-(-8 * n_bytes // rs.SYMBOL_BITS), profile.rs_parity)
+        symbols, confidences = demodulate_symbols(buf, offset + 3 * sym, blocks[-1][1].stop, profile)
     except InvalidArgumentError:
-        raise _CandidateFailure("length-symbol-invalid") from None
-    n_bytes = int(length_sym[0])
-    if not 1 <= n_bytes <= profile.max_payload_bytes:
-        raise _CandidateFailure("length-symbol-invalid")
+        return DecodeResult(None, offset, failure="length-symbol-invalid")
 
-    n_data = -(-8 * n_bytes // rs.SYMBOL_BITS)
-    block_sizes = _rs_block_sizes(n_data, profile.rs_parity)
-    body_count = n_data + profile.rs_parity * len(block_sizes)
-    try:
-        symbols, confidences = demodulate_symbols(
-            buf, body_start + sym, body_count, profile
-        )
-    except InvalidArgumentError:
-        raise _CandidateFailure("length-symbol-invalid") from None
-
-    data_symbols: list[int] = []
-    corrected = 0
-    erasures_used = 0
-    data_off = 0
-    parity_off = n_data
-    for size in block_sizes:
-        block_idx = np.concatenate(
-            [
-                np.arange(data_off, data_off + size),
-                np.arange(parity_off, parity_off + profile.rs_parity),
-            ]
-        )
-        codeword = [int(symbols[i]) for i in block_idx]
-        conf = confidences[block_idx]
+    data, corrected, erasures_used = [], 0, 0
+    for d, p in blocks:
+        idx = np.r_[d, p]
+        codeword = symbols[idx].tolist()
+        conf = confidences[idx]
         weak = np.nonzero(conf < ERASURE_CONFIDENCE)[0]
         # Cap erasures two below the parity budget, keeping the least
         # trusted: spending the whole budget leaves no unused syndromes to
@@ -436,22 +411,13 @@ def _demodulate_body(buf, offset, profile):
             try:
                 decoded, fixed = rs.rs_decode(codeword, profile.rs_parity)
             except FecError:
-                raise _CandidateFailure("fec-failure") from None
-        data_symbols.extend(decoded)
+                return DecodeResult(None, offset, failure="fec-failure")
+        data.extend(decoded)
         corrected += fixed
-        data_off += size
-        parity_off += profile.rs_parity
-
-    return unpack_payload(data_symbols, n_bytes), corrected, erasures_used
+    return DecodeResult(unpack_payload(data, n_bytes), offset, corrected, erasures_used)
 
 
-class _CandidateFailure(Exception):
-    def __init__(self, label: str):
-        super().__init__(label)
-        self.label = label
-
-
-_FAILURE_RANK = {"no-preamble": 0, "length-symbol-invalid": 1, "fec-failure": 2}
+_FAILURES = ("no-preamble", "length-symbol-invalid", "fec-failure")  # ascending progress
 
 
 def decode_packet(buf: AudioBuffer, profile: ProtocolProfile) -> DecodeResult:
@@ -459,26 +425,15 @@ def decode_packet(buf: AudioBuffer, profile: ProtocolProfile) -> DecodeResult:
 
     Preamble candidates are tried earliest-first (under reverberation the
     direct path precedes its echoes); the first candidate whose
-    Reed-Solomon blocks all decode wins.  Failures are reported through
-    ``DecodeResult.failure`` rather than exceptions.
+    Reed-Solomon blocks all decode wins.  Otherwise ``DecodeResult.failure``
+    is the label of the candidate that got furthest, and no exception is
+    raised.
     """
     candidates = detect_preamble(buf, profile)
-    if not candidates:
-        return DecodeResult(payload=None, preamble_offset=-1, failure="no-preamble")
-    worst = "no-preamble"
+    failure = _FAILURES[0]
     for offset in candidates:
-        try:
-            payload, corrected, erasures = _demodulate_body(
-                buf, offset, profile
-            )
-        except _CandidateFailure as fail:
-            if _FAILURE_RANK[fail.label] > _FAILURE_RANK[worst]:
-                worst = fail.label
-            continue
-        return DecodeResult(
-            payload=payload,
-            preamble_offset=offset,
-            corrected_errors=corrected,
-            erasures_used=erasures,
-        )
-    return DecodeResult(payload=None, preamble_offset=candidates[0], failure=worst)
+        result = _decode_at(buf, offset, profile)
+        if result.ok:
+            return result
+        failure = max(failure, result.failure, key=_FAILURES.index)
+    return DecodeResult(None, candidates[0] if candidates else -1, failure=failure)

@@ -64,6 +64,11 @@ class TestConfig:
             ({"sample_rate": 44100.0}, "sample_rate"),
             ({"sample_rate": 16000}, "Nyquist"),
             ({"profile": "ultrasonic", "sample_rate": 32000}, "Nyquist"),
+            ({"packets_per_rir": 1.5}, "packets_per_rir"),
+            ({"rirs_per_rt": 1.5}, "rirs_per_rt"),
+            ({"payload_bytes": 2.5}, "payload_bytes"),
+            ({"threads": 1.5}, "threads"),
+            ({"seed": 1.5}, "seed"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):

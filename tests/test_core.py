@@ -110,6 +110,13 @@ class TestStftConfig:
         with pytest.raises(InvalidArgumentError, match="divide"):
             StftConfig(512, 100)
 
+    @pytest.mark.parametrize(
+        "args, match", [((2048.0, 128.0), "window_length"), ((64, 8.0), "hop")]
+    )
+    def test_non_integer_fields_rejected(self, args, match):
+        with pytest.raises(InvalidArgumentError, match=f"{match} must be an integer"):
+            StftConfig(*args)
+
 
 # ---------------------------------------------------------------------------
 # Forward transform
