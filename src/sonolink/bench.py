@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import operator
 import os
 import sys
@@ -32,7 +33,7 @@ from .errors import EstimationError, InvalidArgumentError, SonolinkError
 from .metrics import lsd, rr
 from .modem import Packet, decode_packet, encode_packet, profile_by_name, tone_frequencies
 from .rt60 import estimate_rt60
-from .simulate import ChannelSpec, RirSpec, apply_channel, load_rir_corpus, synth_rir
+from .simulate import ChannelSpec, CorpusEntry, RirSpec, apply_channel, load_rir_corpus, synth_rir
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -40,6 +41,7 @@ __all__ = [
     "RirRow",
     "BenchReport",
     "run_benchmark",
+    "sweep_rooms",
     "write_report",
 ]
 
@@ -82,6 +84,16 @@ class BenchConfig:
                 operator.index(value)
             except TypeError:
                 raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+        if not isinstance(self.rt60_values, (tuple, list)) or not all(
+            isinstance(v, numbers.Real) for v in self.rt60_values
+        ):
+            raise InvalidArgumentError(f"rt60_values must be numbers, got {self.rt60_values!r}")
+        for name in ("direct_gain", "snr_db"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) or name == "snr_db" and value is None):
+                raise InvalidArgumentError(f"{name} must be a number, got {value!r}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
         if self.packets_per_rir < 1:
             raise InvalidArgumentError("packets_per_rir must be at least 1")
         if self.rirs_per_rt < 1:
@@ -153,18 +165,37 @@ def _item_seed(*entropy) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _error_entry(rir_id: str, exc: Exception) -> dict:
-    return {"rir_id": rir_id, "error": str(exc), "type": type(exc).__name__}
+def sweep_rooms(rt60_values, rirs_per_rt, direct_gain, seed, sample_rate) -> list[CorpusEntry]:
+    """The synthetic sweep's impulse responses, labeled with their RT60.
+
+    Rooms come RT60-major (``rirs_per_rt`` rooms per value), named
+    ``rt{rt:g}_r{index:02d}``, and each is seeded from ``seed`` and its
+    position, so a given seed always yields the same rooms.
+    """
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+    return [
+        CorpusEntry(
+            name=f"rt{rt:g}_r{si:02d}",
+            audio=synth_rir(
+                RirSpec(rt60=rt, direct_gain=direct_gain, seed=_item_seed(seed, _RIR_TAG, ri, si)),
+                sample_rate,
+            ),
+            rt60=rt,
+        )
+        for ri, rt in enumerate(rt60_values)
+        for si in range(rirs_per_rt)
+    ]
 
 
-def _process_rir(cfg: BenchConfig, profile, rt_index, rir_index, true_rt60, rir, rir_id):
+def _process_rir(cfg: BenchConfig, profile, rt_index, rir_index, entry: CorpusEntry):
     """Run every packet of one impulse response.
 
     A domain error (SonolinkError) on one packet counts as a failure in the
     row; any other exception is a bug, and propagates so the whole room is
     reported in ``errors`` with its type.
     """
-    fs = rir.sample_rate
+    fs = entry.audio.sample_rate
     stft_cfg = default_stft_config(fs)
     want_dereverb = cfg.dereverb == "both"
     dcfg = DereverbConfig(stft=stft_cfg)
@@ -185,7 +216,7 @@ def _process_rir(cfg: BenchConfig, profile, rt_index, rir_index, true_rt60, rir,
             payload = payload_rng.bytes(cfg.payload_bytes)
             dry = encode_packet(Packet(payload), profile, fs)
             chan = ChannelSpec(
-                rir=rir,
+                rir=entry.audio,
                 snr_db=cfg.snr_db,
                 noise_seed=_item_seed(cfg.seed, _NOISE_TAG, rt_index, rir_index, j),
             )
@@ -225,8 +256,8 @@ def _process_rir(cfg: BenchConfig, profile, rt_index, rir_index, true_rt60, rir,
 
     n = cfg.packets_per_rir
     return RirRow(
-        rir_id=rir_id,
-        true_rt60=_round4(true_rt60),
+        rir_id=entry.name,
+        true_rt60=_round4(entry.rt60),
         estimated_rt60=_round4(estimated),
         decode_rate_before=_round4(100.0 * before_hits / n),
         decode_rate_after=_round4(100.0 * after_hits / n) if want_dereverb else None,
@@ -290,40 +321,23 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
 
     Per-packet domain errors are counted in their row; any other failure
     drops the room's row and becomes an entry in the report's ``errors``
-    list, naming the exception type.  Neither aborts the run.
+    list, naming the exception type.  Neither aborts the run; a sweep room
+    that cannot be synthesised raises before any packet runs.
     Timing is printed to stderr only, keeping report bytes seed-determined.
     """
     profile = profile_by_name(cfg.profile)
-    errors: list[dict] = []
-    work = []  # (rt_index, rir_index, true_rt60, rir_buffer, rir_id)
-
     if cfg.corpus_dir is not None:
         entries = load_rir_corpus(cfg.corpus_dir, cfg.sample_rate)
-        for i, entry in enumerate(entries):
-            work.append((0, i, entry.rt60, entry.audio, entry.name))
+        work = [(0, i, entry) for i, entry in enumerate(entries)]
     else:
-        for ri, rt in enumerate(cfg.rt60_values):
-            for si in range(cfg.rirs_per_rt):
-                rir_id = f"rt{rt:g}_r{si:02d}"
-                try:
-                    rir = synth_rir(
-                        RirSpec(
-                            rt60=rt,
-                            direct_gain=cfg.direct_gain,
-                            seed=_item_seed(cfg.seed, _RIR_TAG, ri, si),
-                        ),
-                        cfg.sample_rate,
-                    )
-                except Exception as exc:
-                    errors.append(_error_entry(rir_id, exc))
-                    continue
-                work.append((ri, si, rt, rir, rir_id))
+        rooms = sweep_rooms(cfg.rt60_values, cfg.rirs_per_rt, cfg.direct_gain, cfg.seed, cfg.sample_rate)
+        work = [(*divmod(i, cfg.rirs_per_rt), room) for i, room in enumerate(rooms)]
 
     def run_item(item):
         try:
             return _process_rir(cfg, profile, *item)
         except Exception as exc:  # a whole-RIR failure: report it, keep going
-            return _error_entry(item[4], exc)
+            return {"rir_id": item[2].name, "error": str(exc), "type": type(exc).__name__}
 
     started = time.perf_counter()
     with ThreadPoolExecutor(max_workers=cfg.threads or min(os.cpu_count() or 1, 8)) as pool:
@@ -331,7 +345,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     elapsed = time.perf_counter() - started
 
     rows = [o for o in outcomes if isinstance(o, RirRow)]
-    errors.extend(o for o in outcomes if not isinstance(o, RirRow))
+    errors = [o for o in outcomes if not isinstance(o, RirRow)]
 
     total_signals = len(work) * cfg.packets_per_rir
     if total_signals:

@@ -10,16 +10,17 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .bench import BenchConfig, _item_seed, run_benchmark, write_report
+from .bench import BenchConfig, run_benchmark, sweep_rooms, write_report
 from .core import default_stft_config
 from .dereverb import dereverberate
 from .errors import SonolinkError
 from .modem import Packet, decode_packet, encode_packet, profile_by_name
 from .rt60 import DEFAULT_THRESHOLD_DB, estimate_rt60
-from .simulate import ChannelSpec, CorpusEntry, RirSpec, apply_channel, save_rir_corpus, synth_rir
+from .simulate import ChannelSpec, RirSpec, apply_channel, save_rir_corpus, synth_rir
 from .wavio import wav_read, wav_write
 
 __all__ = ["main"]
@@ -123,21 +124,7 @@ def _cmd_dereverb(args) -> int:
 
 def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
     if args.corpus_out is not None:
-        entries = []
-        for ri, rt in enumerate(args.sweep):
-            for si in range(args.seeds_per_rt):
-                spec = RirSpec(
-                    rt60=rt,
-                    direct_gain=args.direct_gain,
-                    seed=_item_seed(args.seed, ri, si),
-                )
-                entries.append(
-                    CorpusEntry(
-                        name=f"rt{rt:g}_r{si:02d}.wav",
-                        audio=synth_rir(spec, args.rate),
-                        rt60=rt,
-                    )
-                )
+        entries = sweep_rooms(args.sweep, args.seeds_per_rt, args.direct_gain, args.seed, args.rate)
         save_rir_corpus(entries, args.corpus_out)
         print(f"[simulate] wrote {len(entries)} impulse responses to {args.corpus_out}", file=sys.stderr)
         return 0
@@ -178,20 +165,7 @@ def _fmt(value, suffix="") -> str:
 
 
 def _cmd_bench(args) -> int:
-    cfg = BenchConfig(
-        profile=args.profile,
-        sample_rate=args.rate,
-        rt60_values=args.sweep,
-        rirs_per_rt=args.seeds_per_rt,
-        packets_per_rir=args.packets,
-        payload_bytes=args.payload_bytes,
-        direct_gain=args.direct_gain,
-        corpus_dir=args.corpus,
-        snr_db=args.snr,
-        seed=args.seed,
-        dereverb=args.dereverb,
-        threads=args.threads,
-    )
+    cfg = BenchConfig(**{f.name: getattr(args, f.name) for f in fields(BenchConfig)})
     report = run_benchmark(cfg)
     paths = write_report(report, args.output)
     agg = report.aggregates
@@ -265,18 +239,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(run=lambda a: _cmd_simulate(a, sim))
 
     ben = sub.add_parser("bench", help="run the end-to-end benchmark, write reports")
-    ben.add_argument("--sweep", type=_sweep, default="0.4:2.0:5",
+    # dest names are BenchConfig's field names; _cmd_bench passes them on as they are
+    ben.add_argument("--sweep", dest="rt60_values", type=_sweep, default="0.4:2.0:5",
                      help="synthetic RT60 sweep as START:STOP:COUNT")
-    ben.add_argument("--seeds-per-rt", type=int, default=20, help="impulse responses per RT60")
-    ben.add_argument("--packets", type=int, default=20, help="packets per impulse response")
+    ben.add_argument("--seeds-per-rt", dest="rirs_per_rt", type=int, default=20,
+                     help="impulse responses per RT60")
+    ben.add_argument("--packets", dest="packets_per_rir", type=int, default=20,
+                     help="packets per impulse response")
     ben.add_argument("--payload-bytes", type=int, default=4)
     ben.add_argument("--direct-gain", type=float, default=0.7,
                      help="direct-path gain of swept impulse responses (sets DRR)")
     ben.add_argument("--profile", default="audible", choices=["audible", "ultrasonic"])
-    ben.add_argument("--rate", type=int, default=44100)
+    ben.add_argument("--rate", dest="sample_rate", type=int, default=44100)
     ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--corpus", help="RIR corpus directory (overrides the synthetic sweep)")
-    ben.add_argument("--snr", type=float, help="channel noise SNR in dB")
+    ben.add_argument("--corpus", dest="corpus_dir",
+                     help="RIR corpus directory (overrides the synthetic sweep)")
+    ben.add_argument("--snr", dest="snr_db", type=float, help="channel noise SNR in dB")
     ben.add_argument("--threads", type=int, help="worker threads (default: CPU count, at most 8)")
     ben.add_argument("--dereverb", default="both", choices=["off", "both"])
     ben.add_argument("-o", "--output", required=True, help="report output directory")

@@ -98,7 +98,7 @@ ULTRASONIC = ProtocolProfile(name="ultrasonic", band_low=18000.0, band_high=2000
 def profile_by_name(name: str) -> ProtocolProfile:
     try:
         return {"audible": AUDIBLE, "ultrasonic": ULTRASONIC}[name.lower()]
-    except KeyError:
+    except (KeyError, AttributeError):
         raise InvalidArgumentError(f"unknown profile {name!r}") from None
 
 
@@ -425,15 +425,15 @@ def decode_packet(buf: AudioBuffer, profile: ProtocolProfile) -> DecodeResult:
 
     Preamble candidates are tried earliest-first (under reverberation the
     direct path precedes its echoes); the first candidate whose
-    Reed-Solomon blocks all decode wins.  Otherwise ``DecodeResult.failure``
-    is the label of the candidate that got furthest, and no exception is
-    raised.
+    Reed-Solomon blocks all decode wins.  Otherwise the result is that of
+    the earliest candidate that got furthest, so its offset and failure
+    label describe the same attempt, and no exception is raised.
     """
-    candidates = detect_preamble(buf, profile)
-    failure = _FAILURES[0]
-    for offset in candidates:
+    best = DecodeResult(None, -1, failure="no-preamble")
+    for offset in detect_preamble(buf, profile):
         result = _decode_at(buf, offset, profile)
         if result.ok:
             return result
-        failure = max(failure, result.failure, key=_FAILURES.index)
-    return DecodeResult(None, candidates[0] if candidates else -1, failure=failure)
+        if _FAILURES.index(result.failure) > _FAILURES.index(best.failure):
+            best = result
+    return best

@@ -59,6 +59,8 @@ class RirSpec:
                 )
         if not (self.direct_gain > 0.0 and np.isfinite(self.direct_gain)):
             raise InvalidArgumentError("direct_gain must be positive and finite")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def effective_length(self) -> float:
@@ -81,6 +83,8 @@ class ChannelSpec:
             self.normalize > 0.0 and np.isfinite(self.normalize)
         ):
             raise InvalidArgumentError("normalize target must be positive")
+        if self.noise_seed < 0:
+            raise InvalidArgumentError(f"noise_seed must be non-negative, got {self.noise_seed}")
 
 
 @dataclass

@@ -11,6 +11,7 @@ from sonolink.bench import (
     BenchReport,
     RirRow,
     run_benchmark,
+    sweep_rooms,
     write_report,
 )
 from sonolink.errors import InvalidArgumentError, MetricError
@@ -69,6 +70,12 @@ class TestConfig:
             ({"payload_bytes": 2.5}, "payload_bytes"),
             ({"threads": 1.5}, "threads"),
             ({"seed": 1.5}, "seed"),
+            ({"snr_db": "20"}, "snr_db"),
+            ({"direct_gain": "0.7"}, "direct_gain"),
+            ({"rt60_values": ("1.0",)}, "rt60_values"),
+            ({"rt60_values": 1.0}, "rt60_values"),
+            ({"profile": None}, "profile"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):
@@ -164,6 +171,14 @@ class TestSyntheticRun:
         assert row.mean_lsd_before is None
         assert row.mean_lsd_after is None
         assert row.mean_rr is None
+
+    def test_room_that_cannot_be_synthesised_raises(self):
+        with pytest.raises(InvalidArgumentError, match="under 2 samples"):
+            run_benchmark(dataclasses.replace(TINY, rt60_values=(1e-5,), rirs_per_rt=1))
+
+    def test_sweep_rooms_reject_a_negative_seed(self):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            sweep_rooms((0.4,), 1, 0.7, -1, 22050)
 
     def test_thread_env_is_ignored(self, monkeypatch):
         monkeypatch.setenv("SONOLINK_THREADS", "abc")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sonolink import cli
+from sonolink.bench import BenchConfig, sweep_rooms
 from sonolink.cli import _sweep, main
 from sonolink.core import AudioBuffer
 from sonolink.simulate import load_rir_corpus
@@ -193,6 +194,29 @@ def test_simulate_corpus_out(tmp_path):
     assert sorted({e.rt60 for e in entries}) == [0.3, 0.5]
 
 
+def test_simulate_corpus_out_writes_the_bench_rooms(tmp_path):
+    cfg = BenchConfig(
+        sample_rate=RATE, rt60_values=(0.3, 0.5), rirs_per_rt=2, direct_gain=0.7, seed=5
+    )
+    assert _sweep("0.3:0.5:2") == cfg.rt60_values
+    corpus = tmp_path / "corpus"
+    code = main(
+        [
+            "simulate", "--corpus-out", str(corpus), "--sweep", "0.3:0.5:2",
+            "--seeds-per-rt", "2", "--direct-gain", "0.7", "--seed", "5", "--rate", str(RATE),
+        ]
+    )
+    assert code == 0
+    written = {e.name: e for e in load_rir_corpus(corpus)}
+    rooms = sweep_rooms(cfg.rt60_values, cfg.rirs_per_rt, cfg.direct_gain, cfg.seed, cfg.sample_rate)
+    assert sorted(written) == sorted(room.name + ".wav" for room in rooms)
+    for room in rooms:
+        entry = written[room.name + ".wav"]
+        assert entry.rt60 == room.rt60
+        assert entry.audio.sample_rate == room.audio.sample_rate
+        np.testing.assert_array_equal(entry.audio.samples, room.audio.samples.astype(np.float32))
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -228,6 +252,25 @@ def test_bench_bad_rate_exits_1(tmp_path, capsys, rate, message):
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--seed", "-1", "-o"], "seed must be non-negative"),
+        (["bench", "--sweep", "1e-5:1e-5:1", "-o"], "under 2 samples"),
+        (["simulate", "--seed", "-1", "--rt60", "0.3", "-o"], "seed must be non-negative"),
+        (["simulate", "--seed", "-1", "--corpus-out"], "seed must be non-negative"),
+    ],
+)
+def test_bad_seed_or_room_exits_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code = main(argv + [str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_report_digest_command_runs_the_acceptance_sweep(tmp_path, monkeypatch):

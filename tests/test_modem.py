@@ -17,6 +17,7 @@ from sonolink.modem import (
     DecodeResult,
     Packet,
     ProtocolProfile,
+    _decode_at,
     decode_packet,
     demodulate_symbols,
     detect_preamble,
@@ -308,12 +309,13 @@ def test_noise_never_raises_mean_confidence():
 
 # sha256 of the rows below: 61 correct, 15 wrong payloads, 15 fec-failure
 # and 5 length-symbol-invalid out of 96 packets.
-DECODE_ROWS_SHA256 = "9c81b63542666057fa2b86e1bae9afd50e5eb6692e0541cc6bde5e8f31c8cded"
+DECODE_ROWS_SHA256 = "841f4c62d3fc791ee87ea5c912c62b4933f2d9b97f767437c1640a962bee99b2"
 
 
-def test_decode_results_are_pinned():
-    """Both profiles, 44.1 and 48 kHz, noisy rooms and every failure label."""
-    rows = []
+@pytest.fixture(scope="module")
+def pinned_receives():
+    """(profile, received audio, payload sent, decode result) of 96 packets."""
+    receives = []
     for i in range(96):
         rng = np.random.default_rng((2026, i))
         profile = (AUDIBLE, ULTRASONIC)[i % 2]
@@ -325,14 +327,33 @@ def test_decode_results_are_pinned():
             noise_seed=i,
         )
         wet = apply_channel(encode_packet(Packet(payload), profile, rate), chan)
-        result = decode_packet(wet, profile)
-        rows.append([
+        receives.append((profile, wet, payload, decode_packet(wet, profile)))
+    return receives
+
+
+def test_decode_results_are_pinned(pinned_receives):
+    """Both profiles, 44.1 and 48 kHz, noisy rooms and every failure label."""
+    rows = [
+        [
             payload.hex(),
             None if result.payload is None else result.payload.hex(),
             result.preamble_offset,
             result.corrected_errors,
             result.erasures_used,
             result.failure,
-        ])
+        ]
+        for _, _, payload, result in pinned_receives
+    ]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == DECODE_ROWS_SHA256
+
+
+def test_failed_receive_is_one_candidates_result(pinned_receives):
+    # offset, label and counts of a failed receive come from the same attempt
+    failed = [(profile, wet, result) for profile, wet, _, result in pinned_receives if not result.ok]
+    assert failed
+    for profile, wet, result in failed:
+        if result.failure == "no-preamble":
+            assert result.preamble_offset == -1 and not detect_preamble(wet, profile)
+        else:
+            assert _decode_at(wet, result.preamble_offset, profile) == result

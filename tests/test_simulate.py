@@ -45,6 +45,12 @@ class TestSpecs:
         with pytest.raises(InvalidArgumentError, match="direct_gain"):
             RirSpec(rt60=1.0, direct_gain=0.0)
 
+    def test_seeds_must_be_non_negative(self):
+        with pytest.raises(InvalidArgumentError, match="seed must be non-negative"):
+            RirSpec(rt60=1.0, seed=-1)
+        with pytest.raises(InvalidArgumentError, match="noise_seed must be non-negative"):
+            ChannelSpec(rir=RirSpec(rt60=0.5), noise_seed=-1)
+
     def test_channel_validation(self):
         with pytest.raises(InvalidArgumentError, match="snr_db"):
             ChannelSpec(rir=RirSpec(rt60=0.5), snr_db=np.inf)
