@@ -2,7 +2,8 @@
 
 Generates impulse responses at three reverberation times, pushes the same
 packet through each, and prints how the decoder fares as the tail grows.
-Pass a directory argument to keep the WAV files.
+Pass a directory argument to keep the WAV files, written as 32-bit float
+so they hold the very signals that were decoded.
 """
 
 import sys
@@ -33,10 +34,10 @@ def main(out_dir=None):
             f"{result.corrected_errors:>7} {result.erasures_used:>9}"
         )
         if out_dir is not None:
-            wav_write(f"{out_dir}/wet_rt{rt60:g}.wav", wet)
+            wav_write(f"{out_dir}/wet_rt{rt60:g}.wav", wet, bit_depth=32)
 
     if out_dir is not None:
-        wav_write(f"{out_dir}/dry.wav", dry)
+        wav_write(f"{out_dir}/dry.wav", dry, bit_depth=32)
         print(f"waveforms written to {out_dir}")
 
 

@@ -223,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="synthesize impulse responses / reverberant audio")
     sim.add_argument("--rt60", type=float, help="reverberation time to synthesize")
     sim.add_argument("--length", type=float, help="RIR length in seconds (default 1.5*rt60)")
-    sim.add_argument("--direct-gain", type=float, default=1.0)
+    sim.add_argument("--direct-gain", type=float, default=BenchConfig.direct_gain)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--rate", type=int, default=44100)
     sim.add_argument("--rir", help="use an impulse response from this WAV instead")
@@ -247,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--packets", dest="packets_per_rir", type=int, default=20,
                      help="packets per impulse response")
     ben.add_argument("--payload-bytes", type=int, default=4)
-    ben.add_argument("--direct-gain", type=float, default=0.7,
+    ben.add_argument("--direct-gain", type=float, default=BenchConfig.direct_gain,
                      help="direct-path gain of swept impulse responses (sets DRR)")
     ben.add_argument("--profile", default="audible", choices=["audible", "ultrasonic"])
     ben.add_argument("--rate", dest="sample_rate", type=int, default=44100)

@@ -11,13 +11,13 @@ and a profile only chooses the band the 32 tones span.
 
 The receiver measures per-tone magnitudes with single-bin DTFTs against one
 kernel of interleaved cos/-sin columns, evaluated over strided views of the
-signal (``_partials``).  The preamble scan slides a symbol window over the
-whole recording by symbol/8 and evaluates it as a block DFT: one matrix
-product gives every hop-sized block's partial DTFT, and each window sums
-its blocks' partials, so work and memory grow with the samples, not with
-samples x window length.  Demodulation reads the few symbol slots after a
-preamble through the same kernel, picks the strongest tone per slot, and
-hands low-confidence symbols to the Reed-Solomon decoder as erasures.
+signal (``_partials``).  The preamble scan is one block-DFT grid per
+recording: one matrix product gives every symbol/8 block's partial DTFT,
+and each 8-block window sums its blocks' partials, so work and memory grow
+with the samples, not with samples x window length.  Demodulation reads
+the few symbol slots after a preamble through the same kernel, picks the
+strongest tone per slot, and hands low-confidence symbols to the
+Reed-Solomon decoder as erasures.
 """
 
 from __future__ import annotations
@@ -240,7 +240,8 @@ def _dtft_tables(profile: ProtocolProfile, sample_rate: int):
     interleaved cos/-sin columns, so a real matmul of length-L rows against
     ``kernel[:L]``, viewed as complex, is each row's per-tone DTFT.  Row j
     of ``rotations`` is exp(-i*omega*j*hop): the phase that places scan
-    block j at its offset within a symbol window, for j = 0..sym//hop.
+    block j at its offset within a scan window, for j < sym // hop (8 at
+    every rate whose Nyquist clears a profile's band).
     """
     freqs = tone_frequencies(profile, sample_rate)
     omega = 2.0 * np.pi * freqs / sample_rate
@@ -250,7 +251,7 @@ def _dtft_tables(profile: ProtocolProfile, sample_rate: int):
     kernel = np.empty((sym, 2 * freqs.size))
     kernel[:, 0::2] = np.cos(phase)
     kernel[:, 1::2] = -np.sin(phase)
-    rotations = np.exp(-1j * np.outer(np.arange(sym // hop + 1) * hop, omega))
+    rotations = np.exp(-1j * np.outer(np.arange(sym // hop) * hop, omega))
     kernel.setflags(write=False)
     rotations.setflags(write=False)
     return hop, kernel, rotations
@@ -266,70 +267,67 @@ def _partials(x: np.ndarray, length: int, count: int, step: int, kernel: np.ndar
     return (rows @ kernel[:length]).view(np.complex128)
 
 
-def _scan_magnitudes(x: np.ndarray, count: int, sym: int, tables) -> np.ndarray:
-    """Per-tone DTFT magnitudes of windows x[i*hop : i*hop + sym], i < count.
+def _scan_magnitudes(x: np.ndarray, count: int, tables) -> np.ndarray:
+    """Per-tone DTFT magnitudes of windows x[i*hop : (i + q)*hop], i < count.
 
-    Block DFT: one matmul gives every hop-sized block's partial DTFT, and a
-    window's DTFT is the sum of its q = sym // hop block partials, block j
-    rotated by exp(-i*omega*j*hop), plus one partial over the remaining
-    sym - q*hop samples.  Partial sums restart every window, so rounding
-    does not accumulate along the signal.
+    A window is q = len(rotations) consecutive hop blocks.  Block DFT: one
+    matmul gives every block's partial DTFT, and a window's DTFT is the sum
+    of its q block partials, block j rotated by exp(-i*omega*j*hop).  Partial
+    sums restart every window, so rounding does not accumulate along the
+    signal.
     """
     hop, kernel, rotations = tables
-    q, rest = divmod(sym, hop)
+    q = len(rotations)
     blocks = _partials(x, hop, count + q - 1, hop, kernel)
     acc = blocks[:count].copy()  # rotations[0] is 1
     for j in range(1, q):
         acc += blocks[j:j + count] * rotations[j]
-    if rest:
-        acc += _partials(x[q * hop:], rest, count, hop, kernel) * rotations[q]
     return np.abs(acc)
 
 
 def detect_preamble(buf: AudioBuffer, profile: ProtocolProfile) -> list[int]:
     """Scan for the two-symbol preamble; returns candidate sample offsets.
 
-    A sliding symbol-length window advances by hop = symbol/8.  An offset is
-    a hit when the first preamble tone dominates its window and the second
-    preamble tone dominates the window one symbol later, each exceeding 6x
-    the median magnitude of the non-preamble tones in its own window.  Hits
-    closer than one symbol apart form a cluster, which yields its earliest
-    and its strongest hit; the returned offsets are sorted ascending.
+    A window of q = 8 hops (hop = symbol // 8) advances by one hop.  An
+    offset is a hit when the first preamble tone dominates its window and
+    the second preamble tone dominates the window q hops later, each
+    exceeding 6x the median magnitude of the non-preamble tones in its own
+    window.  Hits closer than one symbol apart form a cluster, which yields
+    its earliest and its strongest hit; the returned offsets are sorted
+    ascending.  A window is one symbol where hop divides it (24, 32, 44.1,
+    48 kHz) and q*hop samples elsewhere (1760 of 1764 at 22.05 kHz).
 
-    Window magnitudes come from a block DFT (see ``_scan_magnitudes``).  Per
-    window set that costs 2*tones multiply-adds per sample for the block
-    partials plus 8 complex multiply-adds per window and tone to combine
-    them; evaluating each window directly costs 8 times the first term,
-    since every sample lies in 8 overlapping windows.  Memory is a few
+    One block-DFT grid covers every window of the recording (see
+    ``_scan_magnitudes``); the first preamble windows are its rows [0, n-q)
+    and the second its rows [q, n).  It costs 2*tones multiply-adds per
+    sample plus 8 complex multiply-adds per window and tone; evaluating each
+    window directly costs 8 times the first term.  Memory is a few
     [windows x tones] grids; the signal itself is only viewed.
     """
     x = buf.samples
     tables = _dtft_tables(profile, buf.sample_rate)
-    sym = profile.symbol_samples(buf.sample_rate)
-    hop = tables[0]
-    if x.size < 2 * sym:
+    hop, _, rotations = tables
+    q = len(rotations)
+    n = x.size // hop - q + 1  # windows of q whole blocks in the recording
+    if n <= q:
         return []
-    starts = np.arange(0, x.size - 2 * sym + 1, hop)
-    mags_first = _scan_magnitudes(x, starts.size, sym, tables)
-    mags_second = _scan_magnitudes(x[sym:], starts.size, sym, tables)
+    mags = _scan_magnitudes(x, n, tables)
 
     tone_a, tone_b = profile.preamble
     others = [t for t in range(profile.tone_count) if t not in {tone_a, tone_b}]
-    floor_first = np.median(mags_first[:, others], axis=1)
-    floor_second = np.median(mags_second[:, others], axis=1)
-    hits = (mags_first[:, tone_a] > PREAMBLE_SNR * floor_first) & (
-        mags_second[:, tone_b] > PREAMBLE_SNR * floor_second
-    )
+    floor = PREAMBLE_SNR * np.median(mags[:, others], axis=1)
+    first, second = mags[:-q, tone_a], mags[q:, tone_b]
+    hits = (first > floor[:-q]) & (second > floor[q:])
     if not hits.any():
         return []
 
-    positions = starts[hits]
-    scores = mags_first[hits, tone_a] + mags_second[hits, tone_b]
+    positions = hop * np.flatnonzero(hits)
+    scores = first[hits] + second[hits]
     # Per cluster keep the earliest hit as well as the strongest: reverberant
     # tails bias the peak score late, while the true packet start is at the
     # front edge of its cluster.
     candidates: list[int] = []
-    cuts = np.flatnonzero(np.diff(positions) > sym) + 1
+    cuts = np.flatnonzero(np.diff(positions) > profile.symbol_samples(buf.sample_rate)) + 1
     for pos, score in zip(np.split(positions, cuts), np.split(scores, cuts)):
         candidates.append(int(pos[0]))
         best = int(np.argmax(score))  # the first maximum, so ties go earliest

@@ -159,7 +159,8 @@ def test_simulate_writes_float32_rir(tmp_path):
     assert code == 0
     rir = wav_read(out)
     assert len(rir) == round(0.6 * RATE)
-    assert rir.samples[0] == 1.0  # direct path survives the float32 write
+    # the direct path is the bench's default gain, as float32
+    assert rir.samples[0] == np.float32(BenchConfig.direct_gain)
 
 
 def test_simulate_channel_on_input(tmp_path):
@@ -207,6 +208,23 @@ def test_simulate_corpus_out_writes_the_bench_rooms(tmp_path):
         ]
     )
     assert code == 0
+    _assert_corpus_holds_the_bench_rooms(corpus, cfg)
+
+
+def test_simulate_corpus_out_defaults_to_the_bench_direct_gain(tmp_path):
+    cfg = BenchConfig(sample_rate=RATE, rt60_values=(0.3, 0.5), rirs_per_rt=2)
+    corpus = tmp_path / "corpus"
+    code = main(
+        [
+            "simulate", "--corpus-out", str(corpus), "--sweep", "0.3:0.5:2",
+            "--seeds-per-rt", "2", "--rate", str(RATE),
+        ]
+    )
+    assert code == 0
+    _assert_corpus_holds_the_bench_rooms(corpus, cfg)
+
+
+def _assert_corpus_holds_the_bench_rooms(corpus, cfg):
     written = {e.name: e for e in load_rir_corpus(corpus)}
     rooms = sweep_rooms(cfg.rt60_values, cfg.rirs_per_rt, cfg.direct_gain, cfg.seed, cfg.sample_rate)
     assert sorted(written) == sorted(room.name + ".wav" for room in rooms)
