@@ -17,7 +17,6 @@ import csv
 import json
 import math
 import numbers
-import operator
 import os
 import sys
 import time
@@ -29,7 +28,7 @@ import numpy as np
 
 from .core import AudioBuffer, default_stft_config, stft
 from .dereverb import DereverbConfig, dereverberate
-from .errors import EstimationError, InvalidArgumentError, SonolinkError
+from .errors import EstimationError, InvalidArgumentError, SonolinkError, _check_fields
 from .metrics import lsd, rr
 from .modem import Packet, decode_packet, encode_packet, profile_by_name, tone_frequencies
 from .rt60 import estimate_rt60
@@ -76,22 +75,16 @@ class BenchConfig:
         if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
             raise InvalidArgumentError("sample_rate must be a positive integer")
         tone_frequencies(profile, self.sample_rate)  # raises when the band tops Nyquist
-        for name in ("packets_per_rir", "rirs_per_rt", "payload_bytes", "seed", "threads"):
-            value = getattr(self, name)
-            if name == "threads" and value is None:
-                continue
-            try:
-                operator.index(value)
-            except TypeError:
-                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+        _check_fields(
+            self,
+            integers=("packets_per_rir", "rirs_per_rt", "payload_bytes", "seed", "threads"),
+            reals=("direct_gain", "snr_db"),
+            optional=("threads", "snr_db"),
+        )
         if not isinstance(self.rt60_values, (tuple, list)) or not all(
             isinstance(v, numbers.Real) for v in self.rt60_values
         ):
             raise InvalidArgumentError(f"rt60_values must be numbers, got {self.rt60_values!r}")
-        for name in ("direct_gain", "snr_db"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) or name == "snr_db" and value is None):
-                raise InvalidArgumentError(f"{name} must be a number, got {value!r}")
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
         if self.packets_per_rir < 1:

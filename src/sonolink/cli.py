@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -70,18 +70,9 @@ def _cmd_decode(args) -> int:
     buf = wav_read(args.input)
     result = decode_packet(buf, profile_by_name(args.profile))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "payload": result.payload.hex() if result.payload is not None else None,
-                    "preamble_offset": result.preamble_offset,
-                    "corrected_errors": result.corrected_errors,
-                    "erasures_used": result.erasures_used,
-                    "failure": result.failure,
-                },
-                sort_keys=True,
-            )
-        )
+        blob = asdict(result)
+        blob["payload"] = result.payload.hex() if result.ok else None
+        print(json.dumps(blob, sort_keys=True))
         return 0 if result.ok else 1
     if result.ok:
         print(result.payload.hex())
@@ -134,28 +125,23 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
     if args.rt60 is None and args.rir is None:
         parser.error("give --rt60 (synthesize) or --rir FILE (load)")
 
+    if args.input is None and args.rir is not None:
+        parser.error("--rir without --input does nothing; use --rt60 to synthesize")
+    spec = None
+    if args.rir is None:
+        spec = RirSpec(rt60=args.rt60, length=args.length, direct_gain=args.direct_gain, seed=args.seed)
+
     if args.input is not None:
         dry = wav_read(args.input)
-        if args.rir is not None:
-            rir = wav_read(args.rir)
-        else:
-            rir = synth_rir(
-                RirSpec(rt60=args.rt60, length=args.length, direct_gain=args.direct_gain, seed=args.seed),
-                dry.sample_rate,
-            )
+        # apply_channel synthesizes a RirSpec at the input's own rate
+        rir = spec if spec is not None else wav_read(args.rir)
         chan = ChannelSpec(rir=rir, snr_db=args.snr, normalize=args.normalize, noise_seed=args.seed)
         wet = apply_channel(dry, chan)
         wav_write(args.output, wet, bit_depth=_bit_depth(args))
         print(f"[simulate] {args.input} -> {args.output} ({wet.duration:.2f} s)", file=sys.stderr)
         return 0
 
-    if args.rir is not None:
-        parser.error("--rir without --input does nothing; use --rt60 to synthesize")
-    rir = synth_rir(
-        RirSpec(rt60=args.rt60, length=args.length, direct_gain=args.direct_gain, seed=args.seed),
-        args.rate,
-    )
-    wav_write(args.output, rir, bit_depth=32)
+    wav_write(args.output, synth_rir(spec, args.rate), bit_depth=32)
     print(f"[simulate] rt60 {args.rt60:g} s -> {args.output}", file=sys.stderr)
     return 0
 

@@ -16,13 +16,12 @@ same order, as a single pass over the whole grid would use.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _check_fields
 
 __all__ = [
     "AudioBuffer",
@@ -92,12 +91,7 @@ class StftConfig:
     hop: int
 
     def __post_init__(self):
-        for name in ("window_length", "hop"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+        _check_fields(self, integers=("window_length", "hop"))
         if self.window_length < 2 or self.window_length % 2 != 0:
             raise InvalidArgumentError("window_length must be an even integer >= 2")
         if self.hop < 1:
@@ -134,15 +128,15 @@ class Spectrogram:
     """One-sided complex STFT grid.
 
     ``bins`` is indexed ``[k, l]`` with ``k`` the frequency bin and ``l`` the
-    frame.  ``num_samples`` records the analyzed signal length so the inverse
-    transform can trim the zero-padded tail; when absent, ``istft`` returns
-    the full overlap-add extent.
+    frame.  ``num_samples`` is the analyzed signal's length, at most the
+    overlap-add extent ``(num_frames - 1) * hop + window_length``; the inverse
+    transform trims the zero-padded tail to it.
     """
 
     bins: np.ndarray
     config: StftConfig
     sample_rate: int
-    num_samples: int | None = None
+    num_samples: int
 
     def __post_init__(self):
         self.bins = np.asarray(self.bins)
@@ -155,6 +149,12 @@ class Spectrogram:
             )
         if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
             raise InvalidArgumentError("sample_rate must be a positive integer")
+        _check_fields(self, integers=("num_samples",))
+        extent = (self.num_frames - 1) * self.config.hop + self.config.window_length
+        if not 0 <= self.num_samples <= extent:
+            raise InvalidArgumentError(
+                f"num_samples must be in [0, {extent}], got {self.num_samples}"
+            )
 
     @property
     def num_bands(self) -> int:
@@ -253,6 +253,7 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     result is normalized by the summed squared window so unmodified spectra
     reconstruct the original samples exactly wherever the window envelope is
     nonzero (everything except sample 0, where the Hann window is zero).
+    The output is ``spec.num_samples`` long.
     """
     cfg = spec.config
     win = cfg.window_length
@@ -280,9 +281,7 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     out = out.reshape(-1)
     norm = norm.reshape(-1)
     np.divide(out, norm, out=out, where=norm > 0.0)
-    if spec.num_samples is not None:
-        out = out[: spec.num_samples]
-    return AudioBuffer(out, spec.sample_rate)
+    return AudioBuffer(out[: spec.num_samples], spec.sample_rate)
 
 
 def convolve(signal: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:

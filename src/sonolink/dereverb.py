@@ -103,9 +103,9 @@ class GainGrid:
 
 @dataclass
 class DereverbDiagnostics:
-    """What the suppressor did: gains, the RT60 it used, and how it got it."""
+    """What the suppressor did: the RT60 it used, how it got it, and its
+    mean spectral gain over every bin and frame."""
 
-    gain_grid: GainGrid
     rt60: float
     rt60_estimated: bool
     rt60_fallback: bool
@@ -255,21 +255,21 @@ def dereverberate(
 
     model = ReverbModel(rt60_value)
     gamma_rr = reverberant_psd(power, model, cfg, frame_period)
-    gains = spectral_gain(power, gamma_rr, cfg)
+    gain = spectral_gain(power, gamma_rr, cfg).gain
     del power, gamma_rr  # free both grids before the shaped one is built
+    mean_gain = float(gain.mean())
 
     shaped = Spectrogram(
-        bins=grid.bins * gains.gain,
+        bins=grid.bins * gain,
         config=grid.config,
         sample_rate=grid.sample_rate,
         num_samples=grid.num_samples,
     )
-    out = istft(shaped)
+    del gain  # the diagnostics keep only its mean; free it before istft
     diagnostics = DereverbDiagnostics(
-        gain_grid=gains,
         rt60=rt60_value,
         rt60_estimated=estimated,
         rt60_fallback=fallback,
-        mean_gain=float(gains.gain.mean()),
+        mean_gain=mean_gain,
     )
-    return out, diagnostics
+    return istft(shaped), diagnostics

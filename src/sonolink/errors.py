@@ -4,6 +4,9 @@ Every error raised by sonolink derives from :class:`SonolinkError` so callers
 can catch domain failures without masking programming errors.
 """
 
+import numbers
+import operator
+
 
 class SonolinkError(Exception):
     """Base class for all sonolink domain errors."""
@@ -27,3 +30,26 @@ class EstimationError(SonolinkError):
 
 class MetricError(SonolinkError):
     """A quality metric is unavailable for the given inputs."""
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; :class:`InvalidArgumentError` naming ``what`` if
+    it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _check_fields(obj, integers=(), reals=(), optional=()) -> None:
+    """Raise :class:`InvalidArgumentError` naming the first field of ``obj``
+    that is not an integer (``integers``) or a real number (``reals``); a
+    field named in ``optional`` may also be None."""
+    for name in (*integers, *reals):
+        value = getattr(obj, name)
+        if value is None and name in optional:
+            continue
+        if name in integers:
+            _integer(value, name)
+        elif not isinstance(value, numbers.Real):
+            raise InvalidArgumentError(f"{name} must be a number, got {value!r}")

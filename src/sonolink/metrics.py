@@ -7,8 +7,6 @@ dynamic range) and reverberation reduction on tone-free subbands.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .core import Spectrogram
@@ -39,19 +37,16 @@ def lsd(clean: Spectrogram, test: Spectrogram) -> float:
         raise InvalidArgumentError(
             f"bin counts differ: {clean.num_bands} vs {test.num_bands}"
         )
-    n_frames = min(clean.num_frames, test.num_frames)
-    if n_frames == 0:
-        raise InvalidArgumentError("cannot compare empty spectrograms")
     if clean.num_frames != test.num_frames:
-        warnings.warn(
-            f"frame counts differ ({clean.num_frames} vs {test.num_frames}); "
-            "truncating to the shorter",
-            stacklevel=2,
+        raise InvalidArgumentError(
+            f"frame counts differ: {clean.num_frames} vs {test.num_frames}"
         )
-    clean_power = clean.power()[:, :n_frames]
+    if clean.num_frames == 0:
+        raise InvalidArgumentError("cannot compare empty spectrograms")
+    clean_power = clean.power()
     with np.errstate(divide="ignore"):
         log_clean = 10.0 * np.log10(clean_power)
-        log_test = 10.0 * np.log10(test.power()[:, :n_frames])
+        log_test = 10.0 * np.log10(test.power())
     top_clean, top_test = log_clean.max(), log_test.max()
     if not (np.isfinite(top_clean) or np.isfinite(top_test)):
         return 0.0  # both sides silent: zero distortion by convention
@@ -69,27 +64,21 @@ def lsd(clean: Spectrogram, test: Spectrogram) -> float:
 def rr(
     reverberant: Spectrogram,
     processed: Spectrogram,
-    clean: Spectrogram | None = None,
+    clean: Spectrogram,
 ) -> tuple[float, list[tuple[int, float]]]:
     """Reverberation reduction on tone-free subbands, mean and per-band dB.
 
-    Silent bands are those whose peak power (in the clean reference when
-    given, else in the reverberant signal) sits more than 40 dB below the
-    global maximum.  Positive values mean the processed signal carries less
-    energy there than the reverberant one.
+    Silent bands are those whose peak power in the clean reference sits
+    more than 40 dB below its global maximum.  Positive values mean the
+    processed signal carries less energy there than the reverberant one.
     """
     if reverberant.bins.shape != processed.bins.shape:
         raise InvalidArgumentError("reverberant and processed shapes must match")
-    if clean is not None and clean.num_bands != reverberant.num_bands:
+    if clean.num_bands != reverberant.num_bands:
         raise InvalidArgumentError("clean reference bin count must match")
 
-    # one power grid alive at a time, as when each call took its own
-    if clean is None:
-        rev_power = reverberant.power()
-        band_peak = rev_power.max(axis=1)
-    else:
-        band_peak = clean.power().max(axis=1)
-        rev_power = reverberant.power()
+    band_peak = clean.power().max(axis=1)
+    rev_power = reverberant.power()
     global_peak = band_peak.max()
     silent = band_peak < global_peak * 10.0 ** (-ACTIVITY_THRESHOLD_DB / 10.0)
     if not silent.any():

@@ -14,9 +14,7 @@ returning wrong data.
 
 from __future__ import annotations
 
-import operator
-
-from .errors import FecError, InvalidArgumentError
+from .errors import FecError, InvalidArgumentError, _integer
 
 __all__ = [
     "FIELD_SIZE",
@@ -25,7 +23,6 @@ __all__ = [
     "gf_mul",
     "gf_div",
     "gf_pow",
-    "gf_inv",
     "generator_poly",
     "poly_eval",
     "rs_encode",
@@ -76,12 +73,6 @@ def gf_pow(a: int, n: int) -> int:
     return _EXP[(_LOG[a] * n) % MAX_CODEWORD]
 
 
-def gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("GF(32) inverse of zero")
-    return _EXP[MAX_CODEWORD - _LOG[a]]
-
-
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     # ascending coefficient order: p[i] is the coefficient of x^i
     out = [0] * (len(a) + len(b) - 1)
@@ -124,13 +115,6 @@ def generator_poly(nparity: int) -> list[int]:
     for i in range(nparity):
         g = _poly_mul(g, [gf_pow(_GENERATOR, _FCR + i), 1])
     return g
-
-
-def _integer(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _check_symbols(symbols, what: str) -> list[int]:

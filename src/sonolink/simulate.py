@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import AudioBuffer, convolve
 from .dereverb import decay_constant
-from .errors import InvalidArgumentError, SonolinkError
+from .errors import InvalidArgumentError, SonolinkError, _check_fields
 from .wavio import wav_read, wav_write
 
 __all__ = [
@@ -50,6 +50,8 @@ class RirSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_fields(self, integers=("seed",), reals=("rt60", "length", "direct_gain"),
+                      optional=("length",))
         if not (self.rt60 > 0.0 and np.isfinite(self.rt60)):
             raise InvalidArgumentError(f"rt60 must be positive, got {self.rt60}")
         if self.length is not None:
@@ -77,6 +79,10 @@ class ChannelSpec:
     noise_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.rir, (AudioBuffer, RirSpec)):
+            raise InvalidArgumentError(f"rir must be an AudioBuffer or a RirSpec, got {self.rir!r}")
+        _check_fields(self, integers=("noise_seed",), reals=("snr_db", "normalize"),
+                      optional=("snr_db", "normalize"))
         if self.snr_db is not None and not np.isfinite(self.snr_db):
             raise InvalidArgumentError("snr_db must be finite when given")
         if self.normalize is not None and not (

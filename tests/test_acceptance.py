@@ -16,8 +16,14 @@ import pytest
 import scipy.stats
 
 from sonolink.bench import BenchConfig, run_benchmark, write_report
-from sonolink.core import AudioBuffer, StftConfig, istft, stft
-from sonolink.dereverb import DereverbConfig, dereverberate, spectral_gain
+from sonolink.core import AudioBuffer, Spectrogram, StftConfig, istft, stft
+from sonolink.dereverb import (
+    DereverbConfig,
+    ReverbModel,
+    dereverberate,
+    reverberant_psd,
+    spectral_gain,
+)
 from sonolink.errors import EstimationError
 from sonolink.modem import Packet, decode_packet, encode_packet, profile_by_name
 from sonolink.rs import rs_decode, rs_encode
@@ -222,15 +228,26 @@ def test_criterion_6_property_suites():
             assert estimate_rt60(buf.scaled(scale), est_cfg).rt60 == base
         est_cases += 1
 
-    # (e) the applied mask never amplifies any time-frequency bin
+    # (e) the applied mask never amplifies any time-frequency bin, and it is
+    # the mask the suppressor applies: inverting the shaped grid gives its
+    # output bit for bit
     contraction_cases = 0
     for _ in range(100):
         buf = _decaying_burst(rng, rt60=float(rng.uniform(0.3, 2.0)), seconds=0.8)
-        _, diag = dereverberate(buf, small, rt60=float(rng.uniform(0.2, 1.5)))
-        magnitude = np.abs(stft(buf, StftConfig(256, 16)).bins)
-        masked = diag.gain_grid.gain * magnitude
+        rt60 = float(rng.uniform(0.2, 1.5))
+        out, diag = dereverberate(buf, small, rt60=rt60)
+        grid = stft(buf, small.stft)
+        power = grid.power()
+        period = small.stft.frame_period(buf.sample_rate)
+        gamma = reverberant_psd(power, ReverbModel(rt60), small, period)
+        gain = spectral_gain(power, gamma, small).gain
+        magnitude = np.abs(grid.bins)
+        masked = gain * magnitude
         assert masked.shape == magnitude.shape
         assert np.all(masked <= magnitude * (1.0 + 1e-12))
+        shaped = Spectrogram(grid.bins * gain, grid.config, grid.sample_rate, grid.num_samples)
+        assert np.array_equal(istft(shaped).samples, out.samples)
+        assert diag.mean_gain == float(gain.mean())
         contraction_cases += 1
 
     counts = (cola_cases, gain_cases, scale_cases, est_cases, contraction_cases)

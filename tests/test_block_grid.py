@@ -69,9 +69,7 @@ def _reference_istft(spec):
         norm[start:start + win] += win_sq
     nonzero = norm > 0.0
     out[nonzero] /= norm[nonzero]
-    if spec.num_samples is not None:
-        out = out[: spec.num_samples]
-    return AudioBuffer(out, spec.sample_rate)
+    return AudioBuffer(out[: spec.num_samples], spec.sample_rate)
 
 
 def _reference_power(spec):
@@ -123,10 +121,6 @@ def _reference_dereverberate(buf, cfg, rt60):
     gains = _reference_gain(power, gamma, cfg)
     shaped = Spectrogram(grid.bins * gains.gain, grid.config, grid.sample_rate, grid.num_samples)
     return _reference_istft(shaped), gains, rt60
-
-
-def _assert_gains_equal(got, want):
-    assert np.array_equal(got.gain, want.gain)
 
 
 @st.composite
@@ -201,12 +195,15 @@ def test_stft_power_and_istft_match_references(case):
     assert np.array_equal(got.power(), _reference_power(want))
     assert np.array_equal(istft(got).samples, _reference_istft(want).samples)
 
-    # a shaped grid, in either memory layout, and without a length to trim to
+    # a shaped grid, in either memory layout, trimmed to the signal or to
+    # the whole overlap-add extent
     rng = np.random.default_rng(buf.samples.size)
     shaped = want.bins * rng.random(want.bins.shape)
+    extent = (got.num_frames - 1) * cfg.hop + cfg.window_length
     for bins in (shaped, np.ascontiguousarray(shaped)):
-        spec = Spectrogram(bins, cfg, buf.sample_rate)
-        assert np.array_equal(istft(spec).samples, _reference_istft(spec).samples)
+        for num_samples in (buf.samples.size, extent):
+            spec = Spectrogram(bins, cfg, buf.sample_rate, num_samples)
+            assert np.array_equal(istft(spec).samples, _reference_istft(spec).samples)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -228,7 +225,7 @@ def test_spectral_gain_matches_reference(case):
     got = spectral_gain(power, gamma, cfg)
     want = _reference_gain(power, gamma, cfg)
     assert got.gain.shape == power.shape
-    _assert_gains_equal(got, want)
+    assert np.array_equal(got.gain, want.gain)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -239,7 +236,6 @@ def test_dereverberate_matches_reference(case, rt60):
     out, diag = dereverberate(buf, cfg, rt60=rt60)
     want, gains, want_rt60 = _reference_dereverberate(buf, cfg, rt60)
     assert np.array_equal(out.samples, want.samples)
-    _assert_gains_equal(diag.gain_grid, gains)
     assert diag.rt60 == want_rt60
     assert diag.mean_gain == float(gains.gain.mean())
 
@@ -258,7 +254,6 @@ def test_dereverberate_matches_reference_at_44k():
     want, gains, want_rt60 = _reference_dereverberate(buf, cfg, None)
     assert diag.rt60_estimated
     assert np.array_equal(out.samples, want.samples)
-    _assert_gains_equal(diag.gain_grid, gains)
     assert diag.rt60 == want_rt60
     assert diag.mean_gain == float(gains.gain.mean())
 

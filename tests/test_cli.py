@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, file side effects."""
 
 import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from sonolink import cli
 from sonolink.bench import BenchConfig, sweep_rooms
 from sonolink.cli import _sweep, main
 from sonolink.core import AudioBuffer
+from sonolink.modem import DecodeResult
 from sonolink.simulate import load_rir_corpus
 from sonolink.wavio import wav_read, wav_write
 
@@ -74,7 +76,11 @@ def test_decode_json_fields(tmp_path, capsys):
     wav = str(tmp_path / "packet.wav")
     main(["encode", "--payload", "beef", "--rate", str(RATE), "-o", wav])
     assert main(["decode", wav, "--json"]) == 0
-    blob = json.loads(capsys.readouterr().out.splitlines()[-1])
+    line = capsys.readouterr().out.splitlines()[-1]
+    blob = json.loads(line)
+    # one key per DecodeResult field, printed in sorted order
+    assert list(blob) == sorted(f.name for f in dataclasses.fields(DecodeResult))
+    assert line == json.dumps(blob, sort_keys=True)
     assert blob["payload"] == "beef"
     assert blob["failure"] is None
     assert blob["preamble_offset"] == 0

@@ -152,7 +152,28 @@ class TestStft:
 
     def test_spectrogram_bin_count_checked(self):
         with pytest.raises(InvalidArgumentError, match="does not match"):
-            Spectrogram(bins=np.zeros((10, 4)), config=StftConfig(512, 32), sample_rate=8000)
+            Spectrogram(bins=np.zeros((10, 4)), config=StftConfig(512, 32), sample_rate=8000,
+                        num_samples=608)
+
+    # 32 frames of a 512/16 grid span (32 - 1) * 16 + 512 = 1008 samples
+    @pytest.mark.parametrize("num_samples", [-5, -1, 1009, 10**6])
+    def test_num_samples_outside_the_extent_rejected(self, num_samples):
+        with pytest.raises(InvalidArgumentError, match=r"num_samples must be in \[0, 1008\]"):
+            Spectrogram(np.zeros((257, 32)), StftConfig(512, 16), 8000, num_samples)
+
+    @pytest.mark.parametrize("num_samples", [None, 1008.0, "1008"])
+    def test_non_integer_num_samples_rejected(self, num_samples):
+        with pytest.raises(InvalidArgumentError, match="num_samples must be an integer"):
+            Spectrogram(np.zeros((257, 32)), StftConfig(512, 16), 8000, num_samples)
+
+    @pytest.mark.parametrize("num_samples", [0, 1, 1000, 1008, np.int64(1007)])
+    def test_istft_trims_to_num_samples(self, num_samples):
+        rng = np.random.default_rng(1)
+        bins = rng.standard_normal((257, 32)) + 1j * rng.standard_normal((257, 32))
+        out = istft(Spectrogram(bins, StftConfig(512, 16), 8000, num_samples))
+        full = istft(Spectrogram(bins, StftConfig(512, 16), 8000, 1008))
+        assert len(out) == num_samples
+        assert np.array_equal(out.samples, full.samples[:num_samples])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sonolink.bench import BenchConfig
 from sonolink.core import AudioBuffer
 from sonolink.errors import InvalidArgumentError
 from sonolink.modem import (
@@ -90,6 +91,31 @@ def test_tone_frequencies():
 def test_tone_frequencies_nyquist():
     with pytest.raises(InvalidArgumentError, match="Nyquist"):
         tone_frequencies(ULTRASONIC, 16000)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(16_000, 96_000), st.integers(0, 2**32 - 1))
+@example(22_050, 0)
+@example(40_000, 0)
+@example(40_001, 0)
+@example(44_100, 0)
+@example(48_000, 0)
+def test_ultrasonic_profile_near_nyquist(fs, seed):
+    # the 20 kHz top tone needs a rate above 40 kHz; below that both the
+    # encoder and the benchmark config refuse it, above it a packet decodes
+    rng = np.random.default_rng(seed)
+    payload = rng.bytes(int(rng.integers(1, 17)))
+    if fs <= 40_000:
+        with pytest.raises(InvalidArgumentError, match="Nyquist"):
+            encode_packet(Packet(payload), ULTRASONIC, fs)
+        with pytest.raises(InvalidArgumentError, match="Nyquist"):
+            BenchConfig(profile="ultrasonic", sample_rate=fs)
+        return
+    BenchConfig(profile="ultrasonic", sample_rate=fs)
+    packet = encode_packet(Packet(payload), ULTRASONIC, fs)
+    lead = np.zeros(int(rng.integers(0, ULTRASONIC.symbol_samples(fs) + 1)))
+    received = AudioBuffer(np.concatenate([lead, packet.samples]), fs)
+    assert decode_packet(received, ULTRASONIC).payload == payload
 
 
 def test_profile_spacing_bound():

@@ -254,7 +254,8 @@ def _grid(power_rows, fs=100):
     """Spectrogram with the requested per-band power envelopes, hop 1."""
     rows = np.sqrt(np.asarray(power_rows, dtype=np.float64))
     cfg = StftConfig(window_length=2 * (rows.shape[0] - 1), hop=1)
-    return Spectrogram(bins=rows.astype(np.complex128), config=cfg, sample_rate=fs)
+    return Spectrogram(bins=rows.astype(np.complex128), config=cfg, sample_rate=fs,
+                       num_samples=rows.shape[1] - 1 + cfg.window_length)
 
 
 def test_subband_threshold_drops_quiet_bands():

@@ -57,6 +57,39 @@ class TestSpecs:
         with pytest.raises(InvalidArgumentError, match="normalize"):
             ChannelSpec(rir=RirSpec(rt60=0.5), normalize=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": "1"}, "seed must be an integer"),
+            ({"rt60": "1"}, "rt60 must be a number, got '1'"),
+            ({"rt60": None}, "rt60 must be a number"),
+            ({"length": "2"}, "length must be a number"),
+            ({"direct_gain": "0.7"}, "direct_gain must be a number"),
+        ],
+    )
+    def test_rir_spec_field_types(self, kwargs, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            RirSpec(**{"rt60": 0.5, **kwargs})
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"noise_seed": 1.5}, "noise_seed must be an integer, got 1.5"),
+            ({"snr_db": "20"}, "snr_db must be a number, got '20'"),
+            ({"normalize": "0.9"}, "normalize must be a number"),
+            ({"rir": "room.wav"}, "rir must be an AudioBuffer or a RirSpec, got 'room.wav'"),
+        ],
+    )
+    def test_channel_spec_field_types(self, kwargs, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            ChannelSpec(**{"rir": RirSpec(rt60=0.5), **kwargs})
+
+    def test_numpy_scalars_accepted(self):
+        spec = RirSpec(rt60=np.float64(0.5), length=np.float32(1.0), seed=np.int64(3))
+        assert np.array_equal(synth_rir(spec, FS).samples, synth_rir(RirSpec(0.5, 1.0, seed=3), FS).samples)
+        ChannelSpec(rir=spec, snr_db=np.float64(20.0), normalize=np.float32(0.5), noise_seed=np.uint32(1))
+
 
 # ---------------------------------------------------------------------------
 # impulse response synthesis

@@ -1,7 +1,10 @@
-"""Public surface: every exported name exists, and the package root exports none."""
+"""Public surface: every exported name exists and has a caller outside the
+tests, and the package root exports none."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,42 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"sonolink.{name}.__all__ names undefined {missing}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# where the program's own callers live; test files do not count
+CALLER_DIRS = ("src", "perfbench", "demos", "scripts")
+
+
+def _caller_sources(own: Path) -> dict[Path, str]:
+    sources = {
+        path: path.read_text()
+        for folder in CALLER_DIRS
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if not path.name.startswith("test_")
+    }
+    # the module's own __all__ list names every export once; it is no caller
+    sources[own] = re.sub(r"^__all__ = \[.*?\]", "", sources[own], flags=re.S | re.M)
+    return sources
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_have_a_caller(name):
+    module = importlib.import_module(f"sonolink.{name}")
+    own = ROOT / "src" / "sonolink" / f"{name}.py"
+    sources = _caller_sources(own)
+    unused = []
+    for export in getattr(module, "__all__", []):
+        name_re = re.escape(export)
+        word = re.compile(rf"\b{name_re}\b")
+        definition = re.compile(rf"^(?:(?:def|class) {name_re}\b|{name_re}\s*[:=])")
+        if not any(
+            word.search(line) and not (path == own and definition.match(line))
+            for path, text in sources.items()
+            for line in text.splitlines()
+        ):
+            unused.append(export)
+    assert not unused, f"sonolink.{name}.__all__ names with no caller outside tests: {unused}"
 
 
 def test_package_root_exports_only_the_version():
