@@ -53,6 +53,10 @@ _PAYLOAD_TAG = 202
 _NOISE_TAG = 303
 
 
+def _python_number(value):
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """Benchmark shape: channel sweep, packet counts, reproducibility seed."""
@@ -105,6 +109,9 @@ class BenchConfig:
             raise InvalidArgumentError("threads must be at least 1")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise InvalidArgumentError("snr_db must be finite")
+        for f in fields(self):  # numpy scalars become the Python numbers JSON can hold
+            object.__setattr__(self, f.name, _python_number(getattr(self, f.name)))
+        object.__setattr__(self, "rt60_values", tuple(map(_python_number, self.rt60_values)))
 
     def serializable(self) -> dict:
         """Config as report-ready JSON. ``threads`` is execution detail, not

@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .bench import BenchConfig, run_benchmark, sweep_rooms, write_report
 from .core import default_stft_config
 from .dereverb import dereverberate
 from .errors import SonolinkError
-from .modem import Packet, decode_packet, encode_packet, profile_by_name
+from .modem import PROFILES, Packet, decode_packet, encode_packet, profile_by_name
 from .rt60 import DEFAULT_THRESHOLD_DB, estimate_rt60
 from .simulate import ChannelSpec, RirSpec, apply_channel, save_rir_corpus, synth_rir
 from .wavio import wav_read, wav_write
@@ -34,12 +35,10 @@ def _hex_bytes(text: str) -> bytes:
 
 
 def _sweep(text: str) -> tuple[float, ...]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"sweep must be START:STOP:COUNT, got {text!r}")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:  # not three fields, or not numbers
         raise argparse.ArgumentTypeError(f"sweep must be START:STOP:COUNT, got {text!r}")
     if count < 1:
         raise argparse.ArgumentTypeError("sweep COUNT must be at least 1")
@@ -52,11 +51,7 @@ def _bit_depth(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    if args.payload is not None:
-        payload = args.payload
-    else:
-        with open(args.payload_file, "rb") as fh:
-            payload = fh.read()
+    payload = args.payload if args.payload is not None else Path(args.payload_file).read_bytes()
     buf = encode_packet(Packet(payload), profile_by_name(args.profile), args.rate)
     wav_write(args.output, buf, bit_depth=_bit_depth(args))
     print(
@@ -100,11 +95,7 @@ def _cmd_dereverb(args) -> int:
     buf = wav_read(args.input)
     out, diag = dereverberate(buf, rt60=args.rt60)
     wav_write(args.output, out, bit_depth=_bit_depth(args))
-    source = "given"
-    if diag.rt60_estimated:
-        source = "estimated"
-    elif diag.rt60_fallback:
-        source = "fallback"
+    source = "estimated" if diag.rt60_estimated else "fallback" if diag.rt60_fallback else "given"
     print(
         f"[dereverb] rt60 {diag.rt60:.2f} s ({source}), mean gain {diag.mean_gain:.3f} "
         f"-> {args.output}",
@@ -115,7 +106,9 @@ def _cmd_dereverb(args) -> int:
 
 def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
     if args.corpus_out is not None:
-        entries = sweep_rooms(args.sweep, args.seeds_per_rt, args.direct_gain, args.seed, args.rate)
+        entries = sweep_rooms(
+            args.rt60_values, args.rirs_per_rt, args.direct_gain, args.seed, args.sample_rate
+        )
         save_rir_corpus(entries, args.corpus_out)
         print(f"[simulate] wrote {len(entries)} impulse responses to {args.corpus_out}", file=sys.stderr)
         return 0
@@ -141,7 +134,7 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
         print(f"[simulate] {args.input} -> {args.output} ({wet.duration:.2f} s)", file=sys.stderr)
         return 0
 
-    wav_write(args.output, synth_rir(spec, args.rate), bit_depth=32)
+    wav_write(args.output, synth_rir(spec, args.sample_rate), bit_depth=32)
     print(f"[simulate] rt60 {args.rt60:g} s -> {args.output}", file=sys.stderr)
     return 0
 
@@ -152,7 +145,15 @@ def _fmt(value, suffix="") -> str:
 
 def _cmd_bench(args) -> int:
     cfg = BenchConfig(**{f.name: getattr(args, f.name) for f in fields(BenchConfig)})
-    report = run_benchmark(cfg)
+    out = Path(args.output)
+    created = [p for p in (out, *out.parents) if not p.exists()]
+    out.mkdir(parents=True, exist_ok=True)  # an unusable path fails here, not after the sweep
+    try:
+        report = run_benchmark(cfg)
+    except BaseException:
+        for p in created:
+            p.rmdir()  # a failed run leaves no directory behind
+        raise
     paths = write_report(report, args.output)
     agg = report.aggregates
     print(f"rows: {agg['row_count']}   errors: {len(report.errors)}")
@@ -180,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src = enc.add_mutually_exclusive_group(required=True)
     src.add_argument("--payload", type=_hex_bytes, help="payload as a hex string")
     src.add_argument("--payload-file", help="read payload bytes from a file")
-    enc.add_argument("--profile", default="audible", choices=["audible", "ultrasonic"])
+    enc.add_argument("--profile", default="audible", choices=PROFILES)
     enc.add_argument("--rate", type=int, default=44100, help="sample rate in Hz")
     enc.add_argument("--float32", action="store_true", help="write 32-bit float samples")
     enc.add_argument("-o", "--output", required=True, help="output WAV path")
@@ -188,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decode", help="decode a packet WAV, print the payload hex")
     dec.add_argument("input", help="WAV file to decode")
-    dec.add_argument("--profile", default="audible", choices=["audible", "ultrasonic"])
+    dec.add_argument("--profile", default="audible", choices=PROFILES)
     dec.add_argument("--json", action="store_true", help="print a JSON result object")
     dec.set_defaults(run=_cmd_decode)
 
@@ -206,43 +207,42 @@ def _build_parser() -> argparse.ArgumentParser:
     der.add_argument("--float32", action="store_true", help="write 32-bit float samples")
     der.set_defaults(run=_cmd_dereverb)
 
-    sim = sub.add_parser("simulate", help="synthesize impulse responses / reverberant audio")
+    # the synthetic sweep's flags, shared by simulate and bench: their dest
+    # names are BenchConfig's field names and their defaults its defaults
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--sweep", dest="rt60_values", type=_sweep, default=BenchConfig.rt60_values,
+                       help="synthetic RT60 sweep as START:STOP:COUNT")
+    sweep.add_argument("--seeds-per-rt", dest="rirs_per_rt", type=int,
+                       default=BenchConfig.rirs_per_rt, help="impulse responses per RT60")
+    sweep.add_argument("--direct-gain", type=float, default=BenchConfig.direct_gain,
+                       help="direct-path gain of synthesized impulse responses (sets DRR)")
+    sweep.add_argument("--seed", type=int, default=BenchConfig.seed)
+    sweep.add_argument("--rate", dest="sample_rate", type=int, default=BenchConfig.sample_rate)
+
+    sim = sub.add_parser("simulate", parents=[sweep],
+                         help="synthesize impulse responses / reverberant audio")
     sim.add_argument("--rt60", type=float, help="reverberation time to synthesize")
     sim.add_argument("--length", type=float, help="RIR length in seconds (default 1.5*rt60)")
-    sim.add_argument("--direct-gain", type=float, default=BenchConfig.direct_gain)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--rate", type=int, default=44100)
     sim.add_argument("--rir", help="use an impulse response from this WAV instead")
     sim.add_argument("--input", help="dry WAV to push through the channel")
     sim.add_argument("--snr", type=float, help="additive white noise SNR in dB")
     sim.add_argument("--normalize", type=float, help="peak-normalize the output to this level")
     sim.add_argument("--float32", action="store_true")
     sim.add_argument("-o", "--output", help="output WAV path")
-    sim.add_argument("--corpus-out", help="write a labeled RIR corpus to this directory")
-    sim.add_argument("--sweep", type=_sweep, default="0.4:2.0:5",
-                     help="corpus RT60 sweep as START:STOP:COUNT")
-    sim.add_argument("--seeds-per-rt", type=int, default=20)
+    sim.add_argument("--corpus-out", help="write the sweep's labeled RIR corpus to this directory")
     sim.set_defaults(run=lambda a: _cmd_simulate(a, sim))
 
-    ben = sub.add_parser("bench", help="run the end-to-end benchmark, write reports")
+    ben = sub.add_parser("bench", parents=[sweep], help="run the end-to-end benchmark, write reports")
     # dest names are BenchConfig's field names; _cmd_bench passes them on as they are
-    ben.add_argument("--sweep", dest="rt60_values", type=_sweep, default="0.4:2.0:5",
-                     help="synthetic RT60 sweep as START:STOP:COUNT")
-    ben.add_argument("--seeds-per-rt", dest="rirs_per_rt", type=int, default=20,
-                     help="impulse responses per RT60")
-    ben.add_argument("--packets", dest="packets_per_rir", type=int, default=20,
-                     help="packets per impulse response")
-    ben.add_argument("--payload-bytes", type=int, default=4)
-    ben.add_argument("--direct-gain", type=float, default=BenchConfig.direct_gain,
-                     help="direct-path gain of swept impulse responses (sets DRR)")
-    ben.add_argument("--profile", default="audible", choices=["audible", "ultrasonic"])
-    ben.add_argument("--rate", dest="sample_rate", type=int, default=44100)
-    ben.add_argument("--seed", type=int, default=0)
+    ben.add_argument("--packets", dest="packets_per_rir", type=int,
+                     default=BenchConfig.packets_per_rir, help="packets per impulse response")
+    ben.add_argument("--payload-bytes", type=int, default=BenchConfig.payload_bytes)
+    ben.add_argument("--profile", default=BenchConfig.profile, choices=PROFILES)
     ben.add_argument("--corpus", dest="corpus_dir",
                      help="RIR corpus directory (overrides the synthetic sweep)")
     ben.add_argument("--snr", dest="snr_db", type=float, help="channel noise SNR in dB")
     ben.add_argument("--threads", type=int, help="worker threads (default: CPU count, at most 8)")
-    ben.add_argument("--dereverb", default="both", choices=["off", "both"])
+    ben.add_argument("--dereverb", default=BenchConfig.dereverb, choices=["off", "both"])
     ben.add_argument("-o", "--output", required=True, help="report output directory")
     ben.set_defaults(run=_cmd_bench)
 
@@ -257,10 +257,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors / --help
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
-    except SonolinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SonolinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,8 +10,8 @@ floating-point accuracy for any hop that divides the window length.
 Whole-grid work that needs temporaries runs over blocks of
 :data:`BLOCK_FRAMES` frames written through preallocated buffers, so a pass
 over a long recording's grid keeps its temporaries in cache instead of
-allocating a grid-sized one per operation.  Each output element is computed by the same operations, in the
-same order, as a single pass over the whole grid would use.
+allocating a grid-sized one per operation.  Each output element equals,
+bit for bit, what a single pass over the whole grid would give.
 """
 
 from __future__ import annotations

@@ -167,11 +167,9 @@ def spectral_gain(
     beta = cfg.snr_smoothing
 
     # frame-major storage: a block of frames, and each frame, is contiguous.
-    # The SNRs live only in per-block buffers: the a-posteriori SNR becomes
-    # the rectified SNR in place, and the a-priori SNR is written into the
-    # gain block and turned into the gain there.
+    # The SNRs live only in the update buffer and the gain block, where the
+    # a-priori SNR is turned into the gain.
     gain = np.empty((n_frames, n_bands)).T
-    rectified_buf = np.empty((BLOCK_FRAMES, n_bands)).T
     update_buf = np.empty((BLOCK_FRAMES, n_bands)).T
     carry = np.zeros(n_bands)
     seen_valid = np.zeros(n_bands, dtype=bool)
@@ -179,37 +177,31 @@ def spectral_gain(
         e = min(s + BLOCK_FRAMES, n_frames)
         valid = gamma_rr[:, s:e] > 0.0
         invalid = ~valid
-        rectified = rectified_buf[:, : e - s]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(power[:, s:e], gamma_rr[:, s:e], out=rectified)
-            np.subtract(rectified, 1.0, out=rectified)
-            np.maximum(rectified, 0.0, out=rectified)
-            np.minimum(rectified, cfg.snr_ceiling, out=rectified)
-        np.copyto(rectified, 0.0, where=invalid)
         update = update_buf[:, : e - s]
-        np.multiply(rectified, 1.0 - beta, out=update)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(power[:, s:e], gamma_rr[:, s:e], out=update)
+            np.subtract(update, 1.0, out=update)
+            np.maximum(update, 0.0, out=update)
+            np.minimum(update, cfg.snr_ceiling, out=update)
+        np.copyto(update, 0.0, where=invalid)
 
-        # prio = beta * carry + update wherever a bin was valid before and
-        # is valid now.  The exceptions are a bin's first valid frame,
-        # where prio = rectified, and an invalid frame after it, where prio
-        # holds carry.  Invalid frames before the first valid one need no
-        # fix: carry and update are both zero there.
-        exception = invalid & seen_valid[:, None]
+        # prio = coef * carry + update in every cell.  On valid frames coef
+        # is beta and update is (1 - beta) times the rectified SNR, but a
+        # bin's first valid frame takes the rectified SNR itself (carry is
+        # still 0 there).  On invalid frames coef is 1 and update 0.
         fresh = np.flatnonzero(~seen_valid & valid.any(axis=1))
-        if fresh.size:
-            first = valid[fresh].argmax(axis=1)
-            after_first = np.arange(e - s) > first[:, None]
-            exception[fresh] = valid[fresh] ^ after_first
-            seen_valid[fresh] = True
-        exception_frames = set(np.flatnonzero(exception.any(axis=0)).tolist())
+        first = valid[fresh].argmax(axis=1)
+        start = update[fresh, first]
+        update *= 1.0 - beta
+        update[fresh, first] = start
+        seen_valid[fresh] = True
 
         g = gain[:, s:e]
+        np.copyto(g, 1.0)
+        np.copyto(g, beta, where=valid)
         for j, column in enumerate(g.T):
-            np.multiply(carry, beta, out=column)
+            column *= carry
             column += update[:, j]
-            if j in exception_frames:
-                rows = np.flatnonzero(exception[:, j])
-                column[rows] = np.where(valid[rows, j], rectified[rows, j], carry[rows])
             carry = column
         carry = carry.copy()  # the gain math below overwrites its column
 

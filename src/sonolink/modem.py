@@ -38,6 +38,7 @@ __all__ = [
     "DecodeResult",
     "AUDIBLE",
     "ULTRASONIC",
+    "PROFILES",
     "profile_by_name",
     "tone_frequencies",
     "pack_symbols",
@@ -93,11 +94,12 @@ class ProtocolProfile:
 
 AUDIBLE = ProtocolProfile(name="audible", band_low=1700.0, band_high=10500.0)
 ULTRASONIC = ProtocolProfile(name="ultrasonic", band_low=18000.0, band_high=20000.0)
+PROFILES = {profile.name: profile for profile in (AUDIBLE, ULTRASONIC)}
 
 
 def profile_by_name(name: str) -> ProtocolProfile:
     try:
-        return {"audible": AUDIBLE, "ultrasonic": ULTRASONIC}[name.lower()]
+        return PROFILES[name.lower()]
     except (KeyError, AttributeError):
         raise InvalidArgumentError(f"unknown profile {name!r}") from None
 

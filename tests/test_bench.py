@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from sonolink.bench import (
@@ -81,6 +82,22 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs, match):
         with pytest.raises(InvalidArgumentError, match=match):
             BenchConfig(**kwargs)
+
+    def test_numpy_scalars_give_the_report_of_python_numbers(self, tmp_path):
+        python = dataclasses.replace(TINY, rt60_values=(0.5,), rirs_per_rt=1, seed=3, snr_db=20.0)
+        numpy = dataclasses.replace(
+            python, seed=np.int64(3), packets_per_rir=np.int64(1), sample_rate=np.int64(22050),
+            snr_db=np.float32(20.0), rt60_values=(np.float32(0.5),),
+        )
+        assert [type(getattr(numpy, f.name)) for f in dataclasses.fields(numpy)] == [
+            type(getattr(python, f.name)) for f in dataclasses.fields(python)
+        ]
+        assert type(numpy.rt60_values[0]) is float
+        reports = []
+        for name, cfg in (("python", python), ("numpy", numpy)):
+            paths = write_report(run_benchmark(cfg), tmp_path / name)
+            reports.append([paths[kind].read_bytes() for kind in ("json", "csv")])
+        assert reports[0] == reports[1]
 
     def test_serializable_omits_execution_details(self):
         cfg = dataclasses.replace(TINY, threads=4)

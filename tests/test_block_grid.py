@@ -2,9 +2,13 @@
 
 The references below are the frame-by-frame and whole-grid forms of
 ``stft``, ``istft``, ``Spectrogram.power`` and ``spectral_gain``, and the
-edge-padded 3-tap sum of ``reverberant_psd``.  The code under test performs
-the same operations on every element in the same order, so outputs must be
-equal, not close.
+edge-padded 3-tap sum of ``reverberant_psd``.  Outputs must be equal, not
+close.  ``spectral_gain`` runs its a-priori SNR recursion as
+prio = coef * carry + update in every cell, carrying ``carry`` and the
+bins' seen-valid flags from block to block; the reference branches per
+frame between the smoothed, rectified and held values instead.  The two
+agree bit for bit because beta * carry is the product carry * beta, carry
+is exactly 0 before a bin's first valid frame, and 1 * carry + 0 is carry.
 Frame counts straddle the block size, and hops run from 1 sample to the
 whole window.
 """
@@ -173,6 +177,16 @@ def gain_inputs(draw):
     return power, gamma, DereverbConfig()
 
 
+def _first_valid_at(frames, n_frames):
+    # bin i has no history before frames[i] and is valid from there on
+    rng = np.random.default_rng(len(frames) * n_frames)
+    power = rng.random((len(frames), n_frames))
+    gamma = power * 10.0 ** rng.uniform(-2.0, 2.0, power.shape)
+    for row, first in zip(gamma, frames):
+        row[:first] = 0.0
+    return power, gamma, DereverbConfig()
+
+
 def _held_in_second_block():
     # bins turn valid in the first block, go invalid across the block
     # boundary and again inside the second block, then recover
@@ -220,6 +234,13 @@ def test_reverberant_psd_matches_reference(case, rt60):
 @given(gain_inputs())
 @example((np.ones((3, 0)), np.ones((3, 0)), DereverbConfig()))
 @example(_held_in_second_block())
+# first valid on a block's last frame, on the next block's first, and on
+# the third block's first
+@example(_first_valid_at([BLOCK_FRAMES - 1, BLOCK_FRAMES, 2 * BLOCK_FRAMES], 3 * BLOCK_FRAMES))
+# valid only at its last frame, alone in the last block
+@example(_first_valid_at([3, 2 * BLOCK_FRAMES], 2 * BLOCK_FRAMES + 1))
+# every bin valid from the first frame: no later block has a bin turn valid
+@example(_first_valid_at([0, 0, 0], 2 * BLOCK_FRAMES + 1))
 def test_spectral_gain_matches_reference(case):
     power, gamma, cfg = case
     got = spectral_gain(power, gamma, cfg)

@@ -297,9 +297,8 @@ def test_bad_seed_or_room_exits_1(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def test_report_digest_command_runs_the_acceptance_sweep(tmp_path, monkeypatch):
-    # the README's report-bytes check must run exactly the acceptance SWEEP
-    from test_acceptance import SWEEP
+def _bench_config(monkeypatch, argv):
+    """The BenchConfig that ``main(argv)`` hands to run_benchmark."""
 
     class Captured(Exception):
         pass
@@ -309,8 +308,43 @@ def test_report_digest_command_runs_the_acceptance_sweep(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_benchmark", fake_run)
     with pytest.raises(Captured) as caught:
-        main(["bench", "--packets", "2", "--threads", "1", "-o", str(tmp_path)])
-    assert caught.value.args[0] == SWEEP
+        main(argv)
+    return caught.value.args[0]
+
+
+def test_report_digest_command_runs_the_acceptance_sweep(tmp_path, monkeypatch):
+    # the README's report-bytes check must run exactly the acceptance SWEEP
+    from test_acceptance import SWEEP
+
+    argv = ["bench", "--packets", "2", "--threads", "1", "-o", str(tmp_path)]
+    assert _bench_config(monkeypatch, argv) == SWEEP
+
+
+def test_bench_defaults_are_the_config_defaults(tmp_path, monkeypatch):
+    assert _bench_config(monkeypatch, ["bench", "-o", str(tmp_path / "out")]) == BenchConfig()
+
+
+def test_bench_into_an_existing_file_fails_before_the_sweep(tmp_path, capsys):
+    target = tmp_path / "report"
+    target.write_text("not a directory")
+    code = main(
+        [
+            "bench", "--sweep", "0.4:0.4:1", "--seeds-per-rt", "1", "--packets", "1",
+            "--rate", str(RATE), "--threads", "1", "-o", str(target),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "File exists" in err
+    assert "[bench]" not in err  # the sweep never started
+    assert target.read_text() == "not a directory"
+
+
+def test_failed_bench_removes_the_directories_it_made(tmp_path, capsys):
+    out = tmp_path / "a" / "b"
+    assert main(["bench", "--sweep", "1e-5:1e-5:1", "-o", str(out)]) == 1
+    assert "under 2 samples" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
 
 
 # ---------------------------------------------------------------------------
