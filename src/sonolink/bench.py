@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import AudioBuffer, default_stft_config, stft
 from .dereverb import DereverbConfig, dereverberate
-from .errors import EstimationError, InvalidArgumentError, SonolinkError, _check_fields
+from .errors import EstimationError, InvalidArgumentError, SonolinkError, _check_fields, _sample_rate
 from .metrics import lsd, rr
 from .modem import Packet, decode_packet, encode_packet, profile_by_name, tone_frequencies
 from .rt60 import estimate_rt60
@@ -76,8 +76,8 @@ class BenchConfig:
 
     def __post_init__(self):
         profile = profile_by_name(self.profile)  # raises on unknown names
-        if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
-            raise InvalidArgumentError("sample_rate must be a positive integer")
+        object.__setattr__(self, "profile", profile.name)  # "Audible" is "audible"
+        object.__setattr__(self, "sample_rate", _sample_rate(self.sample_rate))
         tone_frequencies(profile, self.sample_rate)  # raises when the band tops Nyquist
         _check_fields(
             self,

@@ -41,6 +41,14 @@ def _integer(value, what: str) -> int:
         raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _sample_rate(value) -> int:
+    """``value`` as an int; :class:`InvalidArgumentError` unless it is a
+    positive integer (a bool is not a sample rate)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+        raise InvalidArgumentError(f"sample_rate must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _check_fields(obj, integers=(), reals=(), optional=()) -> None:
     """Raise :class:`InvalidArgumentError` naming the first field of ``obj``
     that is not an integer (``integers``) or a real number (``reals``); a

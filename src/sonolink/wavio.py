@@ -10,7 +10,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.io.wavfile
 
 from .core import AudioBuffer
 from .errors import FormatError, InvalidArgumentError
@@ -25,6 +24,7 @@ def wav_read(path) -> AudioBuffer:
     float data is passed through unchanged.  Multichannel files are averaged
     to mono with a warning.
     """
+    import scipy.io.wavfile  # here, so only WAV I/O pays for importing scipy
     try:
         rate, data = scipy.io.wavfile.read(path)
     except Exception as exc:  # scipy raises bare ValueError on bad headers
@@ -78,5 +78,6 @@ def wav_write(path, buf: AudioBuffer, bit_depth: int = 16) -> int:
         raise InvalidArgumentError("bit_depth must be 16 (PCM) or 32 (float)")
     if clipped:
         warnings.warn(f"{path}: clipped {clipped} samples outside [-1, 1]", stacklevel=2)
+    import scipy.io.wavfile
     scipy.io.wavfile.write(path, buf.sample_rate, data)
     return clipped

@@ -77,6 +77,7 @@ class TestConfig:
             ({"rt60_values": 1.0}, "rt60_values"),
             ({"profile": None}, "profile"),
             ({"seed": -1}, "seed"),
+            ({"sample_rate": True}, "sample_rate must be a positive integer"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):
@@ -98,6 +99,13 @@ class TestConfig:
             paths = write_report(run_benchmark(cfg), tmp_path / name)
             reports.append([paths[kind].read_bytes() for kind in ("json", "csv")])
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("name", ["Audible", "AUDIBLE"])
+    def test_profile_is_stored_by_its_canonical_name(self, name):
+        cfg = BenchConfig(profile=name)
+        assert cfg.profile == "audible"
+        assert cfg == BenchConfig()
+        assert json.dumps(cfg.serializable()) == json.dumps(BenchConfig().serializable())
 
     def test_serializable_omits_execution_details(self):
         cfg = dataclasses.replace(TINY, threads=4)

@@ -1,12 +1,17 @@
 """Tests for the sample/STFT primitives: windows, COLA, round trips, convolve."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonolink.core import (
     AudioBuffer,
     Spectrogram,
     StftConfig,
+    _fast_length,
     convolve,
     default_stft_config,
     istft,
@@ -14,6 +19,8 @@ from sonolink.core import (
     stft,
 )
 from sonolink.errors import InvalidArgumentError
+from sonolink.modem import PROFILES, Packet, encode_packet
+from sonolink.simulate import RirSpec, synth_rir
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +52,26 @@ class TestAudioBuffer:
             AudioBuffer([0.0], 0)
         with pytest.raises(InvalidArgumentError):
             AudioBuffer([0.0], 44100.0)
+
+
+# AudioBuffer and Spectrogram state one sample-rate rule (BenchConfig too)
+def _with_rate(kind, rate):
+    if kind == "AudioBuffer":
+        return AudioBuffer([0.0], rate)
+    return Spectrogram(np.zeros((257, 1)), StftConfig(512, 16), rate, 512)
+
+
+@pytest.mark.parametrize("kind", ["AudioBuffer", "Spectrogram"])
+@pytest.mark.parametrize("rate", [True, False, 0, -1, 44100.0, "44100", None])
+def test_sample_rate_must_be_a_positive_integer(kind, rate):
+    with pytest.raises(InvalidArgumentError, match="sample_rate must be a positive integer"):
+        _with_rate(kind, rate)
+
+
+@pytest.mark.parametrize("kind", ["AudioBuffer", "Spectrogram"])
+def test_numpy_integer_sample_rate_is_stored_as_int(kind):
+    made = _with_rate(kind, np.int64(44100))
+    assert made.sample_rate == 44100 and type(made.sample_rate) is int
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +305,36 @@ class TestConvolve:
     def test_empty(self):
         with pytest.raises(InvalidArgumentError):
             convolve(AudioBuffer(np.zeros(0), 8000), AudioBuffer([1.0], 8000))
+
+    # the acceptance sweep's rooms against short, default and longest packets
+    @pytest.mark.parametrize("fs", [44100, 48000])
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_bit_identical_to_fftconvolve(self, profile, fs):
+        import scipy.signal
+
+        for rt60 in (0.4, 0.8, 1.2, 1.6, 2.0):
+            rir = synth_rir(RirSpec(rt60=rt60, direct_gain=0.7, seed=int(rt60 * 10)), fs)
+            for n_bytes in (1, 4, 16):
+                packet = encode_packet(Packet(bytes(range(n_bytes))), PROFILES[profile], fs)
+                want = scipy.signal.fftconvolve(packet.samples, rir.samples)
+                assert np.array_equal(convolve(packet, rir).samples, want), (rt60, n_bytes)
+
+
+def _smooth_5(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fast_length_is_the_next_5_smooth_number():
+    for n in range(1, 5001):
+        assert _fast_length(n) == next(m for m in itertools.count(n) if _smooth_5(m)), n
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=10**7))
+def test_fast_length_matches_scipy(n):
+    import scipy.fft
+
+    assert _fast_length(n) == scipy.fft.next_fast_len(n, True)

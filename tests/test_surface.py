@@ -1,9 +1,12 @@
 """Public surface: every exported name exists and has a caller outside the
-tests, and the package root exports none."""
+tests, the package root exports none, and importing the CLI loads no scipy."""
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,15 @@ def test_package_root_exports_only_the_version():
     public = {n for n in vars(sonolink) if not n.startswith("_")}
     assert public <= set(MODULES)  # submodules appear once imported
     assert isinstance(sonolink.__version__, str)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a WAV-I/O dependency only; importing it costs more start-up
+    # time than the rest of the package together
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, sonolink.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
