@@ -113,8 +113,7 @@ def default_stft_config(sample_rate: int) -> StftConfig:
     At 44.1 kHz this yields a 2048-sample window with hop 128; at 48 kHz the
     nearest power of two is also 2048.
     """
-    if sample_rate <= 0:
-        raise InvalidArgumentError("sample_rate must be positive")
+    sample_rate = _sample_rate(sample_rate)
     window = int(2 ** round(np.log2(0.046 * sample_rate)))
     window = max(window, 32)
     return StftConfig(window_length=window, hop=window // 16)
@@ -162,8 +161,13 @@ class Spectrogram:
 
     def power(self) -> np.ndarray:
         """Per-bin power envelope |X(k,l)|^2."""
-        out = np.abs(self.bins, dtype=np.float64)
-        return np.square(out, out=out)
+        return _power(self.bins)
+
+
+def _power(bins: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|bins|^2 in float64, written into ``out`` when it is given."""
+    out = np.abs(bins, out=out, dtype=np.float64)
+    return np.square(out, out=out)
 
 
 def make_window(length: int) -> np.ndarray:
@@ -309,6 +313,7 @@ def convolve(signal: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
         raise InvalidArgumentError("convolve requires non-empty inputs")
     size = len(signal) + len(ir) - 1
     n = _fast_length(size)
-    spectrum = np.fft.rfft(signal.samples, n) * np.fft.rfft(ir.samples, n)
+    spectrum = np.fft.rfft(signal.samples, n)
+    spectrum *= np.fft.rfft(ir.samples, n)
     out = np.fft.irfft(spectrum, n)[:size].copy()  # a view would keep the padded tail
     return AudioBuffer(out, signal.sample_rate)

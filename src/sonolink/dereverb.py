@@ -5,6 +5,10 @@ copy of the smoothed signal power one prediction delay earlier; the ratio
 of observed power to that estimate drives a floored spectral gain applied
 to the STFT magnitudes (phase untouched).  The decay constant comes from an
 RT60 figure — supplied by the caller or estimated blindly from the input.
+
+:func:`dereverberate` shapes the grid in place in one pass over blocks of
+frames, holding no power, PSD or gain grid; :func:`reverberant_psd` and
+:func:`spectral_gain` run the same block steps over whole grids.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, as_spectrogram, istft
+from .core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _power, as_spectrogram, istft
 from .errors import EstimationError, InvalidArgumentError
-from .rt60 import _estimate_from_power
+from .rt60 import _estimate_from_bins
 
 __all__ = [
     "DereverbConfig",
@@ -112,6 +116,80 @@ class DereverbDiagnostics:
     mean_gain: float
 
 
+class _LatePsd:
+    """The late-PSD model over consecutive blocks of frames: ``frames`` holds
+    the last delay_frames + 1 frames of power, then the block's, frame-major."""
+
+    def __init__(self, n_bands: int, model: ReverbModel, cfg: DereverbConfig, frame_period: float):
+        self.shift = cfg.delay_frames(frame_period)
+        self.attenuation = math.exp(-2.0 * model.delta * cfg.late_delay)
+        self.frames = np.zeros((self.shift + 1 + BLOCK_FRAMES, n_bands)).T
+        self.block = self.frames[:, self.shift + 1:]  # the block's power goes here
+
+    def step(self, start: int, out: np.ndarray) -> None:
+        """The late PSD of the ``out.shape[1]`` frames from ``start`` on into ``out``."""
+        n, shift, h = out.shape[1], self.shift, self.frames
+        if start == 0:
+            h[:, shift] = h[:, shift + 1]  # the first frame is its own left neighbour
+        # frames l - shift - 1 .. l - shift + 1 as a direct sum, never negative
+        np.add(h[:, :n], h[:, 1:n + 1], out=out)
+        out += h[:, 2:n + 2]
+        out /= 3.0
+        out *= self.attenuation
+        out[:, : max(shift - start, 0)] = 0.0  # no history yet
+        h[:, : shift + 1] = h[:, n:n + shift + 1]
+
+
+class _Gain:
+    """The a-priori SNR recursion over blocks of frames: prio = coef * carry
+    + update in every cell.  On valid frames coef is beta and update is
+    (1 - beta) times the rectified SNR, or the rectified SNR itself on a
+    bin's first valid frame (carry is still 0 there); on invalid frames coef
+    is 1 and update 0.  Carries each bin's last prio and whether it has been valid."""
+
+    def __init__(self, n_bands: int, cfg: DereverbConfig):
+        self.cfg = cfg
+        self.update = np.empty((BLOCK_FRAMES, n_bands)).T
+        self.carry = np.zeros(n_bands)
+        self.seen_valid = np.zeros(n_bands, dtype=bool)
+
+    def step(self, power: np.ndarray, gamma_rr: np.ndarray, g: np.ndarray) -> None:
+        """The block's gain into ``g`` from its power and late PSD."""
+        cfg, beta = self.cfg, self.cfg.snr_smoothing
+        valid = gamma_rr > 0.0
+        invalid = ~valid
+        update = self.update[:, : g.shape[1]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(power, gamma_rr, out=update)
+            np.subtract(update, 1.0, out=update)
+            np.maximum(update, 0.0, out=update)
+            np.minimum(update, cfg.snr_ceiling, out=update)
+        np.copyto(update, 0.0, where=invalid)
+
+        fresh = np.flatnonzero(~self.seen_valid & valid.any(axis=1))
+        first = valid[fresh].argmax(axis=1)
+        start = update[fresh, first]
+        update *= 1.0 - beta
+        update[fresh, first] = start
+        self.seen_valid[fresh] = True
+
+        np.copyto(g, 1.0)
+        np.copyto(g, beta, where=valid)
+        carry = self.carry
+        for j, column in enumerate(g.T):
+            column *= carry
+            column += update[:, j]
+            carry = column
+        self.carry = carry.copy()  # the gain math below overwrites its column
+
+        np.add(g, 1.0, out=g)
+        np.sqrt(g, out=g)
+        np.divide(1.0, g, out=g)
+        np.subtract(1.0, g, out=g)
+        np.maximum(g, cfg.gain_floor, out=g)
+        np.copyto(g, 1.0, where=invalid)
+
+
 def reverberant_psd(
     power: np.ndarray,
     model: ReverbModel,
@@ -129,22 +207,12 @@ def reverberant_psd(
         raise InvalidArgumentError("power must be a non-empty [bands, frames] grid")
     if frame_period <= 0:
         raise InvalidArgumentError("frame_period must be positive")
-    shift = cfg.delay_frames(frame_period)
-    attenuation = math.exp(-2.0 * model.delta * cfg.late_delay)
+    late = _LatePsd(power.shape[0], model, cfg, frame_period)
     out = np.empty_like(power)
-    out[:, :shift] = 0.0
-    # Only frames whose delayed copy lands inside the grid are averaged, so
-    # frame l's right neighbour l + 1 always exists; the first frame repeats
-    # as its own left neighbour.  A direct sum of non-negative powers is
-    # never negative.
-    n = power.shape[1] - shift
-    if n > 0:
-        avg = out[:, shift:]
-        np.add(power[:, 0], power[:, 0], out=avg[:, 0])
-        np.add(power[:, : n - 1], power[:, 1:n], out=avg[:, 1:])
-        avg += power[:, 1:n + 1]
-        avg /= 3.0
-        avg *= attenuation
+    for s in range(0, power.shape[1], BLOCK_FRAMES):
+        block = power[:, s:s + BLOCK_FRAMES]
+        np.copyto(late.block[:, : block.shape[1]], block)
+        late.step(s, out[:, s:s + BLOCK_FRAMES])
     return out
 
 
@@ -164,53 +232,11 @@ def spectral_gain(
     if power.shape != gamma_rr.shape:
         raise InvalidArgumentError("power and gamma_rr must have matching shapes")
     n_bands, n_frames = power.shape
-    beta = cfg.snr_smoothing
-
-    # frame-major storage: a block of frames, and each frame, is contiguous.
-    # The SNRs live only in the update buffer and the gain block, where the
-    # a-priori SNR is turned into the gain.
-    gain = np.empty((n_frames, n_bands)).T
-    update_buf = np.empty((BLOCK_FRAMES, n_bands)).T
-    carry = np.zeros(n_bands)
-    seen_valid = np.zeros(n_bands, dtype=bool)
+    gain = np.empty((n_frames, n_bands)).T  # frame-major: each block is contiguous
+    state = _Gain(n_bands, cfg)
     for s in range(0, n_frames, BLOCK_FRAMES):
-        e = min(s + BLOCK_FRAMES, n_frames)
-        valid = gamma_rr[:, s:e] > 0.0
-        invalid = ~valid
-        update = update_buf[:, : e - s]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(power[:, s:e], gamma_rr[:, s:e], out=update)
-            np.subtract(update, 1.0, out=update)
-            np.maximum(update, 0.0, out=update)
-            np.minimum(update, cfg.snr_ceiling, out=update)
-        np.copyto(update, 0.0, where=invalid)
-
-        # prio = coef * carry + update in every cell.  On valid frames coef
-        # is beta and update is (1 - beta) times the rectified SNR, but a
-        # bin's first valid frame takes the rectified SNR itself (carry is
-        # still 0 there).  On invalid frames coef is 1 and update 0.
-        fresh = np.flatnonzero(~seen_valid & valid.any(axis=1))
-        first = valid[fresh].argmax(axis=1)
-        start = update[fresh, first]
-        update *= 1.0 - beta
-        update[fresh, first] = start
-        seen_valid[fresh] = True
-
-        g = gain[:, s:e]
-        np.copyto(g, 1.0)
-        np.copyto(g, beta, where=valid)
-        for j, column in enumerate(g.T):
-            column *= carry
-            column += update[:, j]
-            carry = column
-        carry = carry.copy()  # the gain math below overwrites its column
-
-        np.add(g, 1.0, out=g)
-        np.sqrt(g, out=g)
-        np.divide(1.0, g, out=g)
-        np.subtract(1.0, g, out=g)
-        np.maximum(g, cfg.gain_floor, out=g)
-        np.copyto(g, 1.0, where=invalid)
+        block = slice(s, s + BLOCK_FRAMES)
+        state.step(power[:, block], gamma_rr[:, block], gain[:, block])
     return GainGrid(gain=gain)
 
 
@@ -223,21 +249,24 @@ def dereverberate(
 
     ``buf`` is a recording, analyzed with ``cfg.stft`` (default: the 46 ms
     configuration for its rate), or a spectrogram already computed from one,
-    whose configuration must then match ``cfg.stft`` if that is set.
+    whose configuration must then match ``cfg.stft`` if that is set; its
+    bins are copied, never changed.
     When ``rt60`` is not supplied it is estimated blindly from the input;
     if that estimation fails the suppressor falls back to 0.5 s and flags
     it in the diagnostics.  Output length equals the analyzed signal's.
     """
     cfg = cfg or DereverbConfig()
     grid = as_spectrogram(buf, cfg.stft)
-    power = grid.power()
+    bins = grid.bins  # shaped in place: a copy of the caller's, or the one computed here
+    if grid is buf:
+        bins = np.array(bins, dtype=np.result_type(bins, np.float64), order="F")
+    n_bands, n_frames = bins.shape
 
-    estimated = False
-    fallback = False
+    estimated = fallback = False
     frame_period = grid.config.frame_period(grid.sample_rate)
     if rt60 is None:
         try:
-            rt60_value = _estimate_from_power(power, frame_period).rt60
+            rt60_value = _estimate_from_bins(bins, frame_period).rt60
             estimated = True
         except EstimationError:
             rt60_value = FALLBACK_RT60
@@ -245,23 +274,19 @@ def dereverberate(
     else:
         rt60_value = float(rt60)
 
-    model = ReverbModel(rt60_value)
-    gamma_rr = reverberant_psd(power, model, cfg, frame_period)
-    gain = spectral_gain(power, gamma_rr, cfg).gain
-    del power, gamma_rr  # free both grids before the shaped one is built
-    mean_gain = float(gain.mean())
+    late = _LatePsd(n_bands, ReverbModel(rt60_value), cfg, frame_period)
+    state = _Gain(n_bands, cfg)
+    gamma_rr = np.empty((BLOCK_FRAMES, n_bands)).T
+    gain = np.empty((BLOCK_FRAMES, n_bands)).T
+    gain_sum = 0.0
+    for s in range(0, n_frames, BLOCK_FRAMES):
+        block = bins[:, s:s + BLOCK_FRAMES]
+        n = block.shape[1]
+        power = _power(block, out=late.block[:, :n])
+        late.step(s, gamma_rr[:, :n])
+        state.step(power, gamma_rr[:, :n], gain[:, :n])
+        block *= gain[:, :n]
+        gain_sum += float(np.sum(gain[:, :n]))
 
-    shaped = Spectrogram(
-        bins=grid.bins * gain,
-        config=grid.config,
-        sample_rate=grid.sample_rate,
-        num_samples=grid.num_samples,
-    )
-    del gain  # the diagnostics keep only its mean; free it before istft
-    diagnostics = DereverbDiagnostics(
-        rt60=rt60_value,
-        rt60_estimated=estimated,
-        rt60_fallback=fallback,
-        mean_gain=mean_gain,
-    )
-    return istft(shaped), diagnostics
+    out = istft(Spectrogram(bins, grid.config, grid.sample_rate, grid.num_samples))
+    return out, DereverbDiagnostics(rt60_value, estimated, fallback, gain_sum / bins.size)

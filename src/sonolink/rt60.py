@@ -4,9 +4,10 @@ The estimator works entirely from a reverberant recording: each retained
 STFT bin's power after its peak is backward-integrated into an energy decay
 curve (Schroeder integration), a line is fit to the -5..-35 dB stretch of
 the curve, and the per-band decay rates that survive the fit-quality gates
-are averaged into a single RT60 figure.  The retained bands are processed
-:data:`~sonolink.core.BLOCK_FRAMES` at a time as one [bands x frames]
-matrix, so the working memory stays at one block of curves.
+are averaged into a single RT60 figure.  It never holds the grid's power:
+band peaks are taken over blocks of :data:`~sonolink.core.BLOCK_FRAMES`
+frames, and the retained bands are processed BLOCK_FRAMES at a time as one
+[bands x frames] power matrix computed from those rows of the grid.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, as_spectrogram
+from .core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _power, as_spectrogram
 from .errors import EstimationError, InvalidArgumentError
 
 __all__ = ["RtEstimate", "estimate_rt60"]
@@ -62,18 +63,18 @@ def estimate_rt60(
     if not (math.isfinite(threshold_db) and threshold_db >= 0.0):
         raise InvalidArgumentError(f"threshold_db must be finite and >= 0, got {threshold_db}")
     grid = as_spectrogram(buf, cfg)
-    return _estimate_from_power(
-        grid.power(), grid.config.frame_period(grid.sample_rate), threshold_db
-    )
+    return _estimate_from_bins(grid.bins, grid.config.frame_period(grid.sample_rate), threshold_db)
 
 
-def _estimate_from_power(
-    power: np.ndarray,
+def _estimate_from_bins(
+    bins: np.ndarray,
     frame_period: float,
     threshold_db: float = DEFAULT_THRESHOLD_DB,
 ) -> RtEstimate:
-    """estimate_rt60 on a grid's power(), for callers that already hold it."""
-    peaks = power.max(axis=1, initial=0.0)
+    """estimate_rt60 on a grid's [bands, frames] bins, for callers that hold them."""
+    peaks = np.zeros(bins.shape[0])
+    for s in range(0, bins.shape[1], BLOCK_FRAMES):
+        np.maximum(peaks, _power(bins[:, s:s + BLOCK_FRAMES]).max(axis=1), out=peaks)
     top = peaks.max(initial=0.0)
     if top > 0.0:
         bands = np.flatnonzero(peaks >= top * 10.0 ** (-threshold_db / 10.0))
@@ -85,7 +86,7 @@ def _estimate_from_power(
     r2 = np.zeros(bands.size)
     for s in range(0, bands.size, BLOCK_FRAMES):
         block = slice(s, s + BLOCK_FRAMES)
-        curves, ok = _decay_curves(power, bands[block], offset)
+        curves, ok = _decay_curves(_power(bins[bands[block], ::-1]), offset)
         block_rt60, block_r2 = _fit_decays(curves, frame_period)
         rt60_k[block] = np.where(ok, block_rt60, 0.0)
         r2[block] = np.where(ok, block_r2, 0.0)
@@ -99,10 +100,9 @@ def _estimate_from_power(
     )
 
 
-def _decay_curves(
-    power: np.ndarray, rows: np.ndarray, offset: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Energy decay curves in dB of the given bands, in reversed frame order.
+def _decay_curves(curves: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Energy decay curves in dB of bands whose power, in reversed frame
+    order, is given; the curves overwrite it.
 
     A band's decay starts ``offset`` frames after its peak, clamped to the
     last frame.  Its curve at frame l is the band's power summed from l to
@@ -111,8 +111,7 @@ def _decay_curves(
     flag per band that it has a strict maximum and energy past its start;
     the curves of unflagged bands mean nothing.
     """
-    curves = power[rows, ::-1]
-    at = np.arange(rows.size)
+    at = np.arange(curves.shape[0])
     peak = np.argmax(curves, axis=1)
     strict = np.count_nonzero(curves == curves[at, peak][:, None], axis=1) == 1
     start = np.maximum(peak - offset, 0)

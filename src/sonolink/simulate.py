@@ -140,14 +140,15 @@ def apply_channel(signal: AudioBuffer, chan: ChannelSpec) -> AudioBuffer:
     out = convolve(signal, rir)
 
     if chan.snr_db is not None:
-        signal_power = float(np.mean(out.samples**2))
+        squares = np.square(out.samples)  # scratch for both powers
+        signal_power = float(np.mean(squares))
         if signal_power == 0.0:
             raise InvalidArgumentError("cannot set an SNR against a silent signal")
         noise = np.random.default_rng(chan.noise_seed).standard_normal(len(out))
-        noise_power = float(np.mean(noise**2))
+        noise_power = float(np.mean(np.square(noise, out=squares)))
         target_power = signal_power * 10.0 ** (-chan.snr_db / 10.0)
         noise *= np.sqrt(target_power / noise_power)
-        out = AudioBuffer(out.samples + noise, out.sample_rate)
+        out = AudioBuffer(np.add(out.samples, noise, out=noise), out.sample_rate)
 
     if chan.normalize is not None:
         peak = float(np.max(np.abs(out.samples)))

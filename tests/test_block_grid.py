@@ -112,6 +112,16 @@ def _reference_gain(power, gamma_rr, cfg):
     return GainGrid(gain=gain)
 
 
+def _block_mean(gain):
+    """mean_gain as dereverberate keeps it: the sum of the sums of
+    BLOCK_FRAMES-frame blocks of the frame-major gain, over the cell count."""
+    gain = np.asfortranarray(gain)
+    total = 0.0
+    for s in range(0, gain.shape[1], BLOCK_FRAMES):
+        total += float(np.sum(gain[:, s:s + BLOCK_FRAMES]))
+    return total / gain.size
+
+
 def _reference_dereverberate(buf, cfg, rt60):
     grid = _reference_stft(buf, cfg.stft)
     power = _reference_power(grid)
@@ -258,7 +268,7 @@ def test_dereverberate_matches_reference(case, rt60):
     want, gains, want_rt60 = _reference_dereverberate(buf, cfg, rt60)
     assert np.array_equal(out.samples, want.samples)
     assert diag.rt60 == want_rt60
-    assert diag.mean_gain == float(gains.gain.mean())
+    assert diag.mean_gain == _block_mean(gains.gain)
 
 
 def test_dereverberate_matches_reference_at_44k():
@@ -276,17 +286,22 @@ def test_dereverberate_matches_reference_at_44k():
     assert diag.rt60_estimated
     assert np.array_equal(out.samples, want.samples)
     assert diag.rt60 == want_rt60
-    assert diag.mean_gain == float(gains.gain.mean())
+    assert diag.mean_gain == _block_mean(gains.gain)
 
 
-# In units of the complex STFT grid: the suppressor holds the grid, its power,
-# PSD and gain (half a grid each), 2.5 in all; the shaped grid is built after
-# power and PSD are freed.  One grid-sized float temporary more crosses this
-# bound.
-MAX_PEAK_GRIDS = 3.0
+# In units of the complex STFT grid.  dereverberate shapes the grid it
+# computed in place, one block of frames at a time, so it holds that grid,
+# block-sized power, PSD and gain buffers and the inverse transform's
+# sample-length buffers: about 1.2 grids.  A grid-sized float temporary
+# (half a grid) crosses this bound.
+MAX_PEAK_GRIDS = 1.5
+# estimate_rt60 on a grid takes band peaks one block of frames at a time and
+# the power of one block of retained bands at a time; a float power grid
+# (half a grid) crosses this bound.
+MAX_RT60_PEAK_GRIDS = 0.25
 
 
-def test_dereverberate_memory_is_a_few_grids():
+def _long_noise():
     fs = 44100
     rng = np.random.default_rng(3)
     buf = AudioBuffer(0.1 * rng.standard_normal(10 * fs), fs)
@@ -294,12 +309,28 @@ def test_dereverberate_memory_is_a_few_grids():
     win, hop = cfg.stft.window_length, cfg.stft.hop
     n_frames = 1 + math.ceil((len(buf) - win) / hop)
     grid_bytes = cfg.stft.num_bins * n_frames * np.dtype(np.complex128).itemsize
+    return buf, cfg, grid_bytes
 
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dereverberate_memory_is_a_few_grids():
+    buf, cfg, grid_bytes = _long_noise()
     for rt60 in (0.8, None):
-        tracemalloc.start()
-        try:
-            dereverberate(buf, cfg, rt60=rt60)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(dereverberate, buf, cfg, rt60=rt60)
         assert peak < MAX_PEAK_GRIDS * grid_bytes, (rt60, peak / grid_bytes)
+
+
+def test_estimate_rt60_on_a_grid_holds_no_power_grid():
+    buf, cfg, grid_bytes = _long_noise()
+    grid = stft(buf, cfg.stft)
+    assert grid.bins.nbytes == grid_bytes
+    peak = _traced_peak(estimate_rt60, grid)
+    assert peak < MAX_RT60_PEAK_GRIDS * grid_bytes, peak / grid_bytes

@@ -54,14 +54,17 @@ class TestAudioBuffer:
             AudioBuffer([0.0], 44100.0)
 
 
-# AudioBuffer and Spectrogram state one sample-rate rule (BenchConfig too)
+# AudioBuffer, Spectrogram and default_stft_config state one sample-rate rule
+# (BenchConfig too)
 def _with_rate(kind, rate):
     if kind == "AudioBuffer":
         return AudioBuffer([0.0], rate)
+    if kind == "default_stft_config":
+        return default_stft_config(rate)
     return Spectrogram(np.zeros((257, 1)), StftConfig(512, 16), rate, 512)
 
 
-@pytest.mark.parametrize("kind", ["AudioBuffer", "Spectrogram"])
+@pytest.mark.parametrize("kind", ["AudioBuffer", "Spectrogram", "default_stft_config"])
 @pytest.mark.parametrize("rate", [True, False, 0, -1, 44100.0, "44100", None])
 def test_sample_rate_must_be_a_positive_integer(kind, rate):
     with pytest.raises(InvalidArgumentError, match="sample_rate must be a positive integer"):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from sonolink.core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, stft
 from sonolink.errors import EstimationError, InvalidArgumentError
-from sonolink.rt60 import _decay_curves, _estimate_from_power, _fit_decays, estimate_rt60
+from sonolink.rt60 import _decay_curves, _estimate_from_bins, _fit_decays, estimate_rt60
 from sonolink.simulate import RirSpec, synth_rir
 
 
@@ -40,8 +40,8 @@ def _decay(n, rt_frames):
 
 def _curve(energy, offset):
     """One band's decay curve in frame order, and whether it is usable."""
-    power = np.asarray(energy, dtype=np.float64)[None, :]
-    curves, ok = _decay_curves(power, np.array([0]), offset)
+    power = np.asarray(energy, dtype=np.float64)[None, ::-1]
+    curves, ok = _decay_curves(np.ascontiguousarray(power), offset)
     return curves[0, ::-1], bool(ok[0])
 
 
@@ -136,13 +136,14 @@ def _power_grid(n_bands, n_frames, offset, seed, scale):
 @example(n_bands=5, n_frames=40, period=0.01, threshold_db=40.0, seed=1, scale=0.0)
 @example(n_bands=70, n_frames=2, period=0.005, threshold_db=40.0, seed=2, scale=1.0)
 def test_block_pass_matches_per_band_reference(n_bands, n_frames, period, threshold_db, seed, scale):
-    power = _power_grid(n_bands, n_frames, math.ceil(0.080 / period), seed, scale)
-    want = _reference_per_band(power, period, threshold_db)
+    # real bins whose power |bins|^2 the reference reads
+    bins = np.sqrt(_power_grid(n_bands, n_frames, math.ceil(0.080 / period), seed, scale))
+    want = _reference_per_band(bins * bins, period, threshold_db)
     if not any(rt60_k > 0.0 for _, rt60_k, _ in want):
         with pytest.raises(EstimationError):
-            _estimate_from_power(power, period, threshold_db)
+            _estimate_from_bins(bins, period, threshold_db)
         return
-    got = _estimate_from_power(power, period, threshold_db).per_band
+    got = _estimate_from_bins(bins, period, threshold_db).per_band
     assert [k for k, _, _ in got] == [k for k, _, _ in want]
     assert [v > 0.0 for _, v, _ in got] == [v > 0.0 for _, v, _ in want]
     np.testing.assert_allclose([v for _, v, _ in got], [v for _, v, _ in want], rtol=1e-12, atol=0)
@@ -181,7 +182,7 @@ class TestEdc:
     def test_empty_tail(self):
         energy = np.concatenate([[2.0], np.ones(9), np.zeros(50)])
         assert not _curve(energy, 12)[1]
-        est = _estimate_from_power(np.stack([_decay(60, 40.0), energy]), 0.08 / 12)
+        est = _estimate_from_bins(np.sqrt(np.stack([_decay(60, 40.0), energy])), 0.08 / 12)
         assert est.per_band[1] == (1, 0.0, 0.0)
 
 
@@ -203,7 +204,7 @@ class TestDecayStart:
 
     def test_flat_envelope_has_no_peak(self):
         assert not _curve(np.ones(50), 10)[1]
-        est = _estimate_from_power(np.stack([_decay(200, 40.0), np.ones(200)]), 0.01)
+        est = _estimate_from_bins(np.sqrt(np.stack([_decay(200, 40.0), np.ones(200)])), 0.01)
         assert est.per_band[1] == (1, 0.0, 0.0)
 
 
