@@ -219,15 +219,24 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     padded_len = (n_frames - 1) * cfg.hop + win
     if padded_len > x.size:
         x = np.concatenate([x, np.zeros(padded_len - x.size)])
-    frames = np.lib.stride_tricks.sliding_window_view(x, win)[:: cfg.hop]
+    windows = np.lib.stride_tricks.sliding_window_view
+    frames = windows(x, win)[:: cfg.hop]
+    # A frame is live when one of the win/hop hop-long chunks it covers holds
+    # a nonzero sample.  A dead frame's bins stay the zeros the grid starts
+    # with (rfft would give zeros too, some of them -0), so only runs of
+    # live frames are transformed.
+    live_chunks = np.any(x.reshape(-1, cfg.hop), axis=1)
+    live = np.any(windows(live_chunks, win // cfg.hop), axis=1)
+    runs = np.flatnonzero(np.diff(live, prepend=False, append=False)).reshape(-1, 2)
     window = make_window(win)
     # frame-major, so each block of frames is one contiguous slab
-    bins = np.empty((n_frames, cfg.num_bins), dtype=np.complex128)
+    bins = np.zeros((n_frames, cfg.num_bins), dtype=np.complex128)
     windowed = np.empty((BLOCK_FRAMES, win))
-    for s in range(0, n_frames, BLOCK_FRAMES):
-        block = frames[s:s + BLOCK_FRAMES]
-        np.multiply(block, window, out=windowed[: len(block)])
-        bins[s:s + len(block)] = np.fft.rfft(windowed[: len(block)], axis=1)
+    for start, stop in runs:
+        for s in range(start, stop, BLOCK_FRAMES):
+            n = min(BLOCK_FRAMES, stop - s)
+            np.multiply(frames[s:s + n], window, out=windowed[:n])
+            np.fft.rfft(windowed[:n], axis=1, out=bins[s:s + n])
     return Spectrogram(bins=bins.T, config=cfg, sample_rate=buf.sample_rate,
                        num_samples=buf.samples.size)
 
@@ -268,8 +277,10 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     # chunks.  Parts go in descending r so each sample sums its frames in
     # ascending frame order, as a frame-by-frame overlap-add does.
     out = np.zeros((n_frames + overlap - 1, hop))
+    buffer = np.empty((BLOCK_FRAMES, win))
     for s in range(0, n_frames, BLOCK_FRAMES):
-        frames = np.fft.irfft(spec.bins[:, s:s + BLOCK_FRAMES].T, n=win, axis=1)
+        block = spec.bins[:, s:s + BLOCK_FRAMES].T
+        frames = np.fft.irfft(block, n=win, axis=1, out=buffer[: len(block)])
         frames *= window
         parts = frames.reshape(len(frames), overlap, hop)
         for r in range(overlap - 1, -1, -1):

@@ -43,22 +43,33 @@ def lsd(clean: Spectrogram, test: Spectrogram) -> float:
         )
     if clean.num_frames == 0:
         raise InvalidArgumentError("cannot compare empty spectrograms")
+    # Only active clean frames are averaged, so only they are logged, clipped
+    # and differenced, gathered frame-major so each frame's RMS sums its
+    # contiguous bins as a whole-grid pass would.  A silent clean side has
+    # no active frame.  Each side's top is the log of its peak power, which
+    # is the peak of its logs because log10 is monotone.
     clean_power = clean.power()
-    with np.errstate(divide="ignore"):
-        log_clean = 10.0 * np.log10(clean_power)
-        log_test = 10.0 * np.log10(test.power())
-    top_clean, top_test = log_clean.max(), log_test.max()
-    if not (np.isfinite(top_clean) or np.isfinite(top_test)):
-        return 0.0  # both sides silent: zero distortion by convention
-    for db, top, other in ((log_clean, top_clean, top_test), (log_test, top_test, top_clean)):
-        top = top if np.isfinite(top) else other
-        np.maximum(db, top - DYNAMIC_RANGE_DB, out=db)
-
     active = _active_frames(clean_power)
     if not active.any():
         return 0.0
-    per_frame = np.sqrt(np.mean((log_clean - log_test) ** 2, axis=0))
-    return float(np.mean(per_frame[active]))
+    with np.errstate(divide="ignore"):
+        top_clean = 10.0 * np.log10(clean_power.max())
+        log_clean = _clipped_db(clean_power.T[active], top_clean)
+        del clean_power
+        test_power = test.power()
+        top_test = 10.0 * np.log10(test_power.max())
+        top_test = top_test if np.isfinite(top_test) else top_clean
+        log_test = _clipped_db(test_power.T[active], top_test)
+    del test_power
+    log_clean -= log_test
+    per_frame = np.sqrt(np.mean(np.square(log_clean, out=log_clean), axis=1))
+    return float(np.mean(per_frame))
+
+
+def _clipped_db(power: np.ndarray, top: float) -> np.ndarray:
+    """10·log10(power) in place, raised to at least top - DYNAMIC_RANGE_DB."""
+    db = np.multiply(np.log10(power, out=power), 10.0, out=power)
+    return np.maximum(db, top - DYNAMIC_RANGE_DB, out=db)
 
 
 def rr(

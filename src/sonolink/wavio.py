@@ -1,6 +1,6 @@
 """WAV file I/O normalized to float64 AudioBuffers.
 
-Reads RIFF/WAVE PCM (8/16/32-bit) and IEEE float (32/64-bit) files;
+Reads RIFF/WAVE PCM (8/16/24/32-bit) and IEEE float (32/64-bit) files;
 multichannel content is averaged down to mono with a warning.  Writing
 supports 16-bit PCM (with clipping accounted) and 32-bit float.
 """
@@ -21,8 +21,9 @@ def wav_read(path) -> AudioBuffer:
     """Read a WAV file and return samples normalized to [-1, 1].
 
     Integer PCM is scaled by the type's full range (int16 by 1/32768);
-    float data is passed through unchanged.  Multichannel files are averaged
-    to mono with a warning.
+    24-bit PCM arrives as int32 with each sample in the top three bytes, so
+    it is scaled as 32-bit.  Float data is passed through unchanged.
+    Multichannel files are averaged to mono with a warning.
     """
     import scipy.io.wavfile  # here, so only WAV I/O pays for importing scipy
     try:

@@ -1,9 +1,11 @@
 """Block-wise grid passes against the whole-grid code they replaced.
 
 The references below are the frame-by-frame and whole-grid forms of
-``stft``, ``istft``, ``Spectrogram.power`` and ``spectral_gain``, and the
-edge-padded 3-tap sum of ``reverberant_psd``.  Outputs must be equal, not
-close.  ``spectral_gain`` runs its a-priori SNR recursion as
+``stft``, ``istft``, ``Spectrogram.power``, ``spectral_gain`` and ``lsd``,
+and the edge-padded 3-tap sum of ``reverberant_psd``.  Outputs must be
+equal, not close.  ``stft`` leaves frames whose samples are all zero
+untransformed, and ``lsd`` logs only the active clean frames; signals and
+grids below carry zero runs so both shortcuts are reached.  ``spectral_gain`` runs its a-priori SNR recursion as
 prio = coef * carry + update in every cell, carrying ``carry`` and the
 bins' seen-valid flags from block to block; the reference branches per
 frame between the smoothed, rectified and held values instead.  The two
@@ -17,6 +19,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +42,7 @@ from sonolink.dereverb import (
     spectral_gain,
 )
 from sonolink.errors import EstimationError
+from sonolink.metrics import ACTIVITY_THRESHOLD_DB, DYNAMIC_RANGE_DB, lsd
 from sonolink.rt60 import estimate_rt60
 
 FRAME_COUNTS = [1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1]
@@ -112,6 +116,26 @@ def _reference_gain(power, gamma_rr, cfg):
     return GainGrid(gain=gain)
 
 
+def _reference_lsd(clean, test):
+    # the whole-grid form: every frame is logged, clipped and differenced
+    clean_power = np.abs(clean.bins) ** 2
+    with np.errstate(divide="ignore"):
+        log_clean = 10.0 * np.log10(clean_power)
+        log_test = 10.0 * np.log10(np.abs(test.bins) ** 2)
+    top_clean, top_test = log_clean.max(), log_test.max()
+    if not (np.isfinite(top_clean) or np.isfinite(top_test)):
+        return 0.0
+    for db, top, other in ((log_clean, top_clean, top_test), (log_test, top_test, top_clean)):
+        top = top if np.isfinite(top) else other
+        np.maximum(db, top - DYNAMIC_RANGE_DB, out=db)
+    frame_power = np.sum(clean_power, axis=0)
+    active = frame_power > frame_power.max() * 10.0 ** (-ACTIVITY_THRESHOLD_DB / 10.0)
+    if not active.any():
+        return 0.0
+    per_frame = np.sqrt(np.mean((log_clean - log_test) ** 2, axis=0))
+    return float(np.mean(per_frame[active]))
+
+
 def _block_mean(gain):
     """mean_gain as dereverberate keeps it: the sum of the sums of
     BLOCK_FRAMES-frame blocks of the frame-major gain, over the cell count."""
@@ -149,7 +173,64 @@ def signals(draw):
     n = (n_frames - 1) * hop + win - short
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal(n) * 10.0 ** draw(st.integers(-6, 3))
+    # zero runs: none, everything, a padded tail (bench's clean reference),
+    # a gap of a window or more whose end falls inside a block of frames,
+    # and a gap too short to silence a whole frame
+    zeros = draw(st.sampled_from(["none", "all", "tail", "gap", "short gap"]))
+    if zeros == "all":
+        x[:] = 0.0
+    elif zeros == "tail":
+        x[draw(st.integers(0, n)):] = 0.0
+    elif zeros == "gap":
+        stop = draw(st.integers(win, n))
+        x[draw(st.integers(0, stop - win)):stop] = 0.0
+    elif zeros == "short gap":
+        start = draw(st.integers(0, n - 1))
+        x[start:start + draw(st.integers(1, win - 1))] = 0.0
     return AudioBuffer(x, draw(st.sampled_from([8000, 44100]))), StftConfig(win, hop)
+
+
+def _silence_in_second_block():
+    # 2 * BLOCK_FRAMES + 1 frames over samples 64-191 of silence: the dead
+    # frames run from the middle of the first block into the second
+    cfg = StftConfig(8, 2)
+    x = np.random.default_rng(7).standard_normal((2 * BLOCK_FRAMES) * 2 + 8)
+    x[BLOCK_FRAMES:3 * BLOCK_FRAMES] = 0.0
+    return AudioBuffer(x, 8000), cfg
+
+
+@st.composite
+def lsd_pairs(draw):
+    """Clean and test grids with zero frames, zero-power bins and silent
+    sides, in stft's frame-major layout unless drawn row-major."""
+    # bin counts on both sides of numpy's 8-way and 128-element summation
+    # blocks, up to the 1025 bins of the 44.1 kHz default
+    n_bands = draw(st.sampled_from([2, 9, 33, 129, 1025]))
+    n_frames = draw(st.sampled_from(FRAME_COUNTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def grid(silent):
+        # frame levels over 120 dB, so some frames fall below the activity
+        # threshold and some bins below the dynamic-range floor
+        mags = rng.random((n_frames, n_bands)) * 10.0 ** rng.integers(-8, 4, size=(n_frames, 1))
+        bins = mags * np.exp(2j * np.pi * rng.random(mags.shape))
+        bins[rng.random(mags.shape) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+        zero_frames = draw(st.sampled_from(["none", "scattered", "tail"]))
+        if zero_frames == "scattered":
+            bins[rng.random(n_frames) < 0.4] = 0.0
+        elif zero_frames == "tail":  # a packet padded to the recording's length
+            bins[draw(st.integers(0, n_frames)):] = 0.0
+        if silent:
+            bins[:] = 0.0
+        return bins.T
+
+    silent = draw(st.sampled_from(["neither"] * 4 + ["clean", "test", "both"]))
+    grids = [grid(silent in (side, "both")) for side in ("clean", "test")]
+    if draw(st.booleans()):
+        grids = [np.ascontiguousarray(g) for g in grids]
+    cfg = StftConfig(2 * (n_bands - 1), 1)
+    extent = n_frames - 1 + cfg.window_length
+    return tuple(Spectrogram(g, cfg, 8000, extent) for g in grids)
 
 
 @st.composite
@@ -208,13 +289,15 @@ def _held_in_second_block():
     return power, gamma, DereverbConfig()
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(signals())
+@example(_silence_in_second_block())
 def test_stft_power_and_istft_match_references(case):
     buf, cfg = case
     got = stft(buf, cfg)
     want = _reference_stft(buf, cfg)
     assert got.num_frames in FRAME_COUNTS
+    # equal as numbers: a skipped frame holds +0 where rfft may give -0
     assert np.array_equal(got.bins, want.bins)
     assert np.array_equal(got.power(), _reference_power(want))
     assert np.array_equal(istft(got).samples, _reference_istft(want).samples)
@@ -228,6 +311,21 @@ def test_stft_power_and_istft_match_references(case):
         for num_samples in (buf.samples.size, extent):
             spec = Spectrogram(bins, cfg, buf.sample_rate, num_samples)
             assert np.array_equal(istft(spec).samples, _reference_istft(spec).samples)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lsd_pairs())
+def test_lsd_matches_reference(case):
+    clean, test = case
+    got, want = lsd(clean, test), _reference_lsd(clean, test)
+    if clean.bins.flags.f_contiguous:
+        # exact only if log10 is monotone (the top of the logs is the log of
+        # the top power) and each frame sums its bins in the same order
+        assert got == want
+    else:
+        # the whole-grid form sums a row-major grid's bins across rows, in
+        # another order than the gathered frames' contiguous sums
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -295,6 +393,13 @@ def test_dereverberate_matches_reference_at_44k():
 # sample-length buffers: about 1.2 grids.  A grid-sized float temporary
 # (half a grid) crosses this bound.
 MAX_PEAK_GRIDS = 1.5
+# stft holds its grid, the signal padded to whole frames and one block of
+# windowed frames.  An index array the size of the signal crosses this bound.
+MAX_STFT_PEAK_GRIDS = 1.1
+# lsd holds the clean power grid, then the test one, and the clipped logs of
+# the active clean frames of each side: 1.0 grids when half the clean frames
+# are active.  Logging whole grids took 2.0.
+MAX_LSD_PEAK_GRIDS = 1.25
 # estimate_rt60 on a grid takes band peaks one block of frames at a time and
 # the power of one block of retained bands at a time; a float power grid
 # (half a grid) crosses this bound.
@@ -334,3 +439,25 @@ def test_estimate_rt60_on_a_grid_holds_no_power_grid():
     assert grid.bins.nbytes == grid_bytes
     peak = _traced_peak(estimate_rt60, grid)
     assert peak < MAX_RT60_PEAK_GRIDS * grid_bytes, peak / grid_bytes
+
+
+def _half_silent(buf):
+    # a packet padded to the recording's length, as the bench's clean reference
+    clean = buf.samples.copy()
+    clean[clean.size // 2:] = 0.0
+    return AudioBuffer(clean, buf.sample_rate)
+
+
+def test_stft_memory_is_one_grid():
+    buf, cfg, grid_bytes = _long_noise()
+    for signal in (buf, _half_silent(buf)):
+        peak = _traced_peak(stft, signal, cfg.stft)
+        assert peak < MAX_STFT_PEAK_GRIDS * grid_bytes, peak / grid_bytes
+
+
+def test_lsd_memory_logs_only_active_frames():
+    buf, cfg, grid_bytes = _long_noise()
+    clean = stft(_half_silent(buf), cfg.stft)
+    test = stft(buf, cfg.stft)
+    peak = _traced_peak(lsd, clean, test)
+    assert peak < MAX_LSD_PEAK_GRIDS * grid_bytes, peak / grid_bytes

@@ -1,5 +1,7 @@
 """WAV round trips and format edge cases."""
 
+import struct
+
 import numpy as np
 import pytest
 import scipy.io.wavfile
@@ -64,6 +66,20 @@ def test_int32_scaling(tmp_path):
     )
     buf = wav_read(path)
     assert np.allclose(buf.samples, [0.0, 0.5, -1.0], atol=1e-12)
+
+
+def test_int24_scaling(tmp_path):
+    # a 24-bit PCM file written byte by byte: RIFF header, fmt and data chunks
+    values = [0, 2**22, -(2**23), 2**23 - 1, -1]
+    data = b"".join(v.to_bytes(3, "little", signed=True) for v in values)
+    fmt = struct.pack("<HHIIHH", 1, 1, 8000, 8000 * 3, 3, 24)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(data)) + data + b"\0"  # pad byte
+    path = tmp_path / "i24.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    buf = wav_read(path)
+    assert buf.sample_rate == 8000
+    assert np.array_equal(buf.samples, np.array(values) / 2.0**23)
 
 
 def test_garbage_file_raises_format_error(tmp_path):
