@@ -11,7 +11,9 @@ Whole-grid work that needs temporaries runs over blocks of
 :data:`BLOCK_FRAMES` frames written through preallocated buffers, so a pass
 over a long recording's grid keeps its temporaries in cache instead of
 allocating a grid-sized one per operation.  Each output element equals,
-bit for bit, what a single pass over the whole grid would give.
+bit for bit, what a single pass over the whole grid would give.  ``stft``
+and ``istft`` are a block source of windowed, transformed frames and an
+overlap-add accumulator; the suppressor runs between the two without a grid.
 """
 
 from __future__ import annotations
@@ -170,6 +172,26 @@ def _power(bins: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.square(out, out=out)
 
 
+def _band_peaks(bins: np.ndarray) -> np.ndarray:
+    """Each band's peak power over a [bands, frames] grid.  Only |X| of a
+    block is written, into one reused buffer, and only the per-band maxima
+    are squared: rounding a square is monotone, so max fl(a²) = fl(max a)²."""
+    peaks = np.zeros(bins.shape[0])
+    mags = np.empty((BLOCK_FRAMES, bins.shape[0])).T
+    for s in range(0, bins.shape[1], BLOCK_FRAMES):
+        block = bins[:, s:s + BLOCK_FRAMES]
+        block = np.abs(block, out=mags[:, : block.shape[1]], dtype=np.float64)
+        np.maximum(peaks, block.max(axis=1), out=peaks)
+    return np.square(peaks, out=peaks)
+
+
+def _blocks(mask: np.ndarray):
+    """(start, stop) of each run of True in ``mask``, cut at most BLOCK_FRAMES long."""
+    for a, b in np.flatnonzero(np.diff(mask, prepend=False, append=False)).reshape(-1, 2):
+        for s in range(a, b, BLOCK_FRAMES):
+            yield s, min(s + BLOCK_FRAMES, b)
+
+
 def make_window(length: int) -> np.ndarray:
     """Periodic Hann window of the given length.
 
@@ -190,11 +212,49 @@ def make_window(length: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * n / length))
 
 
+class _Frames:
+    """A signal's STFT frames, windowed and transformed a block at a time.
+
+    Only the last frame can run past the end of the signal, so only it is
+    zero-padded, in a copy.  A frame is live when one of the win/hop
+    hop-long chunks it covers holds a nonzero sample.  A dead frame's bins
+    are zeros (rfft would give zeros too, some of them -0), so only runs of
+    live frames are transformed.
+    """
+
+    def __init__(self, x: np.ndarray, cfg: StftConfig):
+        win, hop = cfg.window_length, cfg.hop
+        if x.size < win:
+            raise InvalidArgumentError(
+                f"buffer of {x.size} samples is shorter than one window ({win})")
+        self.n_frames = n = 1 + -(-(x.size - win) // hop)
+        windows = np.lib.stride_tricks.sliding_window_view
+        self.frames = windows(x, win)[::hop][: n - 1]
+        self.last = np.zeros(win)
+        self.last[: x.size - (n - 1) * hop] = x[(n - 1) * hop:]
+        chunks = np.concatenate([np.any(x[: (n - 1) * hop].reshape(n - 1, hop), axis=1),
+                                 np.any(self.last.reshape(-1, hop), axis=1)])
+        self.live = np.any(windows(chunks, win // hop), axis=1)
+        self.window = make_window(win)
+        self.windowed = np.empty((BLOCK_FRAMES, win))
+
+    def rfft(self, s: int, out: np.ndarray) -> None:
+        """The bins of frames s .. s + len(out) - 1 into ``out``, a frame per
+        row; the rows of dead frames are left as they are."""
+        last = self.n_frames - 1 - s  # the last frame's row, if out holds it
+        for a, b in _blocks(self.live[s:s + len(out)]):
+            windowed, inside = self.windowed[: b - a], min(b, last)
+            np.multiply(self.frames[s + a:s + inside], self.window, out=windowed[: inside - a])
+            if b > last:
+                np.multiply(self.last, self.window, out=windowed[-1])
+            np.fft.rfft(windowed, axis=1, out=out[a:b])
+
+
 def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     """Forward short-time Fourier transform.
 
     Frame ``l`` covers samples ``[l*hop, l*hop + window_length)``; the final
-    frames are zero-padded past the end of the signal so every sample is
+    frame is zero-padded past the end of the signal so every sample is
     analyzed.  No padding is applied before the first sample.
 
     Parameters
@@ -209,34 +269,11 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     Spectrogram
         One-sided spectrum, ``window_length//2 + 1`` bins per frame.
     """
-    x = buf.samples
-    win = cfg.window_length
-    if x.size < win:
-        raise InvalidArgumentError(
-            f"buffer of {x.size} samples is shorter than one window ({win})"
-        )
-    n_frames = 1 + int(np.ceil((x.size - win) / cfg.hop))
-    padded_len = (n_frames - 1) * cfg.hop + win
-    if padded_len > x.size:
-        x = np.concatenate([x, np.zeros(padded_len - x.size)])
-    windows = np.lib.stride_tricks.sliding_window_view
-    frames = windows(x, win)[:: cfg.hop]
-    # A frame is live when one of the win/hop hop-long chunks it covers holds
-    # a nonzero sample.  A dead frame's bins stay the zeros the grid starts
-    # with (rfft would give zeros too, some of them -0), so only runs of
-    # live frames are transformed.
-    live_chunks = np.any(x.reshape(-1, cfg.hop), axis=1)
-    live = np.any(windows(live_chunks, win // cfg.hop), axis=1)
-    runs = np.flatnonzero(np.diff(live, prepend=False, append=False)).reshape(-1, 2)
-    window = make_window(win)
-    # frame-major, so each block of frames is one contiguous slab
-    bins = np.zeros((n_frames, cfg.num_bins), dtype=np.complex128)
-    windowed = np.empty((BLOCK_FRAMES, win))
-    for start, stop in runs:
-        for s in range(start, stop, BLOCK_FRAMES):
-            n = min(BLOCK_FRAMES, stop - s)
-            np.multiply(frames[s:s + n], window, out=windowed[:n])
-            np.fft.rfft(windowed[:n], axis=1, out=bins[s:s + n])
+    frames = _Frames(buf.samples, cfg)
+    # frame-major, so a block of frames is one slab; dead frames stay zero
+    bins = np.zeros((frames.n_frames, cfg.num_bins), dtype=np.complex128)
+    for s in range(0, frames.n_frames, BLOCK_FRAMES):
+        frames.rfft(s, bins[s:s + BLOCK_FRAMES])
     return Spectrogram(bins=bins.T, config=cfg, sample_rate=buf.sample_rate,
                        num_samples=buf.samples.size)
 
@@ -255,6 +292,49 @@ def as_spectrogram(buf: AudioBuffer | Spectrogram, cfg: StftConfig | None = None
     return stft(buf, cfg or default_stft_config(buf.sample_rate))
 
 
+class _OverlapAdd:
+    """Weighted overlap-add of a grid's frames, given a block at a time in
+    frame order, held as [chunk, hop].  Frame l covers chunks l .. l +
+    overlap - 1, so part r of every frame in a block lands on one run of
+    consecutive chunks.  Parts go in descending r so each sample sums its
+    frames in ascending frame order, as a frame-by-frame overlap-add does.
+    """
+
+    def __init__(self, cfg: StftConfig, n_frames: int):
+        if n_frames < 1:
+            raise InvalidArgumentError("cannot invert an empty spectrogram")
+        self.n_frames, self.overlap = n_frames, cfg.window_length // cfg.hop
+        self.window = make_window(cfg.window_length)
+        self.out = np.zeros((n_frames + self.overlap - 1, cfg.hop))
+        self.frames = np.empty((BLOCK_FRAMES, cfg.window_length))
+
+    def add(self, s: int, bins: np.ndarray) -> None:
+        """Frames s .. s + len(bins) - 1, from their bins, a frame per row."""
+        frames = np.fft.irfft(bins, n=self.window.size, axis=1, out=self.frames[: len(bins)])
+        frames *= self.window
+        parts = frames.reshape(len(bins), self.overlap, -1)
+        for r in range(self.overlap - 1, -1, -1):
+            self.out[s + r:s + r + len(bins)] += parts[:, r]
+
+    def samples(self, num_samples: int) -> np.ndarray:
+        """The first num_samples samples, divided (once, in place) by the
+        summed squared window wherever that is nonzero."""
+        overlap, n = self.overlap, self.n_frames
+        # Chunk c sums squared-window rows r with c - n < r <= c, in
+        # descending r.  A grid of m = min(n, overlap) frames has every
+        # distinct sum: its first m - 1 chunks, its chunk m - 1 (every middle
+        # chunk's sum) and its last overlap - 1 chunks.
+        m = min(n, overlap)
+        win_sq = (self.window * self.window).reshape(overlap, -1)
+        norm = np.zeros((m + overlap - 1, win_sq.shape[1]))
+        for r in range(overlap - 1, -1, -1):
+            norm[r:r + m] += win_sq[r]
+        out = self.out
+        for part, by in (out[:m - 1], norm[:m - 1]), (out[m - 1:n], norm[m - 1]), (out[n:], norm[m:]):
+            np.divide(part, by, out=part, where=by > 0.0)
+        return self.out.reshape(-1)[:num_samples]
+
+
 def istft(spec: Spectrogram) -> AudioBuffer:
     """Inverse STFT via weighted overlap-add.
 
@@ -264,35 +344,10 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     nonzero (everything except sample 0, where the Hann window is zero).
     The output is ``spec.num_samples`` long.
     """
-    cfg = spec.config
-    win = cfg.window_length
-    n_frames = spec.num_frames
-    if n_frames < 1:
-        raise InvalidArgumentError("cannot invert an empty spectrogram")
-    hop = cfg.hop
-    overlap = win // hop  # frames covering each hop-long chunk of output
-    window = make_window(win)
-    # Output as [chunk, hop]: frame l covers chunks l .. l + overlap - 1, so
-    # part r of every frame in a block lands on one run of consecutive
-    # chunks.  Parts go in descending r so each sample sums its frames in
-    # ascending frame order, as a frame-by-frame overlap-add does.
-    out = np.zeros((n_frames + overlap - 1, hop))
-    buffer = np.empty((BLOCK_FRAMES, win))
-    for s in range(0, n_frames, BLOCK_FRAMES):
-        block = spec.bins[:, s:s + BLOCK_FRAMES].T
-        frames = np.fft.irfft(block, n=win, axis=1, out=buffer[: len(block)])
-        frames *= window
-        parts = frames.reshape(len(frames), overlap, hop)
-        for r in range(overlap - 1, -1, -1):
-            out[s + r:s + r + len(frames)] += parts[:, r]
-    norm = np.zeros_like(out)
-    win_sq = (window * window).reshape(overlap, hop)
-    for r in range(overlap - 1, -1, -1):
-        norm[r:r + n_frames] += win_sq[r]
-    out = out.reshape(-1)
-    norm = norm.reshape(-1)
-    np.divide(out, norm, out=out, where=norm > 0.0)
-    return AudioBuffer(out[: spec.num_samples], spec.sample_rate)
+    ola = _OverlapAdd(spec.config, spec.num_frames)
+    for s in range(0, spec.num_frames, BLOCK_FRAMES):
+        ola.add(s, spec.bins[:, s:s + BLOCK_FRAMES].T)
+    return AudioBuffer(ola.samples(spec.num_samples), spec.sample_rate)
 
 
 def _fast_length(n: int) -> int:

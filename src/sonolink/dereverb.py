@@ -6,8 +6,10 @@ of observed power to that estimate drives a floored spectral gain applied
 to the STFT magnitudes (phase untouched).  The decay constant comes from an
 RT60 figure — supplied by the caller or estimated blindly from the input.
 
-:func:`dereverberate` shapes the grid in place in one pass over blocks of
-frames, holding no power, PSD or gain grid; :func:`reverberant_psd` and
+:func:`dereverberate` runs one pass over blocks of frames, from STFT frames
+to overlap-add, holding no power, PSD or gain grid.  Given an RT60 it holds
+no complex grid either (a caller's grid is copied a block at a time); blind,
+it holds the grid its RT60 estimate reads.  :func:`reverberant_psd` and
 :func:`spectral_gain` run the same block steps over whole grids.
 """
 
@@ -19,8 +21,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _power, as_spectrogram, istft
-from .errors import EstimationError, InvalidArgumentError
+from .core import (BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _Frames, _OverlapAdd,
+                   _power, as_spectrogram, default_stft_config)
+from .errors import EstimationError, InvalidArgumentError, _real
 from .rt60 import _estimate_from_bins
 
 __all__ = [
@@ -43,6 +46,7 @@ def decay_constant(rt60: float) -> float:
     Defined so the energy envelope e^(-2*delta*t) falls by 60 dB over one
     reverberation time: delta = 3*ln(10)/rt60.
     """
+    rt60 = _real(rt60, "rt60")
     if not (rt60 > 0 and math.isfinite(rt60)):
         raise InvalidArgumentError("rt60 must be positive and finite")
     return 3.0 * math.log(10.0) / rt60
@@ -256,37 +260,50 @@ def dereverberate(
     it in the diagnostics.  Output length equals the analyzed signal's.
     """
     cfg = cfg or DereverbConfig()
-    grid = as_spectrogram(buf, cfg.stft)
-    bins = grid.bins  # shaped in place: a copy of the caller's, or the one computed here
-    if grid is buf:
-        bins = np.array(bins, dtype=np.result_type(bins, np.float64), order="F")
-    n_bands, n_frames = bins.shape
+    rt60 = None if rt60 is None else _real(rt60, "rt60")
+    if rt60 is None or isinstance(buf, Spectrogram):  # a grid is held; blocks are copied from it
+        grid = as_spectrogram(buf, cfg.stft)
+        stft_cfg, rate, n_frames, num_samples = (
+            grid.config, grid.sample_rate, grid.num_frames, grid.num_samples)
+        blocks = np.empty((BLOCK_FRAMES, stft_cfg.num_bins), np.result_type(grid.bins, np.float64))
+        def fill(s: int, block: np.ndarray) -> None:
+            np.copyto(block, grid.bins[:, s:s + len(block)].T)
+    else:  # no grid: each block is transformed from the recording
+        stft_cfg, rate = cfg.stft or default_stft_config(buf.sample_rate), buf.sample_rate
+        frames = _Frames(buf.samples, stft_cfg)
+        n_frames, num_samples = frames.n_frames, len(buf)
+        blocks = np.empty((BLOCK_FRAMES, stft_cfg.num_bins), np.complex128)
+        def fill(s: int, block: np.ndarray) -> None:
+            block[~frames.live[s:s + len(block)]] = 0.0  # rfft leaves dead frames' rows
+            frames.rfft(s, block)
 
     estimated = fallback = False
-    frame_period = grid.config.frame_period(grid.sample_rate)
+    frame_period = stft_cfg.frame_period(rate)
     if rt60 is None:
         try:
-            rt60_value = _estimate_from_bins(bins, frame_period).rt60
+            rt60 = _estimate_from_bins(grid.bins, frame_period).rt60
             estimated = True
         except EstimationError:
-            rt60_value = FALLBACK_RT60
+            rt60 = FALLBACK_RT60
             fallback = True
-    else:
-        rt60_value = float(rt60)
 
-    late = _LatePsd(n_bands, ReverbModel(rt60_value), cfg, frame_period)
+    n_bands = stft_cfg.num_bins
+    late = _LatePsd(n_bands, ReverbModel(rt60), cfg, frame_period)
     state = _Gain(n_bands, cfg)
     gamma_rr = np.empty((BLOCK_FRAMES, n_bands)).T
     gain = np.empty((BLOCK_FRAMES, n_bands)).T
+    ola = _OverlapAdd(stft_cfg, n_frames)
     gain_sum = 0.0
     for s in range(0, n_frames, BLOCK_FRAMES):
-        block = bins[:, s:s + BLOCK_FRAMES]
-        n = block.shape[1]
+        n = min(BLOCK_FRAMES, n_frames - s)
+        fill(s, blocks[:n])
+        block = blocks[:n].T
         power = _power(block, out=late.block[:, :n])
         late.step(s, gamma_rr[:, :n])
         state.step(power, gamma_rr[:, :n], gain[:, :n])
         block *= gain[:, :n]
         gain_sum += float(np.sum(gain[:, :n]))
+        ola.add(s, block.T)
 
-    out = istft(Spectrogram(bins, grid.config, grid.sample_rate, grid.num_samples))
-    return out, DereverbDiagnostics(rt60_value, estimated, fallback, gain_sum / bins.size)
+    out = AudioBuffer(ola.samples(num_samples), rate)
+    return out, DereverbDiagnostics(rt60, estimated, fallback, gain_sum / (n_bands * n_frames))

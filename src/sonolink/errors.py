@@ -49,6 +49,14 @@ def _sample_rate(value) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; :class:`InvalidArgumentError` naming ``what``
+    unless it is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_fields(obj, integers=(), reals=(), optional=()) -> None:
     """Raise :class:`InvalidArgumentError` naming the first field of ``obj``
     that is not an integer (``integers``) or a real number (``reals``); a
@@ -59,5 +67,5 @@ def _check_fields(obj, integers=(), reals=(), optional=()) -> None:
             continue
         if name in integers:
             _integer(value, name)
-        elif not isinstance(value, numbers.Real):
-            raise InvalidArgumentError(f"{name} must be a number, got {value!r}")
+        else:
+            _real(value, name)

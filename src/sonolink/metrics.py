@@ -2,26 +2,22 @@
 
 Two views of "did processing help": log spectral distortion against a
 clean reference (with each spectrogram's log magnitudes confined to a 50 dB
-dynamic range) and reverberation reduction on tone-free subbands.
+dynamic range) and reverberation reduction on tone-free subbands.  Both
+read their grids in blocks through reused buffers and hold no grid-sized
+power or log array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Spectrogram
+from .core import BLOCK_FRAMES, Spectrogram, _band_peaks, _blocks, _power
 from .errors import InvalidArgumentError, MetricError
 
 __all__ = ["lsd", "rr"]
 
 ACTIVITY_THRESHOLD_DB = 40.0  # frames/bands this far below the peak count as silent
 DYNAMIC_RANGE_DB = 50.0
-
-
-def _active_frames(power: np.ndarray) -> np.ndarray:
-    frame_power = np.sum(power, axis=0)
-    peak = frame_power.max() if frame_power.size else 0.0
-    return frame_power > peak * 10.0 ** (-ACTIVITY_THRESHOLD_DB / 10.0)
 
 
 def lsd(clean: Spectrogram, test: Spectrogram) -> float:
@@ -43,27 +39,35 @@ def lsd(clean: Spectrogram, test: Spectrogram) -> float:
         )
     if clean.num_frames == 0:
         raise InvalidArgumentError("cannot compare empty spectrograms")
-    # Only active clean frames are averaged, so only they are logged, clipped
-    # and differenced, gathered frame-major so each frame's RMS sums its
-    # contiguous bins as a whole-grid pass would.  A silent clean side has
-    # no active frame.  Each side's top is the log of its peak power, which
-    # is the peak of its logs because log10 is monotone.
-    clean_power = clean.power()
-    active = _active_frames(clean_power)
-    if not active.any():
+    n_bands, n_frames = clean.bins.shape
+    # Frame-major block buffers (the first takes the clean power in the
+    # first pass), so each frame's power sums its contiguous bins as a
+    # whole-grid pass over stft's grid would.
+    log_clean = np.empty((BLOCK_FRAMES, n_bands))
+    log_test = np.empty_like(log_clean)
+    frame_power = np.empty(n_frames)
+    peak = 0.0
+    for s in range(0, n_frames, BLOCK_FRAMES):
+        block = clean.bins[:, s:s + BLOCK_FRAMES]
+        power = _power(block, out=log_clean[: block.shape[1]].T)
+        np.sum(power, axis=0, out=frame_power[s:s + block.shape[1]])
+        peak = max(peak, power.max())
+    active = frame_power > frame_power.max() * 10.0 ** (-ACTIVITY_THRESHOLD_DB / 10.0)
+    if not active.any():  # a silent clean side has no active frame
         return 0.0
+    # Only active clean frames are averaged, so only they are logged, clipped
+    # and differenced.  Each side's top is the log of its peak power, which
+    # is the peak of its logs because log10 is monotone.
+    per_frame = []
     with np.errstate(divide="ignore"):
-        top_clean = 10.0 * np.log10(clean_power.max())
-        log_clean = _clipped_db(clean_power.T[active], top_clean)
-        del clean_power
-        test_power = test.power()
-        top_test = 10.0 * np.log10(test_power.max())
+        top_clean = 10.0 * np.log10(peak)
+        top_test = 10.0 * np.log10(_band_peaks(test.bins).max())
         top_test = top_test if np.isfinite(top_test) else top_clean
-        log_test = _clipped_db(test_power.T[active], top_test)
-    del test_power
-    log_clean -= log_test
-    per_frame = np.sqrt(np.mean(np.square(log_clean, out=log_clean), axis=1))
-    return float(np.mean(per_frame))
+        for a, b in _blocks(active):
+            diff = _clipped_db(_power(clean.bins[:, a:b].T, out=log_clean[: b - a]), top_clean)
+            diff -= _clipped_db(_power(test.bins[:, a:b].T, out=log_test[: b - a]), top_test)
+            per_frame.append(np.sqrt(np.mean(np.square(diff, out=diff), axis=1)))
+    return float(np.mean(np.concatenate(per_frame)))
 
 
 def _clipped_db(power: np.ndarray, top: float) -> np.ndarray:
@@ -88,20 +92,25 @@ def rr(
     if clean.num_bands != reverberant.num_bands:
         raise InvalidArgumentError("clean reference bin count must match")
 
-    band_peak = clean.power().max(axis=1)
-    rev_power = reverberant.power()
+    band_peak = _band_peaks(clean.bins)
     global_peak = band_peak.max()
     silent = band_peak < global_peak * 10.0 ** (-ACTIVITY_THRESHOLD_DB / 10.0)
     if not silent.any():
         raise MetricError("no silent subbands below the activity threshold")
 
+    rev_energy, proc_energy = (_energies(g.bins, silent) for g in (reverberant, processed))
     tiny = np.finfo(np.float64).tiny
-    rev_energy = np.sum(rev_power[silent], axis=1)
-    del rev_power
-    proc_energy = np.sum(processed.power()[silent], axis=1)
     ratios = 10.0 * np.log10(
         np.maximum(rev_energy, tiny) / np.maximum(proc_energy, tiny)
     )
-    bands = np.nonzero(silent)[0]
-    per_band = [(int(k), float(v)) for k, v in zip(bands, ratios)]
+    per_band = [(int(k), float(v)) for k, v in zip(np.flatnonzero(silent), ratios)]
     return float(np.mean(ratios)), per_band
+
+
+def _energies(bins: np.ndarray, bands: np.ndarray) -> np.ndarray:
+    """The power of each band flagged in ``bands`` summed over all frames,
+    each as one pairwise sum over a contiguous row, BLOCK_FRAMES bands at a time."""
+    power = np.empty((BLOCK_FRAMES, bins.shape[1]))
+    return np.concatenate([
+        np.sum(_power(bins[a:b], out=power[: b - a]), axis=1) for a, b in _blocks(bands)
+    ])

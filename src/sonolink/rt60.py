@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _power, as_spectrogram
-from .errors import EstimationError, InvalidArgumentError
+from .core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _band_peaks, _power, as_spectrogram
+from .errors import EstimationError, InvalidArgumentError, _real
 
 __all__ = ["RtEstimate", "estimate_rt60"]
 
@@ -60,6 +60,7 @@ def estimate_rt60(
     Raises EstimationError when no band produces a valid fit (for example on
     silence or pure noise).
     """
+    threshold_db = _real(threshold_db, "threshold_db")
     if not (math.isfinite(threshold_db) and threshold_db >= 0.0):
         raise InvalidArgumentError(f"threshold_db must be finite and >= 0, got {threshold_db}")
     grid = as_spectrogram(buf, cfg)
@@ -72,9 +73,7 @@ def _estimate_from_bins(
     threshold_db: float = DEFAULT_THRESHOLD_DB,
 ) -> RtEstimate:
     """estimate_rt60 on a grid's [bands, frames] bins, for callers that hold them."""
-    peaks = np.zeros(bins.shape[0])
-    for s in range(0, bins.shape[1], BLOCK_FRAMES):
-        np.maximum(peaks, _power(bins[:, s:s + BLOCK_FRAMES]).max(axis=1), out=peaks)
+    peaks = _band_peaks(bins)
     top = peaks.max(initial=0.0)
     if top > 0.0:
         bands = np.flatnonzero(peaks >= top * 10.0 ** (-threshold_db / 10.0))

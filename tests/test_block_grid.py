@@ -12,7 +12,8 @@ frame between the smoothed, rectified and held values instead.  The two
 agree bit for bit because beta * carry is the product carry * beta, carry
 is exactly 0 before a bin's first valid frame, and 1 * carry + 0 is carry.
 Frame counts straddle the block size, and hops run from 1 sample to the
-whole window.
+whole window.  ``dereverberate``, which streams from STFT frames to
+overlap-add, must also equal its stages called one by one, byte for byte.
 """
 
 import math
@@ -28,6 +29,7 @@ from sonolink.core import (
     AudioBuffer,
     Spectrogram,
     StftConfig,
+    _band_peaks,
     default_stft_config,
     istft,
     make_window,
@@ -41,8 +43,8 @@ from sonolink.dereverb import (
     reverberant_psd,
     spectral_gain,
 )
-from sonolink.errors import EstimationError
-from sonolink.metrics import ACTIVITY_THRESHOLD_DB, DYNAMIC_RANGE_DB, lsd
+from sonolink.errors import EstimationError, MetricError
+from sonolink.metrics import ACTIVITY_THRESHOLD_DB, DYNAMIC_RANGE_DB, lsd, rr
 from sonolink.rt60 import estimate_rt60
 
 FRAME_COUNTS = [1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1]
@@ -136,6 +138,18 @@ def _reference_lsd(clean, test):
     return float(np.mean(per_frame[active]))
 
 
+def _reference_rr(reverberant, processed, clean):
+    # the whole-grid form: every grid's power, its silent rows gathered
+    band_peak = (np.abs(clean.bins) ** 2).max(axis=1)
+    silent = band_peak < band_peak.max() * 10.0 ** (-ACTIVITY_THRESHOLD_DB / 10.0)
+    if not silent.any():
+        return None
+    tiny = np.finfo(np.float64).tiny
+    rev, proc = (np.sum((np.abs(g.bins) ** 2)[silent], axis=1) for g in (reverberant, processed))
+    ratios = 10.0 * np.log10(np.maximum(rev, tiny) / np.maximum(proc, tiny))
+    return float(np.mean(ratios)), list(zip(np.flatnonzero(silent).tolist(), ratios.tolist()))
+
+
 def _block_mean(gain):
     """mean_gain as dereverberate keeps it: the sum of the sums of
     BLOCK_FRAMES-frame blocks of the frame-major gain, over the cell count."""
@@ -197,6 +211,13 @@ def _silence_in_second_block():
     x = np.random.default_rng(7).standard_normal((2 * BLOCK_FRAMES) * 2 + 8)
     x[BLOCK_FRAMES:3 * BLOCK_FRAMES] = 0.0
     return AudioBuffer(x, 8000), cfg
+
+
+def _fewer_frames_than_overlap():
+    # 65 frames at hop 1 under a 128-sample window, across two blocks: no
+    # chunk of the output is covered by all 128 frames
+    cfg = StftConfig(128, 1)
+    return AudioBuffer(np.random.default_rng(8).standard_normal(64 + 128), 8000), cfg
 
 
 @st.composite
@@ -292,6 +313,7 @@ def _held_in_second_block():
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(signals())
 @example(_silence_in_second_block())
+@example(_fewer_frames_than_overlap())
 def test_stft_power_and_istft_match_references(case):
     buf, cfg = case
     got = stft(buf, cfg)
@@ -326,6 +348,38 @@ def test_lsd_matches_reference(case):
         # the whole-grid form sums a row-major grid's bins across rows, in
         # another order than the gathered frames' contiguous sums
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lsd_pairs())
+def test_band_peaks_match_power_maxima(case):
+    # exact because rounding a square is monotone: max fl(a^2) = fl(max a)^2
+    for grid in case:
+        for bins in (grid.bins, grid.bins.astype(np.complex64)):
+            spec = Spectrogram(bins, grid.config, grid.sample_rate, grid.num_samples)
+            assert np.array_equal(_band_peaks(bins), spec.power().max(axis=1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lsd_pairs(), st.integers(0, 2**32 - 1))
+def test_rr_matches_reference(case, seed):
+    # silent bands in runs longer and shorter than a block of bands; each
+    # band's energy must be one pairwise sum over its frames, as the
+    # whole-grid form takes it
+    clean, processed = case
+    rng = np.random.default_rng(seed)
+    bins = clean.bins.copy()
+    bins[rng.random(clean.num_bands) < rng.choice([0.3, 0.9])] *= 1e-3
+    clean = Spectrogram(bins, clean.config, clean.sample_rate, clean.num_samples)
+    gains = rng.random((processed.num_bands, 1)) * 4.0
+    reverberant = Spectrogram(processed.bins * gains, clean.config, clean.sample_rate,
+                              clean.num_samples)
+    want = _reference_rr(reverberant, processed, clean)
+    if want is None:
+        with pytest.raises(MetricError):
+            rr(reverberant, processed, clean)
+    else:
+        assert rr(reverberant, processed, clean) == want
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -369,6 +423,39 @@ def test_dereverberate_matches_reference(case, rt60):
     assert diag.mean_gain == _block_mean(gains.gain)
 
 
+def _staged(buf, cfg, rt60):
+    # dereverberate's stages called one by one on whole grids, as perfbench's
+    # suppressor probe calls them
+    grid = stft(buf, cfg.stft)
+    if rt60 is None:
+        try:
+            rt60 = estimate_rt60(grid).rt60
+        except EstimationError:
+            rt60 = 0.5
+    power = grid.power()
+    period = grid.config.frame_period(grid.sample_rate)
+    gains = spectral_gain(power, reverberant_psd(power, ReverbModel(rt60), cfg, period), cfg)
+    shaped = Spectrogram(grid.bins * gains.gain, grid.config, grid.sample_rate, grid.num_samples)
+    return grid, istft(shaped), gains, rt60
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(signals(), st.sampled_from([None, 0.3, 1.5]))
+@example(_silence_in_second_block(), 0.3)
+@example(_fewer_frames_than_overlap(), None)
+def test_streamed_dereverberate_equals_its_stages(case, rt60):
+    # a recording with RT60 given streams from STFT frames to overlap-add; a
+    # grid, or a recording without RT60, is read a block at a time
+    buf, stft_cfg = case
+    cfg = DereverbConfig(stft=stft_cfg)
+    grid, want, gains, want_rt60 = _staged(buf, cfg, rt60)
+    for given_input in (buf, grid):
+        out, diag = dereverberate(given_input, cfg, rt60=rt60)
+        assert out.samples.tobytes() == want.samples.tobytes()
+        assert diag.rt60 == want_rt60
+        assert diag.mean_gain == _block_mean(gains.gain)
+
+
 def test_dereverberate_matches_reference_at_44k():
     # the default 2048/128 configuration on a decaying tone burst, blind
     fs = 44100
@@ -387,19 +474,27 @@ def test_dereverberate_matches_reference_at_44k():
     assert diag.mean_gain == _block_mean(gains.gain)
 
 
-# In units of the complex STFT grid.  dereverberate shapes the grid it
-# computed in place, one block of frames at a time, so it holds that grid,
-# block-sized power, PSD and gain buffers and the inverse transform's
-# sample-length buffers: about 1.2 grids.  A grid-sized float temporary
-# (half a grid) crosses this bound.
-MAX_PEAK_GRIDS = 1.5
-# stft holds its grid, the signal padded to whole frames and one block of
-# windowed frames.  An index array the size of the signal crosses this bound.
-MAX_STFT_PEAK_GRIDS = 1.1
-# lsd holds the clean power grid, then the test one, and the clipped logs of
-# the active clean frames of each side: 1.0 grids when half the clean frames
-# are active.  Logging whole grids took 2.0.
-MAX_LSD_PEAK_GRIDS = 1.25
+# In units of the complex STFT grid.  Blind, dereverberate holds the grid
+# its RT60 estimate reads, one block of frames in each of its buffers and
+# the overlap-add sum (one signal's float64 bytes, 1/16 grid at the default
+# configuration): about 1.15 grids.  A grid-sized float temporary (half a
+# grid) crosses this bound.
+MAX_PEAK_GRIDS = 1.25
+# With RT60 given it holds no grid: on a caller's grid it copies one block
+# at a time, so a whole copy (one grid) crosses this bound.
+MAX_GRID_INPUT_PEAK_GRIDS = 0.25
+# On a recording with RT60 given, in units of the recording's float64
+# bytes: the overlap-add sum is one, the block buffers a few MB (1.4 in all
+# at 60 s).  A grid is 16 of these at the default configuration.
+MAX_STREAM_PEAK_SIGNALS = 2.0
+# stft holds its grid, the padded last frame and one block of windowed
+# frames: about 1.02 grids.  A copy of the signal (1/16 grid) crosses this
+# bound.
+MAX_STFT_PEAK_GRIDS = 1.05
+# lsd and rr read their grids a block of frames (or bands) at a time through
+# reused buffers; a float power grid (half a grid) crosses these bounds.
+MAX_LSD_PEAK_GRIDS = 0.25
+MAX_RR_PEAK_GRIDS = 0.25
 # estimate_rt60 on a grid takes band peaks one block of frames at a time and
 # the power of one block of retained bands at a time; a float power grid
 # (half a grid) crosses this bound.
@@ -431,6 +526,17 @@ def test_dereverberate_memory_is_a_few_grids():
     for rt60 in (0.8, None):
         peak = _traced_peak(dereverberate, buf, cfg, rt60=rt60)
         assert peak < MAX_PEAK_GRIDS * grid_bytes, (rt60, peak / grid_bytes)
+    grid = stft(buf, cfg.stft)
+    peak = _traced_peak(dereverberate, grid, cfg, rt60=0.8)
+    assert peak < MAX_GRID_INPUT_PEAK_GRIDS * grid_bytes, peak / grid_bytes
+
+
+def test_dereverberate_with_rt60_holds_no_grid():
+    fs = 44100
+    buf = AudioBuffer(0.1 * np.random.default_rng(4).standard_normal(60 * fs), fs)
+    cfg = DereverbConfig(stft=default_stft_config(fs))
+    peak = _traced_peak(dereverberate, buf, cfg, rt60=0.8)
+    assert peak < MAX_STREAM_PEAK_SIGNALS * buf.samples.nbytes, peak / buf.samples.nbytes
 
 
 def test_estimate_rt60_on_a_grid_holds_no_power_grid():
@@ -461,3 +567,15 @@ def test_lsd_memory_logs_only_active_frames():
     test = stft(buf, cfg.stft)
     peak = _traced_peak(lsd, clean, test)
     assert peak < MAX_LSD_PEAK_GRIDS * grid_bytes, peak / grid_bytes
+
+
+def test_rr_memory_holds_no_power_grid():
+    buf, cfg, grid_bytes = _long_noise()
+    # a tone leaves nearly every band of the clean reference silent, as the
+    # bench's packets leave most of them, so rr reads almost every band
+    t = np.arange(len(buf)) / buf.sample_rate
+    clean = stft(AudioBuffer(np.sin(2 * np.pi * 1500.0 * t), buf.sample_rate), cfg.stft)
+    wet = stft(buf, cfg.stft)
+    peak = _traced_peak(rr, wet, wet, clean)
+    assert len(rr(wet, wet, clean)[1]) > 0.9 * cfg.stft.num_bins
+    assert peak < MAX_RR_PEAK_GRIDS * grid_bytes, peak / grid_bytes

@@ -59,7 +59,7 @@ def test_decay_constant_validation():
         decay_constant(-1.0)
 
 
-@pytest.mark.parametrize("rt60", [math.nan, math.inf])
+@pytest.mark.parametrize("rt60", [math.nan, math.inf, "1", True])
 def test_non_finite_rt60_is_rejected(rt60):
     with pytest.raises(InvalidArgumentError, match="rt60"):
         decay_constant(rt60)

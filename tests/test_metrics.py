@@ -133,15 +133,6 @@ def test_rr_needs_silent_bands():
         rr(spec, spec, spec)
 
 
-def test_rr_takes_each_power_once(monkeypatch):
-    clean, reverberant, processed = _rr_triple()
-    calls = []
-    power = Spectrogram.power
-    monkeypatch.setattr(Spectrogram, "power", lambda self: calls.append(self) or power(self))
-    rr(reverberant, processed, clean)
-    assert calls == [clean, reverberant, processed]
-
-
 def test_rr_shape_mismatch():
     a = _random_spec(0, frames=4)
     b = _random_spec(0, frames=5)

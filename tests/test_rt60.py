@@ -273,7 +273,9 @@ def test_subband_all_zero():
         estimate_rt60(_grid(np.zeros((3, 30))))
 
 
-@pytest.mark.parametrize("threshold_db", [-10.0, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "threshold_db", [-10.0, float("nan"), float("inf"), -float("inf"), "40", True]
+)
 def test_bad_threshold_is_rejected(threshold_db):
     with pytest.raises(InvalidArgumentError, match="threshold_db"):
         estimate_rt60(_burst(0.4, seed=0), SMALL, threshold_db=threshold_db)

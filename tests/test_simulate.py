@@ -66,6 +66,7 @@ class TestSpecs:
             ({"rt60": None}, "rt60 must be a number"),
             ({"length": "2"}, "length must be a number"),
             ({"direct_gain": "0.7"}, "direct_gain must be a number"),
+            ({"rt60": True}, "rt60 must be a number, got True"),
         ],
     )
     def test_rir_spec_field_types(self, kwargs, match):
@@ -79,6 +80,7 @@ class TestSpecs:
             ({"snr_db": "20"}, "snr_db must be a number, got '20'"),
             ({"normalize": "0.9"}, "normalize must be a number"),
             ({"rir": "room.wav"}, "rir must be an AudioBuffer or a RirSpec, got 'room.wav'"),
+            ({"snr_db": True}, "snr_db must be a number, got True"),
         ],
     )
     def test_channel_spec_field_types(self, kwargs, match):
