@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -28,14 +27,13 @@ import numpy as np
 
 from .core import AudioBuffer, default_stft_config, stft
 from .dereverb import DereverbConfig, dereverberate
-from .errors import EstimationError, InvalidArgumentError, SonolinkError, _check_fields, _sample_rate
+from .errors import EstimationError, InvalidArgumentError, SonolinkError, _check_fields, _real, _sample_rate
 from .metrics import lsd, rr
 from .modem import Packet, decode_packet, encode_packet, profile_by_name, tone_frequencies
 from .rt60 import estimate_rt60
 from .simulate import ChannelSpec, CorpusEntry, RirSpec, apply_channel, load_rir_corpus, synth_rir
 
 __all__ = [
-    "SCHEMA_VERSION",
     "BenchConfig",
     "RirRow",
     "BenchReport",
@@ -44,7 +42,7 @@ __all__ = [
     "write_report",
 ]
 
-SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 1
 
 # Domain separators for per-item seed derivation; arbitrary but frozen, so
 # reports stay reproducible across releases.
@@ -85,10 +83,10 @@ class BenchConfig:
             reals=("direct_gain", "snr_db"),
             optional=("threads", "snr_db"),
         )
-        if not isinstance(self.rt60_values, (tuple, list)) or not all(
-            isinstance(v, numbers.Real) for v in self.rt60_values
-        ):
+        if not isinstance(self.rt60_values, (tuple, list)):
             raise InvalidArgumentError(f"rt60_values must be numbers, got {self.rt60_values!r}")
+        for value in self.rt60_values:
+            _real(value, "rt60_values")
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
         if self.packets_per_rir < 1:
@@ -146,7 +144,7 @@ class BenchReport:
     rows: list[RirRow]
     aggregates: dict
     errors: list[dict]
-    schema_version: int = SCHEMA_VERSION
+    schema_version: int = _SCHEMA_VERSION
 
     def to_dict(self) -> dict:
         return asdict(self)

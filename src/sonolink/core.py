@@ -29,7 +29,6 @@ __all__ = [
     "StftConfig",
     "Spectrogram",
     "default_stft_config",
-    "make_window",
     "stft",
     "as_spectrogram",
     "istft",
@@ -192,7 +191,7 @@ def _blocks(mask: np.ndarray):
             yield s, min(s + BLOCK_FRAMES, b)
 
 
-def make_window(length: int) -> np.ndarray:
+def _make_window(length: int) -> np.ndarray:
     """Periodic Hann window of the given length.
 
     Parameters
@@ -235,7 +234,7 @@ class _Frames:
         chunks = np.concatenate([np.any(x[: (n - 1) * hop].reshape(n - 1, hop), axis=1),
                                  np.any(self.last.reshape(-1, hop), axis=1)])
         self.live = np.any(windows(chunks, win // hop), axis=1)
-        self.window = make_window(win)
+        self.window = _make_window(win)
         self.windowed = np.empty((BLOCK_FRAMES, win))
 
     def rfft(self, s: int, out: np.ndarray) -> None:
@@ -304,7 +303,7 @@ class _OverlapAdd:
         if n_frames < 1:
             raise InvalidArgumentError("cannot invert an empty spectrogram")
         self.n_frames, self.overlap = n_frames, cfg.window_length // cfg.hop
-        self.window = make_window(cfg.window_length)
+        self.window = _make_window(cfg.window_length)
         self.out = np.zeros((n_frames + self.overlap - 1, cfg.hop))
         self.frames = np.empty((BLOCK_FRAMES, cfg.window_length))
 

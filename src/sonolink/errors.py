@@ -34,11 +34,13 @@ class MetricError(SonolinkError):
 
 def _integer(value, what: str) -> int:
     """``value`` as an int; :class:`InvalidArgumentError` naming ``what`` if
-    it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
+    it is not an integer (a bool is not)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
 
 
 def _sample_rate(value) -> int:

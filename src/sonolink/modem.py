@@ -41,12 +41,8 @@ __all__ = [
     "PROFILES",
     "profile_by_name",
     "tone_frequencies",
-    "pack_symbols",
-    "unpack_payload",
-    "packet_symbols",
     "encode_packet",
     "detect_preamble",
-    "demodulate_symbols",
     "decode_packet",
 ]
 
@@ -121,6 +117,8 @@ class Packet:
     payload: bytes
 
     def __post_init__(self):
+        if not isinstance(self.payload, (bytes, bytearray, memoryview)):
+            raise InvalidArgumentError(f"payload must be bytes, got {type(self.payload).__name__}")
         self.payload = bytes(self.payload)
         if not 1 <= len(self.payload) <= ProtocolProfile.max_payload_bytes:
             raise InvalidArgumentError("payload must be 1..16 bytes")
@@ -149,7 +147,7 @@ class DecodeResult:
 # ---------------------------------------------------------------------------
 # bit packing
 
-def pack_symbols(payload: bytes) -> list[int]:
+def _pack_symbols(payload: bytes) -> list[int]:
     """Pack bytes into 5-bit symbols, MSB first, zero-padded at the tail."""
     if not payload:
         return []
@@ -162,8 +160,8 @@ def pack_symbols(payload: bytes) -> list[int]:
     ]
 
 
-def unpack_payload(symbols, n_bytes: int) -> bytes:
-    """Inverse of pack_symbols: recover n_bytes from the symbol stream."""
+def _unpack_payload(symbols, n_bytes: int) -> bytes:
+    """Inverse of _pack_symbols: recover n_bytes from the symbol stream."""
     symbols = list(symbols)
     if n_bytes < 0 or len(symbols) * rs.SYMBOL_BITS < 8 * n_bytes:
         raise InvalidArgumentError("not enough symbols for the requested byte count")
@@ -189,9 +187,9 @@ def _rs_blocks(n_data: int, nparity: int) -> list[tuple[slice, slice]]:
     ]
 
 
-def packet_symbols(pkt: Packet, profile: ProtocolProfile) -> list[int]:
+def _packet_symbols(pkt: Packet, profile: ProtocolProfile) -> list[int]:
     """Body symbols of a packet: length, payload data, then parity groups."""
-    data = pack_symbols(pkt.payload)
+    data = _pack_symbols(pkt.payload)
     blocks = _rs_blocks(len(data), profile.rs_parity)
     body = data + [0] * (blocks[-1][1].stop - len(data))
     for d, p in blocks:
@@ -226,7 +224,7 @@ def encode_packet(pkt: Packet, profile: ProtocolProfile, sample_rate: int) -> Au
     the packed payload symbols, and the Reed-Solomon parity symbols, each a
     ramped sinusoid of ``symbol_duration`` seconds at peak amplitude 0.5.
     """
-    symbols = list(profile.preamble) + packet_symbols(pkt, profile)
+    symbols = list(profile.preamble) + _packet_symbols(pkt, profile)
     bank = _tone_bank(profile, sample_rate)
     return AudioBuffer(bank[symbols].reshape(-1), sample_rate)
 
@@ -338,7 +336,7 @@ def detect_preamble(buf: AudioBuffer, profile: ProtocolProfile) -> list[int]:
     return candidates
 
 
-def demodulate_symbols(
+def _demodulate_symbols(
     buf: AudioBuffer, start_offset: int, count: int, profile: ProtocolProfile
 ) -> tuple[np.ndarray, np.ndarray]:
     """Demodulate ``count`` symbols starting at a sample offset.
@@ -385,11 +383,11 @@ def _decode_at(buf: AudioBuffer, offset: int, profile: ProtocolProfile) -> Decod
     """
     sym = profile.symbol_samples(buf.sample_rate)
     try:
-        n_bytes = int(demodulate_symbols(buf, offset + 2 * sym, 1, profile)[0][0])
+        n_bytes = int(_demodulate_symbols(buf, offset + 2 * sym, 1, profile)[0][0])
         if not 1 <= n_bytes <= profile.max_payload_bytes:
             return DecodeResult(None, offset, failure="length-symbol-invalid")
         blocks = _rs_blocks(-(-8 * n_bytes // rs.SYMBOL_BITS), profile.rs_parity)
-        symbols, confidences = demodulate_symbols(buf, offset + 3 * sym, blocks[-1][1].stop, profile)
+        symbols, confidences = _demodulate_symbols(buf, offset + 3 * sym, blocks[-1][1].stop, profile)
     except InvalidArgumentError:
         return DecodeResult(None, offset, failure="length-symbol-invalid")
 
@@ -408,13 +406,15 @@ def _decode_at(buf: AudioBuffer, offset: int, profile: ProtocolProfile) -> Decod
             decoded, fixed = rs.rs_decode(codeword, profile.rs_parity, erasures=weak)
             erasures_used += len(weak)
         except FecError:
+            if not weak.size:  # errors-only was the attempt that just failed
+                return DecodeResult(None, offset, failure="fec-failure")
             try:
                 decoded, fixed = rs.rs_decode(codeword, profile.rs_parity)
             except FecError:
                 return DecodeResult(None, offset, failure="fec-failure")
         data.extend(decoded)
         corrected += fixed
-    return DecodeResult(unpack_payload(data, n_bytes), offset, corrected, erasures_used)
+    return DecodeResult(_unpack_payload(data, n_bytes), offset, corrected, erasures_used)
 
 
 _FAILURES = ("no-preamble", "length-symbol-invalid", "fec-failure")  # ascending progress

@@ -6,10 +6,10 @@ element 2, and the code generator polynomial takes roots at consecutive
 powers alpha^1..alpha^nparity (systematic encoding, parity appended).
 
 Decoding corrects any corruption satisfying 2*errors + erasures <= nparity:
-syndromes -> erasure locator -> Forney syndromes -> Berlekamp-Massey ->
-Chien search -> Forney magnitudes, followed by a syndrome re-check so a
-pattern beyond capability is reported as a failure instead of silently
-returning wrong data.
+syndromes -> Berlekamp-Massey seeded with the erasure locator -> Chien
+search -> Forney magnitudes, followed by a syndrome re-check so a pattern
+beyond capability is reported as a failure instead of silently returning
+wrong data.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ __all__ = [
     "FIELD_SIZE",
     "SYMBOL_BITS",
     "MAX_CODEWORD",
-    "gf_mul",
-    "gf_div",
-    "gf_pow",
-    "generator_poly",
-    "poly_eval",
     "rs_encode",
     "rs_decode",
 ]
@@ -51,13 +46,13 @@ for _i in range(MAX_CODEWORD, 2 * MAX_CODEWORD):
 del _value, _i
 
 
-def gf_mul(a: int, b: int) -> int:
+def _gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
     return _EXP[_LOG[a] + _LOG[b]]
 
 
-def gf_div(a: int, b: int) -> int:
+def _gf_div(a: int, b: int) -> int:
     if b == 0:
         raise ZeroDivisionError("GF(32) division by zero")
     if a == 0:
@@ -65,7 +60,7 @@ def gf_div(a: int, b: int) -> int:
     return _EXP[(_LOG[a] - _LOG[b]) % MAX_CODEWORD]
 
 
-def gf_pow(a: int, n: int) -> int:
+def _gf_pow(a: int, n: int) -> int:
     if a == 0:
         if n == 0:
             return 1
@@ -81,39 +76,23 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
             continue
         for j, cb in enumerate(b):
             if cb:
-                out[i + j] ^= gf_mul(ca, cb)
+                out[i + j] ^= _gf_mul(ca, cb)
     return out
 
 
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, cb in enumerate(b):
-        out[i] ^= cb
-    return out
-
-
-def poly_eval(poly: list[int], x: int) -> int:
+def _poly_eval(poly: list[int], x: int) -> int:
     """Evaluate an ascending-order polynomial at x (Horner)."""
     acc = 0
     for coef in reversed(poly):
-        acc = gf_mul(acc, x) ^ coef
+        acc = _gf_mul(acc, x) ^ coef
     return acc
 
 
-def _poly_degree(poly: list[int]) -> int:
-    for i in range(len(poly) - 1, -1, -1):
-        if poly[i]:
-            return i
-    return 0
-
-
-def generator_poly(nparity: int) -> list[int]:
+def _generator_poly(nparity: int) -> list[int]:
     """Monic generator with roots at alpha^1..alpha^nparity, ascending order."""
     g = [1]
     for i in range(nparity):
-        g = _poly_mul(g, [gf_pow(_GENERATOR, _FCR + i), 1])
+        g = _poly_mul(g, [_gf_pow(_GENERATOR, _FCR + i), 1])
     return g
 
 
@@ -143,7 +122,7 @@ def rs_encode(data, nparity: int) -> list[int]:
         raise InvalidArgumentError(
             f"codeword length {len(data) + nparity} exceeds {MAX_CODEWORD}"
         )
-    gen = generator_poly(nparity)
+    gen = _generator_poly(nparity)
     # synthetic division of data(x) * x^nparity by the generator;
     # gen is monic so remainder coefficients accumulate in place
     gen_desc = gen[::-1]
@@ -152,7 +131,7 @@ def rs_encode(data, nparity: int) -> list[int]:
         coef = work[i]
         if coef:
             for j in range(1, nparity + 1):
-                work[i + j] ^= gf_mul(gen_desc[j], coef)
+                work[i + j] ^= _gf_mul(gen_desc[j], coef)
     return data + work[len(data):]
 
 
@@ -160,39 +139,12 @@ def _syndromes(codeword: list[int], nparity: int) -> list[int]:
     # codeword is in transmission order: first symbol = highest power of x
     out = []
     for j in range(nparity):
-        root = gf_pow(_GENERATOR, _FCR + j)
+        root = _gf_pow(_GENERATOR, _FCR + j)
         acc = 0
         for coef in codeword:
-            acc = gf_mul(acc, root) ^ coef
+            acc = _gf_mul(acc, root) ^ coef
         out.append(acc)
     return out
-
-
-def _berlekamp_massey(seq: list[int]) -> list[int]:
-    # errors-only locator for a syndrome sequence, ascending order
-    lam = [1]
-    prev = [1]
-    length = 0
-    shift = 1
-    prev_delta = 1
-    for r, _ in enumerate(seq):
-        delta = seq[r]
-        for i in range(1, length + 1):
-            if i < len(lam) and lam[i] and r - i >= 0:
-                delta ^= gf_mul(lam[i], seq[r - i])
-        if delta == 0:
-            shift += 1
-            continue
-        scaled = [0] * shift + [gf_mul(gf_div(delta, prev_delta), c) for c in prev]
-        if 2 * length <= r:
-            prev, prev_delta = lam, delta
-            lam = _poly_add(lam, scaled)
-            length = r + 1 - length
-            shift = 1
-        else:
-            lam = _poly_add(lam, scaled)
-            shift += 1
-    return lam[: _poly_degree(lam) + 1]
 
 
 def rs_decode(codeword, nparity: int, erasures=()) -> tuple[list[int], int]:
@@ -240,28 +192,43 @@ def rs_decode(codeword, nparity: int, erasures=()) -> tuple[list[int], int]:
         raise FecError(f"{n_erasures} erasures exceed parity budget {nparity}")
 
     # locators X = alpha^(n-1-i) for transmission index i
-    erasure_locators = [gf_pow(_GENERATOR, n - 1 - e) for e in erasure_set]
+    erasure_locators = [_gf_pow(_GENERATOR, n - 1 - e) for e in erasure_set]
     gamma = [1]
     for loc in erasure_locators:
         gamma = _poly_mul(gamma, [1, loc])
 
-    # Forney syndromes confine erasure contributions to degrees < n_erasures,
-    # so the tail follows the unknown-errors recurrence alone
-    forney = _poly_mul(synd, gamma)[:nparity]
-    err_lam = _berlekamp_massey(forney[n_erasures:])
-    n_errors = _poly_degree(err_lam)
+    # Berlekamp-Massey seeded with the erasure locator (Blahut 1983): the
+    # erasures stand for its first n_erasures steps, and the remaining
+    # syndromes extend gamma to the errata locator psi.  ``prev`` is the
+    # locator before the last length change, over its discrepancy.
+    psi, prev, length = gamma, gamma, n_erasures
+    for r in range(n_erasures, nparity):
+        prev = [0] + prev
+        delta = 0
+        for j, coef in enumerate(psi[: r + 1]):
+            delta ^= _gf_mul(coef, synd[r - j])
+        if delta:
+            update = psi + [0] * (len(prev) - len(psi))
+            for i, coef in enumerate(prev):
+                update[i] ^= _gf_mul(delta, coef)
+            if 2 * length <= r + n_erasures:
+                prev = [_gf_div(coef, delta) for coef in psi]
+                length = r + 1 + n_erasures - length
+            psi = update
+    while not psi[-1]:
+        psi.pop()
+    psi_degree = len(psi) - 1
+    n_errors = psi_degree - n_erasures
     if 2 * n_errors + n_erasures > nparity:
         raise FecError(
             f"corruption beyond capability: 2*{n_errors} errors + {n_erasures} erasures > {nparity}"
         )
 
-    psi = _poly_mul(err_lam, gamma)
-    psi_degree = _poly_degree(psi)
     root_positions = []
     root_inverses = []
     for i in range(n):
-        x_inv = gf_pow(_GENERATOR, (i - (n - 1)) % MAX_CODEWORD)
-        if poly_eval(psi, x_inv) == 0:
+        x_inv = _gf_pow(_GENERATOR, (i - (n - 1)) % MAX_CODEWORD)
+        if _poly_eval(psi, x_inv) == 0:
             root_positions.append(i)
             root_inverses.append(x_inv)
     if len(root_positions) != psi_degree:
@@ -273,10 +240,10 @@ def rs_decode(codeword, nparity: int, erasures=()) -> tuple[list[int], int]:
 
     corrected = list(received)
     for pos, x_inv in zip(root_positions, root_inverses):
-        denom = poly_eval(psi_prime, x_inv)
+        denom = _poly_eval(psi_prime, x_inv)
         if denom == 0:
             raise FecError("degenerate locator derivative")
-        magnitude = gf_div(poly_eval(omega, x_inv), denom)
+        magnitude = _gf_div(_poly_eval(omega, x_inv), denom)
         # with first root exponent 1 the X^(1-fcr) factor is X^0 = 1
         corrected[pos] ^= magnitude
 

@@ -78,6 +78,9 @@ class TestConfig:
             ({"profile": None}, "profile"),
             ({"seed": -1}, "seed"),
             ({"sample_rate": True}, "sample_rate must be a positive integer"),
+            ({"packets_per_rir": True}, "packets_per_rir must be an integer, got True"),
+            ({"seed": False}, "seed must be an integer, got False"),
+            ({"rt60_values": (True,)}, "rt60_values must be a number, got True"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):

@@ -30,9 +30,9 @@ from sonolink.core import (
     Spectrogram,
     StftConfig,
     _band_peaks,
+    _make_window,
     default_stft_config,
     istft,
-    make_window,
     stft,
 )
 from sonolink.dereverb import (
@@ -58,7 +58,7 @@ def _reference_stft(buf, cfg):
     if padded_len > x.size:
         x = np.concatenate([x, np.zeros(padded_len - x.size)])
     frames = np.lib.stride_tricks.sliding_window_view(x, win)[:: cfg.hop]
-    bins = np.fft.rfft(frames * make_window(win), axis=1).T
+    bins = np.fft.rfft(frames * _make_window(win), axis=1).T
     return Spectrogram(bins=bins, config=cfg, sample_rate=buf.sample_rate,
                        num_samples=buf.samples.size)
 
@@ -67,7 +67,7 @@ def _reference_istft(spec):
     cfg = spec.config
     win = cfg.window_length
     n_frames = spec.num_frames
-    window = make_window(win)
+    window = _make_window(win)
     frames = np.fft.irfft(spec.bins.T, n=win, axis=1) * window
     total = (n_frames - 1) * cfg.hop + win
     out = np.zeros(total)

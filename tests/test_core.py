@@ -12,10 +12,10 @@ from sonolink.core import (
     Spectrogram,
     StftConfig,
     _fast_length,
+    _make_window,
     convolve,
     default_stft_config,
     istft,
-    make_window,
     stft,
 )
 from sonolink.errors import InvalidArgumentError
@@ -84,22 +84,22 @@ def test_numpy_integer_sample_rate_is_stored_as_int(kind):
 
 class TestWindow:
     def test_length_four_oracle(self):
-        assert np.allclose(make_window(4), [0.0, 0.5, 1.0, 0.5], atol=1e-15)
+        assert np.allclose(_make_window(4), [0.0, 0.5, 1.0, 0.5], atol=1e-15)
 
     def test_length_two_oracle(self):
-        assert np.allclose(make_window(2), [0.0, 1.0], atol=1e-15)
+        assert np.allclose(_make_window(2), [0.0, 1.0], atol=1e-15)
 
     def test_starts_at_zero(self):
-        assert make_window(64)[0] == 0.0
+        assert _make_window(64)[0] == 0.0
 
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
-            make_window(1)
+            _make_window(1)
 
     @pytest.mark.parametrize("length,hop", [(16, 2), (16, 4), (64, 8), (2048, 128)])
     def test_ola_constant(self, length, hop):
         # shifted copies of a periodic Hann window sum to length/(2*hop)
-        w = make_window(length)
+        w = _make_window(length)
         acc = np.zeros(6 * length)
         for start in range(0, acc.size - length + 1, hop):
             acc[start:start + length] += w
@@ -109,7 +109,7 @@ class TestWindow:
     @pytest.mark.parametrize("length,hop", [(16, 2), (2048, 128)])
     def test_squared_ola_constant(self, length, hop):
         # sum of w^2 shifts = 0.375 * length / hop (so 6.0 for the default config)
-        w = make_window(length) ** 2
+        w = _make_window(length) ** 2
         acc = np.zeros(6 * length)
         for start in range(0, acc.size - length + 1, hop):
             acc[start:start + length] += w

@@ -20,8 +20,8 @@ from sonolink.modem import (
     AUDIBLE,
     ULTRASONIC,
     Packet,
+    _demodulate_symbols,
     decode_packet,
-    demodulate_symbols,
     encode_packet,
     tone_frequencies,
 )
@@ -92,7 +92,7 @@ def slots(draw):
 @given(slots())
 def test_kernel_demodulation_matches_gather(case):
     profile, buf, start, count, kind = case
-    got_symbols, got_conf = demodulate_symbols(buf, start, count, profile)
+    got_symbols, got_conf = _demodulate_symbols(buf, start, count, profile)
     want_symbols, want_conf = _reference_demodulate(buf, start, count, profile)
 
     clear = want_conf > 1.0 + REL_TOL
@@ -100,7 +100,7 @@ def test_kernel_demodulation_matches_gather(case):
     assert np.allclose(got_conf, want_conf, rtol=REL_TOL, atol=0.0)
 
     if kind.endswith("packet"):
-        with mock.patch.object(modem, "demodulate_symbols", _reference_demodulate):
+        with mock.patch.object(modem, "_demodulate_symbols", _reference_demodulate):
             want = decode_packet(buf, profile)
         got = decode_packet(buf, profile)
         assert (got.payload, got.preamble_offset, got.failure) == (

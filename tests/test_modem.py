@@ -19,15 +19,15 @@ from sonolink.modem import (
     Packet,
     ProtocolProfile,
     _decode_at,
+    _demodulate_symbols,
+    _pack_symbols,
+    _packet_symbols,
+    _unpack_payload,
     decode_packet,
-    demodulate_symbols,
     detect_preamble,
     encode_packet,
-    pack_symbols,
-    packet_symbols,
     profile_by_name,
     tone_frequencies,
-    unpack_payload,
 )
 from sonolink.simulate import ChannelSpec, RirSpec, apply_channel
 
@@ -37,24 +37,24 @@ from sonolink.simulate import ChannelSpec, RirSpec, apply_channel
 
 
 def test_pack_symbols_oracles():
-    assert pack_symbols(b"\xff") == [31, 28]
-    assert pack_symbols(b"\x00") == [0, 0]
-    assert pack_symbols(b"\x00\x01") == [0, 0, 0, 16]
-    assert pack_symbols(b"") == []
+    assert _pack_symbols(b"\xff") == [31, 28]
+    assert _pack_symbols(b"\x00") == [0, 0]
+    assert _pack_symbols(b"\x00\x01") == [0, 0, 0, 16]
+    assert _pack_symbols(b"") == []
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.binary(min_size=0, max_size=16))
 def test_pack_unpack_roundtrip(payload):
-    symbols = pack_symbols(payload)
+    symbols = _pack_symbols(payload)
     assert len(symbols) == -(-8 * len(payload) // 5)
     assert all(0 <= s < 32 for s in symbols)
-    assert unpack_payload(symbols, len(payload)) == payload
+    assert _unpack_payload(symbols, len(payload)) == payload
 
 
 def test_unpack_needs_enough_symbols():
     with pytest.raises(InvalidArgumentError):
-        unpack_payload([1, 2], 2)  # 10 bits cannot hold 16
+        _unpack_payload([1, 2], 2)  # 10 bits cannot hold 16
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +132,17 @@ def test_packet_validation():
     assert Packet(b"\x01").payload == b"\x01"
 
 
+@pytest.mark.parametrize("payload", [5, True, "hi", [1, 2], None])
+def test_packet_payload_must_be_bytes_like(payload):
+    with pytest.raises(InvalidArgumentError, match="payload must be bytes"):
+        Packet(payload)
+
+
+def test_packet_takes_any_bytes_like_payload():
+    for payload in (bytearray(b"hi"), memoryview(b"hi")):
+        assert Packet(payload).payload == b"hi"
+
+
 @pytest.mark.parametrize(
     "n_bytes,expected_body",
     [
@@ -143,7 +154,7 @@ def test_packet_validation():
     ],
 )
 def test_packet_symbol_counts(n_bytes, expected_body):
-    body = packet_symbols(Packet(bytes(range(1, n_bytes + 1))), AUDIBLE)
+    body = _packet_symbols(Packet(bytes(range(1, n_bytes + 1))), AUDIBLE)
     assert len(body) == expected_body
     assert body[0] == n_bytes
 
@@ -296,18 +307,18 @@ def test_ambiguous_symbols_become_erasures():
 def test_demodulate_validation():
     buf = encode_packet(Packet(b"\x01"), AUDIBLE, 44100)
     with pytest.raises(InvalidArgumentError):
-        demodulate_symbols(buf, 0, 0, AUDIBLE)
+        _demodulate_symbols(buf, 0, 0, AUDIBLE)
     with pytest.raises(InvalidArgumentError, match="exceed"):
-        demodulate_symbols(buf, 0, 1000, AUDIBLE)
+        _demodulate_symbols(buf, 0, 1000, AUDIBLE)
     with pytest.raises(InvalidArgumentError):
-        demodulate_symbols(buf, -5, 1, AUDIBLE)
+        _demodulate_symbols(buf, -5, 1, AUDIBLE)
 
 
 def test_demodulate_reads_back_symbols():
     pkt = Packet(b"\x5a\xc3")
-    expected = list(AUDIBLE.preamble) + packet_symbols(pkt, AUDIBLE)
+    expected = list(AUDIBLE.preamble) + _packet_symbols(pkt, AUDIBLE)
     buf = encode_packet(pkt, AUDIBLE, 44100)
-    symbols, confidences = demodulate_symbols(buf, 0, len(expected), AUDIBLE)
+    symbols, confidences = _demodulate_symbols(buf, 0, len(expected), AUDIBLE)
     assert symbols.tolist() == expected
     assert np.all(confidences > 1.5)
 
@@ -316,13 +327,13 @@ def test_noise_never_raises_mean_confidence():
     """Statistical monotonicity: 100 noisy trials, none more confident than clean."""
     pkt = Packet(b"\x5a\xc3\x99\x01")
     buf = encode_packet(pkt, AUDIBLE, 44100)
-    count = 2 + len(packet_symbols(pkt, AUDIBLE))
-    _, conf_clean = demodulate_symbols(buf, 0, count, AUDIBLE)
+    count = 2 + len(_packet_symbols(pkt, AUDIBLE))
+    _, conf_clean = _demodulate_symbols(buf, 0, count, AUDIBLE)
     clean_mean = conf_clean.mean()
     below = 0
     for trial in range(100):
         noise = np.random.default_rng(trial).standard_normal(len(buf)) * 0.05
-        _, conf = demodulate_symbols(
+        _, conf = _demodulate_symbols(
             AudioBuffer(buf.samples + noise, 44100), 0, count, AUDIBLE
         )
         below += conf.mean() <= clean_mean

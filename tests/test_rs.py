@@ -5,6 +5,8 @@ multiply-and-reduce, and the generator polynomial against an independent
 root-by-root product, so the tables under test never verify themselves.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,15 +39,15 @@ def slow_mul(a: int, b: int) -> int:
 def test_gf_mul_matches_brute_force_everywhere():
     for a in range(32):
         for b in range(32):
-            assert rs.gf_mul(a, b) == slow_mul(a, b)
+            assert rs._gf_mul(a, b) == slow_mul(a, b)
 
 
 def test_gf_div():
     for a in range(32):
         for b in range(1, 32):
-            assert rs.gf_mul(rs.gf_div(a, b), b) == a
+            assert rs._gf_mul(rs._gf_div(a, b), b) == a
     with pytest.raises(ZeroDivisionError):
-        rs.gf_div(5, 0)
+        rs._gf_div(5, 0)
 
 
 def test_gf_pow():
@@ -53,14 +55,14 @@ def test_gf_pow():
         expected = 1
         for _ in range(n):
             expected = slow_mul(expected, 3)
-        assert rs.gf_pow(3, n) == expected
-    assert rs.gf_pow(0, 0) == 1
-    assert rs.gf_pow(0, 5) == 0
+        assert rs._gf_pow(3, n) == expected
+    assert rs._gf_pow(0, 0) == 1
+    assert rs._gf_pow(0, 5) == 0
 
 
 def test_generator_element_has_full_order():
     # powers of 2 must enumerate every nonzero element exactly once
-    seen = {rs.gf_pow(2, i) for i in range(31)}
+    seen = {rs._gf_pow(2, i) for i in range(31)}
     assert seen == set(range(1, 32))
 
 
@@ -85,15 +87,15 @@ def _slow_generator(nparity: int) -> list[int]:
 
 @pytest.mark.parametrize("nparity", [1, 2, 4, 8])
 def test_generator_poly_oracle(nparity):
-    assert rs.generator_poly(nparity) == _slow_generator(nparity)
+    assert rs._generator_poly(nparity) == _slow_generator(nparity)
 
 
 def test_generator_poly_roots():
-    g = rs.generator_poly(8)
+    g = rs._generator_poly(8)
     for j in range(1, 9):
-        assert rs.poly_eval(g, rs.gf_pow(2, j)) == 0
+        assert rs._poly_eval(g, rs._gf_pow(2, j)) == 0
     # alpha^0 must NOT be a root (first root exponent is 1)
-    assert rs.poly_eval(g, 1) != 0
+    assert rs._poly_eval(g, 1) != 0
 
 
 def test_encode_systematic_and_valid():
@@ -106,7 +108,7 @@ def test_encode_systematic_and_valid():
         assert len(cw) == k + 8
         # codeword polynomial evaluates to zero at every generator root
         for j in range(1, 9):
-            root = rs.gf_pow(2, j)
+            root = rs._gf_pow(2, j)
             acc = 0
             for c in cw:
                 acc = slow_mul(acc, root) ^ c
@@ -124,6 +126,8 @@ def test_encode_bounds():
         rs.rs_encode([1, 2], 0)
     with pytest.raises(InvalidArgumentError, match="nparity must be an integer"):
         rs.rs_encode([1, 2], 2.5)
+    with pytest.raises(InvalidArgumentError, match="data symbol must be an integer, got True"):
+        rs.rs_encode([True, False], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +220,46 @@ def test_error_erasure_bound_at_every_parity(case):
     decoded, fixed = rs.rs_decode(corrupted, nparity, erasures=erasures)
     assert decoded == data
     assert fixed <= e
+
+
+@pytest.mark.parametrize("nparity", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2])
+def test_decode_matches_a_bounded_distance_oracle(k, nparity):
+    """Random received words and erasure sets on a short code decode as a
+    search over every codeword says: a clean word as it is, f > nparity as a
+    failure, else the unique codeword with 2e + f <= nparity, else a failure.
+    """
+    codes = np.array([rs.rs_encode(list(data), nparity)
+                      for data in itertools.product(range(32), repeat=k)])
+    n = k + nparity
+    rng = np.random.default_rng(10 * k + nparity)
+    seen = set()
+    for _ in range(400):
+        received = codes[rng.integers(len(codes))].copy()
+        hit = rng.random(n) < rng.random()
+        received[hit] = rng.integers(0, 32, hit.sum())
+        erasures = rng.choice(n, size=rng.integers(0, nparity + 2), replace=False)
+        outside = np.ones(n, dtype=bool)
+        outside[erasures] = False
+        errors = ((codes != received) & outside).sum(axis=1)
+        near = np.flatnonzero(2 * errors + len(erasures) <= nparity)
+        assert len(near) <= 1  # the code's distance is nparity + 1
+        if (codes == received).all(axis=1).any():
+            outcome, want = "clean", (received[:k].tolist(), 0)
+        elif len(erasures) > nparity:
+            outcome, want = "over budget", None
+        elif len(near):
+            outcome, want = "corrected", (codes[near[0], :k].tolist(), int(errors[near[0]]))
+        else:
+            outcome, want = "beyond", None
+        seen.add(outcome)
+        args = (received.tolist(), nparity)
+        if want is None:
+            with pytest.raises(FecError):
+                rs.rs_decode(*args, erasures=erasures.tolist())
+        else:
+            assert rs.rs_decode(*args, erasures=erasures.tolist()) == want
+    assert seen == {"clean", "over budget", "corrected", "beyond"}
 
 
 def test_beyond_capability_never_returns_the_original():

@@ -67,6 +67,7 @@ class TestSpecs:
             ({"length": "2"}, "length must be a number"),
             ({"direct_gain": "0.7"}, "direct_gain must be a number"),
             ({"rt60": True}, "rt60 must be a number, got True"),
+            ({"seed": True}, "seed must be an integer, got True"),
         ],
     )
     def test_rir_spec_field_types(self, kwargs, match):

@@ -1,10 +1,10 @@
 """Public surface: every exported name exists and has a caller outside the
 tests, the package root exports none, and importing the CLI loads no scipy."""
 
+import ast
 import importlib
 import os
 import pkgutil
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,37 +27,76 @@ def test_all_names_resolve(name):
 ROOT = Path(__file__).resolve().parents[1]
 # where the program's own callers live; test files do not count
 CALLER_DIRS = ("src", "perfbench", "demos", "scripts")
+# where code outside the package lives; it must keep to the public names
+OUTSIDE_DIRS = ("perfbench", "demos", "scripts")
 
 
-def _caller_sources(own: Path) -> dict[Path, str]:
-    sources = {
-        path: path.read_text()
-        for folder in CALLER_DIRS
+def _trees(folders, tests=False) -> dict[Path, ast.Module]:
+    return {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for folder in folders
         for path in sorted((ROOT / folder).rglob("*.py"))
-        if not path.name.startswith("test_")
+        if tests or not path.name.startswith("test_")
     }
-    # the module's own __all__ list names every export once; it is no caller
-    sources[own] = re.sub(r"^__all__ = \[.*?\]", "", sources[own], flags=re.S | re.M)
-    return sources
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names code refers to: bare names, attributes and imported names.
+    Strings, comments and docstrings refer to nothing."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """Names in the type annotations of a module's functions and fields; a
+    string annotation counts as the expression it spells."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            annotation = ast.parse(annotation.value, mode="eval")
+        names |= _references(annotation)
+    return names
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_have_a_caller(name):
+    # an export is used when another module refers to it, or when its own
+    # module names it in a type annotation (a result type such as RirRow)
     module = importlib.import_module(f"sonolink.{name}")
     own = ROOT / "src" / "sonolink" / f"{name}.py"
-    sources = _caller_sources(own)
-    unused = []
-    for export in getattr(module, "__all__", []):
-        name_re = re.escape(export)
-        word = re.compile(rf"\b{name_re}\b")
-        definition = re.compile(rf"^(?:(?:def|class) {name_re}\b|{name_re}\s*[:=])")
-        if not any(
-            word.search(line) and not (path == own and definition.match(line))
-            for path, text in sources.items()
-            for line in text.splitlines()
-        ):
-            unused.append(export)
+    trees = _trees(CALLER_DIRS)
+    used = _annotation_names(trees.pop(own))
+    for tree in trees.values():
+        used |= _references(tree)
+    unused = [export for export in getattr(module, "__all__", []) if export not in used]
     assert not unused, f"sonolink.{name}.__all__ names with no caller outside tests: {unused}"
+
+
+def test_outside_code_imports_no_private_name():
+    private = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {alias.name}"
+        for path, tree in _trees(OUTSIDE_DIRS, tests=True).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sonolink")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"private sonolink names imported outside the package: {private}"
 
 
 def test_package_root_exports_only_the_version():
