@@ -27,7 +27,8 @@ import numpy as np
 
 from .core import AudioBuffer, default_stft_config, stft
 from .dereverb import DereverbConfig, dereverberate
-from .errors import EstimationError, InvalidArgumentError, SonolinkError, _check_fields, _real, _sample_rate
+from .errors import (EstimationError, InvalidArgumentError, SonolinkError, _check_fields,
+                     _non_negative, _positive, _real, _sample_rate)
 from .metrics import lsd, rr
 from .modem import Packet, decode_packet, encode_packet, profile_by_name, tone_frequencies
 from .rt60 import estimate_rt60
@@ -50,9 +51,8 @@ _RIR_TAG = 101
 _PAYLOAD_TAG = 202
 _NOISE_TAG = 303
 
-
-def _python_number(value):
-    return value.item() if isinstance(value, np.generic) else value
+# what BenchConfig.dereverb may be: run the suppressor or not
+_DEREVERB_MODES = ("off", "both")
 
 
 @dataclass(frozen=True)
@@ -82,34 +82,26 @@ class BenchConfig:
             integers=("packets_per_rir", "rirs_per_rt", "payload_bytes", "seed", "threads"),
             reals=("direct_gain", "snr_db"),
             optional=("threads", "snr_db"),
+            positive=("packets_per_rir", "rirs_per_rt", "threads", "direct_gain"),
+            non_negative=("seed",),
+            finite=("snr_db",),
         )
         if not isinstance(self.rt60_values, (tuple, list)):
             raise InvalidArgumentError(f"rt60_values must be numbers, got {self.rt60_values!r}")
-        for value in self.rt60_values:
-            _real(value, "rt60_values")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
-        if self.packets_per_rir < 1:
-            raise InvalidArgumentError("packets_per_rir must be at least 1")
-        if self.rirs_per_rt < 1:
-            raise InvalidArgumentError("rirs_per_rt must be at least 1")
-        if not self.rt60_values and self.corpus_dir is None:
+        rt60_values = tuple(
+            _positive(_real(v, "rt60_values"), "rt60_values") for v in self.rt60_values
+        )
+        object.__setattr__(self, "rt60_values", rt60_values)
+        if not rt60_values and self.corpus_dir is None:
             raise InvalidArgumentError("rt60_values must be non-empty for a synthetic sweep")
-        if any(not (v > 0 and math.isfinite(v)) for v in self.rt60_values):
-            raise InvalidArgumentError("rt60_values must all be positive")
         if not 1 <= self.payload_bytes <= profile.max_payload_bytes:
-            raise InvalidArgumentError("payload_bytes must be in 1..16")
-        if not (self.direct_gain > 0 and math.isfinite(self.direct_gain)):
-            raise InvalidArgumentError("direct_gain must be positive")
-        if self.dereverb not in ("off", "both"):
-            raise InvalidArgumentError("dereverb must be 'off' or 'both'")
-        if self.threads is not None and self.threads < 1:
-            raise InvalidArgumentError("threads must be at least 1")
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise InvalidArgumentError("snr_db must be finite")
-        for f in fields(self):  # numpy scalars become the Python numbers JSON can hold
-            object.__setattr__(self, f.name, _python_number(getattr(self, f.name)))
-        object.__setattr__(self, "rt60_values", tuple(map(_python_number, self.rt60_values)))
+            raise InvalidArgumentError(
+                f"payload_bytes must be in 1..{profile.max_payload_bytes}, got {self.payload_bytes}"
+            )
+        if self.dereverb not in _DEREVERB_MODES:
+            raise InvalidArgumentError(
+                f"dereverb must be one of {', '.join(_DEREVERB_MODES)}, got {self.dereverb!r}"
+            )
 
     def serializable(self) -> dict:
         """Config as report-ready JSON. ``threads`` is execution detail, not
@@ -170,8 +162,7 @@ def sweep_rooms(rt60_values, rirs_per_rt, direct_gain, seed, sample_rate) -> lis
     ``rt{rt:g}_r{index:02d}``, and each is seeded from ``seed`` and its
     position, so a given seed always yields the same rooms.
     """
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+    seed = _non_negative(seed, "seed")
     return [
         CorpusEntry(
             name=f"rt{rt:g}_r{si:02d}",

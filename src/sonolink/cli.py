@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import BenchConfig, run_benchmark, sweep_rooms, write_report
+from .bench import _DEREVERB_MODES, BenchConfig, run_benchmark, sweep_rooms, write_report
 from .core import default_stft_config
 from .dereverb import dereverberate
 from .errors import SonolinkError
@@ -78,9 +78,9 @@ def _cmd_decode(args) -> int:
 
 def _cmd_rt60(args) -> int:
     buf = wav_read(args.input)
-    estimate = estimate_rt60(buf, threshold_db=args.threshold_db)
+    cfg = default_stft_config(buf.sample_rate)
+    estimate = estimate_rt60(buf, cfg, threshold_db=args.threshold_db)
     if args.per_band:
-        cfg = default_stft_config(buf.sample_rate)
         bin_hz = buf.sample_rate / cfg.window_length
         with open(args.per_band, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -242,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="RIR corpus directory (overrides the synthetic sweep)")
     ben.add_argument("--snr", dest="snr_db", type=float, help="channel noise SNR in dB")
     ben.add_argument("--threads", type=int, help="worker threads (default: CPU count, at most 8)")
-    ben.add_argument("--dereverb", default=BenchConfig.dereverb, choices=["off", "both"])
+    ben.add_argument("--dereverb", default=BenchConfig.dereverb, choices=_DEREVERB_MODES)
     ben.add_argument("-o", "--output", required=True, help="report output directory")
     ben.set_defaults(run=_cmd_bench)
 

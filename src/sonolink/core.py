@@ -89,11 +89,9 @@ class StftConfig:
     hop: int
 
     def __post_init__(self):
-        _check_fields(self, integers=("window_length", "hop"))
+        _check_fields(self, integers=("window_length", "hop"), positive=("hop",))
         if self.window_length < 2 or self.window_length % 2 != 0:
             raise InvalidArgumentError("window_length must be an even integer >= 2")
-        if self.hop < 1:
-            raise InvalidArgumentError("hop must be >= 1")
         if self.window_length % self.hop != 0:
             raise InvalidArgumentError(
                 "hop must divide window_length for exact overlap-add reconstruction"

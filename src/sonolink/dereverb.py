@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _Frames, _OverlapAdd,
                    _power, as_spectrogram, default_stft_config)
-from .errors import EstimationError, InvalidArgumentError, _real
+from .errors import EstimationError, InvalidArgumentError, _positive, _real
 from .rt60 import _estimate_from_bins
 
 __all__ = [
@@ -46,10 +46,7 @@ def decay_constant(rt60: float) -> float:
     Defined so the energy envelope e^(-2*delta*t) falls by 60 dB over one
     reverberation time: delta = 3*ln(10)/rt60.
     """
-    rt60 = _real(rt60, "rt60")
-    if not (rt60 > 0 and math.isfinite(rt60)):
-        raise InvalidArgumentError("rt60 must be positive and finite")
-    return 3.0 * math.log(10.0) / rt60
+    return 3.0 * math.log(10.0) / _positive(_real(rt60, "rt60"), "rt60")
 
 
 @dataclass
@@ -260,7 +257,7 @@ def dereverberate(
     it in the diagnostics.  Output length equals the analyzed signal's.
     """
     cfg = cfg or DereverbConfig()
-    rt60 = None if rt60 is None else _real(rt60, "rt60")
+    rt60 = None if rt60 is None else float(_real(rt60, "rt60"))
     if rt60 is None or isinstance(buf, Spectrogram):  # a grid is held; blocks are copied from it
         grid = as_spectrogram(buf, cfg.stft)
         stft_cfg, rate, n_frames, num_samples = (

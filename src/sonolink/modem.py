@@ -121,7 +121,9 @@ class Packet:
             raise InvalidArgumentError(f"payload must be bytes, got {type(self.payload).__name__}")
         self.payload = bytes(self.payload)
         if not 1 <= len(self.payload) <= ProtocolProfile.max_payload_bytes:
-            raise InvalidArgumentError("payload must be 1..16 bytes")
+            raise InvalidArgumentError(
+                f"payload must be 1..{ProtocolProfile.max_payload_bytes} bytes, got {len(self.payload)}"
+            )
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _band_peaks, _power, as_spectrogram
-from .errors import EstimationError, InvalidArgumentError, _real
+from .errors import EstimationError, _non_negative, _real
 
 __all__ = ["RtEstimate", "estimate_rt60"]
 
@@ -60,9 +60,7 @@ def estimate_rt60(
     Raises EstimationError when no band produces a valid fit (for example on
     silence or pure noise).
     """
-    threshold_db = _real(threshold_db, "threshold_db")
-    if not (math.isfinite(threshold_db) and threshold_db >= 0.0):
-        raise InvalidArgumentError(f"threshold_db must be finite and >= 0, got {threshold_db}")
+    threshold_db = _non_negative(_real(threshold_db, "threshold_db"), "threshold_db")
     grid = as_spectrogram(buf, cfg)
     return _estimate_from_bins(grid.bins, grid.config.frame_period(grid.sample_rate), threshold_db)
 

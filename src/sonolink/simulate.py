@@ -9,7 +9,6 @@ convolution + noise channel, and a loader for user-supplied RIR corpora
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from .core import AudioBuffer, convolve
 from .dereverb import decay_constant
-from .errors import InvalidArgumentError, SonolinkError, _check_fields
+from .errors import InvalidArgumentError, SonolinkError, _check_fields, _positive
 from .wavio import wav_read, wav_write
 
 __all__ = [
@@ -51,18 +50,12 @@ class RirSpec:
 
     def __post_init__(self):
         _check_fields(self, integers=("seed",), reals=("rt60", "length", "direct_gain"),
-                      optional=("length",))
-        if not (self.rt60 > 0.0 and np.isfinite(self.rt60)):
-            raise InvalidArgumentError(f"rt60 must be positive, got {self.rt60}")
-        if self.length is not None:
-            if not (np.isfinite(self.length) and self.length >= self.rt60 / 2.0):
-                raise InvalidArgumentError(
-                    f"length must be at least rt60/2 = {self.rt60 / 2.0}, got {self.length}"
-                )
-        if not (self.direct_gain > 0.0 and np.isfinite(self.direct_gain)):
-            raise InvalidArgumentError("direct_gain must be positive and finite")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
+                      optional=("length",), positive=("rt60", "direct_gain"),
+                      non_negative=("seed",), finite=("length",))
+        if self.length is not None and self.length < self.rt60 / 2.0:
+            raise InvalidArgumentError(
+                f"length must be at least rt60/2 = {self.rt60 / 2.0}, got {self.length}"
+            )
 
     @property
     def effective_length(self) -> float:
@@ -82,15 +75,8 @@ class ChannelSpec:
         if not isinstance(self.rir, (AudioBuffer, RirSpec)):
             raise InvalidArgumentError(f"rir must be an AudioBuffer or a RirSpec, got {self.rir!r}")
         _check_fields(self, integers=("noise_seed",), reals=("snr_db", "normalize"),
-                      optional=("snr_db", "normalize"))
-        if self.snr_db is not None and not np.isfinite(self.snr_db):
-            raise InvalidArgumentError("snr_db must be finite when given")
-        if self.normalize is not None and not (
-            self.normalize > 0.0 and np.isfinite(self.normalize)
-        ):
-            raise InvalidArgumentError("normalize target must be positive")
-        if self.noise_seed < 0:
-            raise InvalidArgumentError(f"noise_seed must be non-negative, got {self.noise_seed}")
+                      optional=("snr_db", "normalize"), positive=("normalize",),
+                      non_negative=("noise_seed",), finite=("snr_db",))
 
 
 @dataclass
@@ -167,13 +153,9 @@ def _read_labels(path: Path) -> dict[str, float]:
             warnings.warn(f"{path}: expected header 'file,rt60'; labels ignored")
             return labels
         for row in reader:
-            try:
-                rt60 = float(row["rt60"])
+            try:  # InvalidArgumentError is a ValueError
+                labels[row["file"]] = _positive(float(row["rt60"]), "rt60")
             except (TypeError, ValueError):
-                rt60 = math.nan
-            if rt60 > 0 and math.isfinite(rt60):
-                labels[row["file"]] = rt60
-            else:
                 warnings.warn(f"{path}: bad rt60 for {row.get('file')!r}; row ignored")
     return labels
 

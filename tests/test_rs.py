@@ -285,6 +285,20 @@ def test_beyond_capability_never_returns_the_original():
     assert raised > 270  # miscorrection is rare, failure is the norm
 
 
+@pytest.mark.parametrize(
+    "received, nparity, erasures",
+    [
+        ([8, 11, 27, 30, 23, 9, 17, 18], 4, [4, 6]),
+        ([23, 18, 6, 25, 3, 0, 12, 8, 17, 23, 24, 11, 22, 3, 10, 7, 17, 6, 8, 5, 15], 8, [6, 12, 17]),
+    ],
+)
+def test_locator_with_fewer_roots_than_its_degree_fails(received, nparity, erasures):
+    # the Chien search finds fewer roots than the errata locator's degree;
+    # without that check these words fail only at the syndrome re-check
+    with pytest.raises(FecError, match="roots do not match its degree"):
+        rs.rs_decode(received, nparity, erasures=erasures)
+
+
 def test_decode_validation():
     cw = rs.rs_encode([1, 2, 3], 8)
     with pytest.raises(InvalidArgumentError, match="out of range"):

@@ -5,6 +5,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,17 +41,20 @@ def _trees(folders, tests=False) -> dict[Path, ast.Module]:
     }
 
 
-def _references(tree: ast.AST) -> set[str]:
-    """Names code refers to: bare names, attributes and imported names.
-    Strings, comments and docstrings refer to nothing."""
+def _references(tree: ast.AST, module: str) -> set[str]:
+    """Names code refers to as exports of ``module``: names imported from
+    it (``from sonolink.<module> import x``, ``from .<module> import x``)
+    and its attributes (``<module>.x``).  Strings, comments and docstrings
+    refer to nothing, and neither does a bare name, which may be anyone's."""
+    sources = {(0, f"sonolink.{module}"), (1, module)}
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in sources:
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and module in (
+            getattr(node.value, "id", None), getattr(node.value, "attr", None)
+        ):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
     return names
 
 
@@ -69,20 +73,30 @@ def _annotation_names(tree: ast.AST) -> set[str]:
     for annotation in filter(None, annotations):
         if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
             annotation = ast.parse(annotation.value, mode="eval")
-        names |= _references(annotation)
+        names.update(n.id for n in ast.walk(annotation) if isinstance(n, ast.Name))
     return names
+
+
+def _entry_points(module: str) -> set[str]:
+    """Names of ``module`` that pyproject.toml's [project.scripts] entry
+    points call.  Read without tomllib, which Python 3.10 lacks."""
+    text = (ROOT / "pyproject.toml").read_text()
+    table = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    return set(re.findall(rf'^\s*[\w.-]+\s*=\s*"sonolink\.{module}:(\w+)"', table[1], re.M))
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_have_a_caller(name):
-    # an export is used when another module refers to it, or when its own
-    # module names it in a type annotation (a result type such as RirRow)
+    # an export is used when another module imports it from this module or
+    # reads it as this module's attribute, when a console-script entry point
+    # calls it, or when its own module names it in a type annotation (a
+    # result type such as RirRow)
     module = importlib.import_module(f"sonolink.{name}")
     own = ROOT / "src" / "sonolink" / f"{name}.py"
     trees = _trees(CALLER_DIRS)
-    used = _annotation_names(trees.pop(own))
+    used = _annotation_names(trees.pop(own)) | _entry_points(name)
     for tree in trees.values():
-        used |= _references(tree)
+        used |= _references(tree, name)
     unused = [export for export in getattr(module, "__all__", []) if export not in used]
     assert not unused, f"sonolink.{name}.__all__ names with no caller outside tests: {unused}"
 
