@@ -2,17 +2,19 @@
 
 Runs ``perfbench/run.py --workload W --seed S --seconds 30`` in a base
 checkout and in a changed one, alternating which side goes first from one
-pair to the next, and records each run's end-to-end metrics and
-``attempted``/``failed`` counts.  The summary gives, per workload and
-metric, each side's median and quartiles, the change's wins counted over
-pairs (ties count for neither side), whether the gain rule holds (the
-change wins at least 9 of 10 pairs and the medians differ by more than the
-base's interquartile range), whether the no-regression rule holds (the
-change's median is worse than the base's by no more than the metric's
-relative bound in BENCHMARK.json) and whether the runs resolve that bound
-at all (the base's interquartile range is within the bound, or every
-change run reads better than every base run; otherwise the metric is
-unresolved, not unchanged).
+pair to the next, and records each run's end-to-end metrics,
+``attempted``/``failed`` counts and minor page faults (those of the
+perfbench process and of every process it starts, its set-up probes
+included).  The summary gives, per workload, each side's median fault
+count and, per metric, each side's median and quartiles, the change's
+wins counted over pairs (ties count for neither side), whether the gain
+rule holds (the change wins at least 9 of 10 pairs and the medians differ
+by more than the base's interquartile range), whether the no-regression
+rule holds (the change's median is worse than the base's by no more than
+the metric's relative bound in BENCHMARK.json) and whether the runs
+resolve that bound at all (the base's interquartile range is within the
+bound, or every change run reads better than every base run; otherwise
+the metric is unresolved, not unchanged).
 
     python3 scripts/bench_pairs.py --base ../parent --change . \\
         --workloads modem,long_recording,sweep --seeds 1-10 \\
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -49,12 +52,18 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _child_minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    faults = _child_minor_faults()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=checkout, capture_output=True, text=True,
     )
+    faults = _child_minor_faults() - faults
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: run failed ({proc.returncode}):\n{proc.stderr[-2000:]}")
@@ -63,6 +72,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
+        "minor_faults": faults,
         "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
     }
 
@@ -72,6 +82,13 @@ def quartiles(values: list[float]) -> dict:
         return {"q1": values[0], "median": values[0], "q3": values[0], "n": 1}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
+
+
+def _median_faults(pairs, side: str) -> float | None:
+    """The median fault count of one side's runs; None if none has one
+    (runs recorded before faults were counted)."""
+    faults = [p[side]["minor_faults"] for p in pairs if "minor_faults" in p[side]]
+    return statistics.median(faults) if faults else None
 
 
 def summarise(runs: list[dict], workload: str, metrics: dict[str, dict]) -> dict:
@@ -88,6 +105,8 @@ def summarise(runs: list[dict], workload: str, metrics: dict[str, dict]) -> dict
             for p in pairs.values()
         ),
         "all_correct": all(p[s]["correct"] for p in pairs.values() for s in p),
+        "minor_faults_median": {side: _median_faults(pairs.values(), side)
+                                 for side in ("base", "change")},
         "metrics": {},
     }
     for name, rule in metrics.items():

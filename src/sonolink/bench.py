@@ -28,7 +28,7 @@ import numpy as np
 from .core import AudioBuffer, default_stft_config, stft
 from .dereverb import DereverbConfig, dereverberate
 from .errors import (EstimationError, InvalidArgumentError, SonolinkError, _check_fields,
-                     _non_negative, _positive, _real, _sample_rate)
+                     _integer, _non_negative, _positive, _real, _sample_rate)
 from .metrics import lsd, rr
 from .modem import Packet, decode_packet, encode_packet, profile_by_name, tone_frequencies
 from .rt60 import estimate_rt60
@@ -162,7 +162,8 @@ def sweep_rooms(rt60_values, rirs_per_rt, direct_gain, seed, sample_rate) -> lis
     ``rt{rt:g}_r{index:02d}``, and each is seeded from ``seed`` and its
     position, so a given seed always yields the same rooms.
     """
-    seed = _non_negative(seed, "seed")
+    seed = _non_negative(_integer(seed, "seed"), "seed")
+    rirs_per_rt = _positive(_integer(rirs_per_rt, "rirs_per_rt"), "rirs_per_rt")
     return [
         CorpusEntry(
             name=f"rt{rt:g}_r{si:02d}",

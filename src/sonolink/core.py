@@ -14,10 +14,15 @@ allocating a grid-sized one per operation.  Each output element equals,
 bit for bit, what a single pass over the whole grid would give.  ``stft``
 and ``istft`` are a block source of windowed, transformed frames and an
 overlap-add accumulator; the suppressor runs between the two without a grid.
+
+``convolve`` writes its FFTs into a workspace of the calling thread, kept
+between calls up to :data:`_WORKSPACE_POINTS` points, so a stream of room
+convolutions does not fault fresh pages in for every call.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +43,13 @@ __all__ = [
 # Frames per block in whole-grid passes.  At the 44.1 kHz default (1025
 # bins) a complex block of 64 frames is 1 MB, small enough to stay in cache.
 BLOCK_FRAMES = 64
+
+# FFT length up to which a convolution's buffers stay in its thread's
+# workspace between calls: 3 * (n // 2 + 1) complex values, 6.3 MB at 2^18.
+# Longer convolutions allocate and free their buffers on every call.
+_WORKSPACE_POINTS = 1 << 18
+
+_workspace = threading.local()
 
 
 @dataclass(eq=False)
@@ -360,13 +372,41 @@ def _fast_length(n: int) -> int:
     return best
 
 
+def _fft_buffers(n: int):
+    """Two spectra of n // 2 + 1 complex values and one of n real values for
+    an n-point real FFT convolution.  For n <= _WORKSPACE_POINTS they are
+    views of the calling thread's workspace, grown to the largest n asked
+    for; its contents are whatever the last user left.  Above that, each is
+    None, so numpy allocates and frees it as it goes."""
+    if n > _WORKSPACE_POINTS:
+        return None, None, None
+    m = n // 2 + 1
+    work = getattr(_workspace, "buffer", None)
+    if work is None or work.size < 3 * m:
+        work = _workspace.buffer = np.empty(3 * m, np.complex128)
+    return work[:m], work[m:2 * m], work[2 * m:3 * m].view(np.float64)[:n]
+
+
+def _scratch(size: int):
+    """Two float64 arrays of ``size`` values for work on a ``convolve``
+    output of that length: its spectrum buffers in the calling thread's
+    workspace, free once it has returned, or None each above the cap."""
+    a, b, _ = _fft_buffers(_fast_length(size))
+    if a is None:
+        return None, None
+    return a.view(np.float64)[:size], b.view(np.float64)[:size]
+
+
 def convolve(signal: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
     """Full linear convolution of a signal with an impulse response.
 
     Output length is ``len(signal) + len(ir) - 1``.  It always takes numpy's
     real FFT at the smallest 5-smooth length that holds the output, which is
-    ``scipy.signal.fftconvolve``'s arithmetic, so the two agree bit for bit;
-    it agrees with the direct sum to ~1e-15 relative.
+    ``scipy.signal.fftconvolve``'s arithmetic, so the two agree bit for bit
+    (unless an input is one sample long: scipy multiplies that directly);
+    it agrees with the direct sum to ~1e-15 relative.  The transforms go
+    through the calling thread's workspace (see :data:`_WORKSPACE_POINTS`);
+    the result is a fresh array that shares no memory with it.
     """
     if signal.sample_rate != ir.sample_rate:
         raise InvalidArgumentError(
@@ -376,7 +416,8 @@ def convolve(signal: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
         raise InvalidArgumentError("convolve requires non-empty inputs")
     size = len(signal) + len(ir) - 1
     n = _fast_length(size)
-    spectrum = np.fft.rfft(signal.samples, n)
-    spectrum *= np.fft.rfft(ir.samples, n)
-    out = np.fft.irfft(spectrum, n)[:size].copy()  # a view would keep the padded tail
+    a, b, real = _fft_buffers(n)
+    spectrum = np.fft.rfft(signal.samples, n, out=a)
+    spectrum *= np.fft.rfft(ir.samples, n, out=b)
+    out = np.fft.irfft(spectrum, n, out=real)[:size].copy()  # never a view of the buffers
     return AudioBuffer(out, signal.sample_rate)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AudioBuffer, convolve
+from .core import AudioBuffer, _scratch, convolve
 from .dereverb import decay_constant
 from .errors import InvalidArgumentError, SonolinkError, _check_fields, _positive
 from .wavio import wav_read, wav_write
@@ -118,31 +118,35 @@ def apply_channel(signal: AudioBuffer, chan: ChannelSpec) -> AudioBuffer:
     """Convolve with the channel RIR, then add noise / normalize as asked.
 
     Noise is scaled so its measured power is exactly the convolved signal
-    power times 10^(-snr_db/10).
+    power times 10^(-snr_db/10).  The noise and its squares are drawn into
+    the thread's convolution workspace and the convolution's fresh output
+    is changed in place, so the returned samples are the call's one new
+    signal-sized array.
     """
     rir = chan.rir
     if isinstance(rir, RirSpec):
         rir = synth_rir(rir, signal.sample_rate)
-    out = convolve(signal, rir)
+    samples = convolve(signal, rir).samples
 
     if chan.snr_db is not None:
-        squares = np.square(out.samples)  # scratch for both powers
+        squares, noise = _scratch(samples.size)
+        squares = np.square(samples, out=squares)  # scratch for both powers
         signal_power = float(np.mean(squares))
         if signal_power == 0.0:
             raise InvalidArgumentError("cannot set an SNR against a silent signal")
-        noise = np.random.default_rng(chan.noise_seed).standard_normal(len(out))
+        noise = np.random.default_rng(chan.noise_seed).standard_normal(samples.size, out=noise)
         noise_power = float(np.mean(np.square(noise, out=squares)))
         target_power = signal_power * 10.0 ** (-chan.snr_db / 10.0)
         noise *= np.sqrt(target_power / noise_power)
-        out = AudioBuffer(np.add(out.samples, noise, out=noise), out.sample_rate)
+        samples += noise
 
     if chan.normalize is not None:
-        peak = float(np.max(np.abs(out.samples)))
+        peak = float(max(samples.max(), -samples.min()))  # max |x|, without an |x| array
         if peak == 0.0:
             raise InvalidArgumentError("cannot peak-normalize a silent signal")
-        out = out.scaled(chan.normalize / peak)
+        samples *= chan.normalize / peak
 
-    return out
+    return AudioBuffer(samples, signal.sample_rate)
 
 
 def _read_labels(path: Path) -> dict[str, float]:

@@ -98,3 +98,42 @@ def test_rules_come_from_the_benchmark_file():
     assert set(rules) == {"setup_s", "item_ms_p50", "audio_s_per_s", "peak_rss_mb"}
     assert rules["audio_s_per_s"]["better"] == "higher"
     assert all(0 < r["bound"] < 1 for r in rules.values())
+
+
+def test_summary_gives_each_sides_median_fault_count():
+    runs = _pairs([100.0] * 3, [90.0] * 3)
+    for run, faults in zip(runs, [900, 10, 1000, 0, 800, 30]):  # base, change, base, ...
+        run["minor_faults"] = faults
+    out = bench_pairs.summarise(runs, "w", RULES)
+    assert out["minor_faults_median"] == {"base": 900, "change": 10}
+    unrecorded = bench_pairs.summarise(_pairs([1.0], [1.0]), "w", RULES)
+    assert unrecorded["minor_faults_median"] == {"base": None, "change": None}
+
+
+STUB_RUN = '''
+import json, subprocess, sys
+
+TOUCH = """
+import mmap
+pages = mmap.mmap(-1, {pages} * mmap.PAGESIZE)
+pages.madvise(mmap.MADV_NOHUGEPAGE)
+for i in range(0, len(pages), mmap.PAGESIZE):
+    pages[i] = 1
+"""
+exec(TOUCH.format(pages=3000))
+subprocess.run([sys.executable, "-c", TOUCH.format(pages=6000)], check=True)  # a set-up probe
+print("a readable report line")
+print(json.dumps({"correct": True, "attempted": 4, "failed": 1,
+                  "metrics": {"item_ms_p50": {"value": 2.5, "unit": "ms"}}}))
+'''
+
+
+def test_a_run_records_the_faults_of_perfbench_and_its_probes(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
+    run = bench_pairs.run_once(tmp_path, "modem", 1, 30)
+    assert run["correct"] and (run["attempted"], run["failed"]) == (4, 1)
+    assert run["metrics"] == {"item_ms_p50": 2.5}
+    # each touched page faults once; without the probe's the count stays
+    # under 3000 plus one interpreter start-up (about 1000-2000)
+    assert run["minor_faults"] >= 9000

@@ -445,15 +445,18 @@ def _staged(buf, cfg, rt60):
 @example(_fewer_frames_than_overlap(), None)
 def test_streamed_dereverberate_equals_its_stages(case, rt60):
     # a recording with RT60 given streams from STFT frames to overlap-add; a
-    # grid, or a recording without RT60, is read a block at a time
+    # grid, or a recording without RT60, is read a block at a time, and a
+    # caller's grid is never changed
     buf, stft_cfg = case
     cfg = DereverbConfig(stft=stft_cfg)
     grid, want, gains, want_rt60 = _staged(buf, cfg, rt60)
+    given_bins = grid.bins.copy()
     for given_input in (buf, grid):
         out, diag = dereverberate(given_input, cfg, rt60=rt60)
         assert out.samples.tobytes() == want.samples.tobytes()
         assert diag.rt60 == want_rt60
         assert diag.mean_gain == _block_mean(gains.gain)
+    assert grid.bins.tobytes() == given_bins.tobytes()
 
 
 def test_dereverberate_matches_reference_at_44k():

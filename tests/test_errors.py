@@ -50,7 +50,9 @@ RULES = {
     "BenchConfig.snr_db": (lambda v: BenchConfig(snr_db=v), "snr_db", FINITE, -BIG),
     "BenchConfig.rt60_values": (
         lambda v: BenchConfig(rt60_values=(0.4, v)), "rt60_values", POSITIVE, TINY),
-    "sweep_rooms.seed": (lambda v: sweep_rooms((0.4,), 1, 0.7, v, 8000), "seed", NON_NEGATIVE, 0),
+    "sweep_rooms.seed": (lambda v: sweep_rooms((0.4,), 1, 0.7, v, 8000), "seed", (-1,), 0),
+    "sweep_rooms.rirs_per_rt": (
+        lambda v: sweep_rooms((0.4,), v, 0.7, 0, 8000), "rirs_per_rt", (0, -1), 1),
     "decay_constant.rt60": (decay_constant, "rt60", POSITIVE, TINY),
     "estimate_rt60.threshold_db": (
         lambda v: estimate_rt60(_reverberant_burst(), threshold_db=v), "threshold_db",
@@ -66,6 +68,15 @@ def test_range_rules(call, field, refused, boundary):
         message = str(raised.value)
         assert message.startswith(f"{field} must be ") and message.endswith(f", got {value!r}")
     call(boundary)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "1", None])
+@pytest.mark.parametrize("field", ["seed", "rirs_per_rt"])
+def test_sweep_rooms_refuses_what_is_not_an_integer(field, value):
+    args = {"rt60_values": (0.4,), "rirs_per_rt": 1, "direct_gain": 0.7, "seed": 0,
+            "sample_rate": 8000, field: value}
+    with pytest.raises(InvalidArgumentError, match=f"^{field} must be an integer, got "):
+        sweep_rooms(**args)
 
 
 def test_configs_store_numpy_scalars_as_python_numbers():
