@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AudioBuffer, default_stft_config, stft
+from .core import AudioBuffer, _usable_cpus, default_stft_config, stft
 from .dereverb import DereverbConfig, dereverberate
 from .errors import (EstimationError, InvalidArgumentError, SonolinkError, _check_fields,
                      _integer, _non_negative, _positive, _real, _sample_rate)
@@ -330,7 +329,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
             return {"rir_id": item[2].name, "error": str(exc), "type": type(exc).__name__}
 
     started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=cfg.threads or min(os.cpu_count() or 1, 8)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.threads or min(_usable_cpus(), 8)) as pool:
         outcomes = list(pool.map(run_item, work))
     elapsed = time.perf_counter() - started
 

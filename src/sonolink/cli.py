@@ -241,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--corpus", dest="corpus_dir",
                      help="RIR corpus directory (overrides the synthetic sweep)")
     ben.add_argument("--snr", dest="snr_db", type=float, help="channel noise SNR in dB")
-    ben.add_argument("--threads", type=int, help="worker threads (default: CPU count, at most 8)")
+    ben.add_argument("--threads", type=int,
+                     help="worker threads (default: the CPUs this process may use, at most 8)")
     ben.add_argument("--dereverb", default=BenchConfig.dereverb, choices=_DEREVERB_MODES)
     ben.add_argument("-o", "--output", required=True, help="report output directory")
     ben.set_defaults(run=_cmd_bench)

@@ -15,6 +15,17 @@ bit for bit, what a single pass over the whole grid would give.  ``stft``
 and ``istft`` are a block source of windowed, transformed frames and an
 overlap-add accumulator; the suppressor runs between the two without a grid.
 
+A pass on the main thread of a process that may use more than one CPU
+hands block FFTs to a helper pool of (usable CPUs - 1) threads, made by the
+first such pass; ``stft`` gives the helper every other block, windowed into
+a buffer of its own, and ``istft``'s helper transforms every odd block
+while the caller transforms the even ones and accumulates each block in
+frame order.  Any other thread (``sonolink bench``'s workers), or a
+process with one CPU, runs every block itself, in the order and through the
+buffers it would without a helper.  The bytes are the same either way, and
+no pass returns while the helper still writes into one of its buffers.  A
+forked child drops the parent's pool and makes its own.
+
 ``convolve`` writes its FFTs into a workspace of the calling thread, kept
 between calls up to :data:`_WORKSPACE_POINTS` points, so a stream of room
 convolutions does not fault fresh pages in for every call.
@@ -22,6 +33,7 @@ convolutions does not fault fresh pages in for every call.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 
@@ -50,6 +62,74 @@ BLOCK_FRAMES = 64
 _WORKSPACE_POINTS = 1 << 18
 
 _workspace = threading.local()
+
+_pool = None  # the helper threads; made by the first pass that hands them work
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, or the machine's CPU
+    count where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _helper():
+    """The helper pool for a pass on the main thread of a process that may
+    use more than one CPU, made on first use; None otherwise, and the pass
+    runs every task itself."""
+    global _pool
+    if threading.current_thread() is not threading.main_thread():
+        return None
+    if _pool is None:
+        workers = _usable_cpus() - 1
+        if workers < 1:
+            return None
+        try:  # only a pass that uses the pool pays the import
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="sonolink-helper")
+        except RuntimeError:  # at interpreter exit (an atexit callback) no pool can start
+            return None
+    return _pool
+
+
+def _drop_helper() -> None:
+    """In a forked child: the parent's helper threads do not exist here."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+class _Pending:
+    """A pass's task in flight on the helper pool, one at a time.  Leaving
+    the ``with`` block waits for it, so a pass never returns, normally or by
+    an exception, while the helper still writes into one of its buffers."""
+
+    def __init__(self, pool):
+        self.pool, self.future = pool, None
+
+    def start(self, fn, *args) -> None:
+        try:
+            self.future = self.pool.submit(fn, *args)
+        except RuntimeError:  # the pool takes no tasks once interpreter exit has begun
+            from concurrent.futures import Future
+            self.future = Future()
+            self.future.set_result(fn(*args))  # every pass is correct with its tasks run here
+
+    def result(self):
+        future, self.future = self.future, None
+        return future.result()
+
+    def __enter__(self) -> "_Pending":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.future is not None:
+            self.future.exception()  # waits; the exception already raised goes on
 
 
 @dataclass(eq=False)
@@ -247,12 +327,14 @@ class _Frames:
         self.window = _make_window(win)
         self.windowed = np.empty((BLOCK_FRAMES, win))
 
-    def rfft(self, s: int, out: np.ndarray) -> None:
+    def rfft(self, s: int, out: np.ndarray, buffer: np.ndarray | None = None) -> None:
         """The bins of frames s .. s + len(out) - 1 into ``out``, a frame per
-        row; the rows of dead frames are left as they are."""
+        row; the rows of dead frames are left as they are.  The frames are
+        windowed into ``buffer`` (default: this source's own)."""
         last = self.n_frames - 1 - s  # the last frame's row, if out holds it
+        buffer = self.windowed if buffer is None else buffer
         for a, b in _blocks(self.live[s:s + len(out)]):
-            windowed, inside = self.windowed[: b - a], min(b, last)
+            windowed, inside = buffer[: b - a], min(b, last)
             np.multiply(self.frames[s + a:s + inside], self.window, out=windowed[: inside - a])
             if b > last:
                 np.multiply(self.last, self.window, out=windowed[-1])
@@ -281,8 +363,20 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     frames = _Frames(buf.samples, cfg)
     # frame-major, so a block of frames is one slab; dead frames stay zero
     bins = np.zeros((frames.n_frames, cfg.num_bins), dtype=np.complex128)
-    for s in range(0, frames.n_frames, BLOCK_FRAMES):
-        frames.rfft(s, bins[s:s + BLOCK_FRAMES])
+
+    def transform(starts, buffer=None):
+        for s in starts:
+            frames.rfft(s, bins[s:s + BLOCK_FRAMES], buffer)
+
+    starts = range(0, frames.n_frames, BLOCK_FRAMES)
+    helper = _helper() if len(starts) > 1 else None
+    if helper is None:
+        transform(starts)
+    else:  # the helper takes every other block, windowed into a buffer of its own
+        with _Pending(helper) as pending:
+            pending.start(transform, starts[1::2], np.empty_like(frames.windowed))
+            transform(starts[::2])
+            pending.result()
     return Spectrogram(bins=bins.T, config=cfg, sample_rate=buf.sample_rate,
                        num_samples=buf.samples.size)
 
@@ -317,13 +411,23 @@ class _OverlapAdd:
         self.out = np.zeros((n_frames + self.overlap - 1, cfg.hop))
         self.frames = np.empty((BLOCK_FRAMES, cfg.window_length))
 
+    def transform(self, bins: np.ndarray, frames: np.ndarray) -> np.ndarray:
+        """A block's windowed frames, from their bins (a frame per row), into
+        the first len(bins) rows of ``frames``, a [BLOCK_FRAMES, window]
+        buffer; returns those rows."""
+        frames = np.fft.irfft(bins, n=self.window.size, axis=1, out=frames[: len(bins)])
+        frames *= self.window
+        return frames
+
+    def accumulate(self, s: int, frames: np.ndarray) -> None:
+        """Adds windowed frames s .. s + len(frames) - 1 into the sum."""
+        parts = frames.reshape(len(frames), self.overlap, -1)
+        for r in range(self.overlap - 1, -1, -1):
+            self.out[s + r:s + r + len(frames)] += parts[:, r]
+
     def add(self, s: int, bins: np.ndarray) -> None:
         """Frames s .. s + len(bins) - 1, from their bins, a frame per row."""
-        frames = np.fft.irfft(bins, n=self.window.size, axis=1, out=self.frames[: len(bins)])
-        frames *= self.window
-        parts = frames.reshape(len(bins), self.overlap, -1)
-        for r in range(self.overlap - 1, -1, -1):
-            self.out[s + r:s + r + len(bins)] += parts[:, r]
+        self.accumulate(s, self.transform(bins, self.frames))
 
     def samples(self, num_samples: int) -> np.ndarray:
         """The first num_samples samples, divided (once, in place) by the
@@ -354,8 +458,26 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     The output is ``spec.num_samples`` long.
     """
     ola = _OverlapAdd(spec.config, spec.num_frames)
-    for s in range(0, spec.num_frames, BLOCK_FRAMES):
-        ola.add(s, spec.bins[:, s:s + BLOCK_FRAMES].T)
+
+    def block(s: int) -> np.ndarray:
+        return spec.bins[:, s:s + BLOCK_FRAMES].T
+
+    starts = range(0, spec.num_frames, BLOCK_FRAMES)
+    helper = _helper() if len(starts) > 1 else None
+    if helper is None:
+        for s in starts:
+            ola.add(s, block(s))
+    else:  # the helper transforms each odd block, this thread each even one and
+        # accumulates every block in frame order
+        spare = np.empty_like(ola.frames)
+        with _Pending(helper) as pending:
+            for s in starts[::2]:
+                odd = s + BLOCK_FRAMES
+                if odd < spec.num_frames:
+                    pending.start(ola.transform, block(odd), spare)
+                ola.add(s, block(s))
+                if odd < spec.num_frames:
+                    ola.accumulate(odd, pending.result())
     return AudioBuffer(ola.samples(spec.num_samples), spec.sample_rate)
 
 

@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from sonolink import bench
 from sonolink.bench import (
     CSV_COLUMNS,
     BenchConfig,
@@ -214,6 +217,31 @@ class TestSyntheticRun:
             dataclasses.replace(TINY, rt60_values=(0.4,), rirs_per_rt=1, threads=None)
         )
         assert len(report.rows) == 1 and report.errors == []
+
+    @pytest.mark.parametrize("affinity, cpu_count, workers", [
+        ({0}, 2, 1),  # taskset -c 0 on a 2-CPU machine
+        (set(range(12)), 12, 8),
+        (None, 3, 3),  # a platform without sched_getaffinity
+    ])
+    def test_default_workers_are_the_cpus_this_process_may_use(
+            self, monkeypatch, affinity, cpu_count, workers):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(bench, "ThreadPoolExecutor", Recording)
+        report = run_benchmark(
+            dataclasses.replace(TINY, rt60_values=(0.4,), rirs_per_rt=1, threads=None)
+        )
+        assert sizes == [workers] and len(report.rows) == 1
 
     def test_dereverb_off_leaves_after_columns_empty(self):
         cfg = dataclasses.replace(

@@ -1,0 +1,291 @@
+"""The STFT passes' helper thread: ``stft``, ``istft`` and ``dereverberate``
+give the same bytes whether the main thread hands block FFTs to the helper
+pool or a worker thread runs every block itself, both equal the whole-grid
+references of ``test_block_grid.py``, no pass leaves a helper task running,
+a forked child does not inherit the parent's pool, and passes still run
+in an atexit callback, when the pool takes no more tasks."""
+
+import multiprocessing
+import os
+import queue
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_block_grid import (
+    _block_mean,
+    _fewer_frames_than_overlap,
+    _reference_dereverberate,
+    _reference_istft,
+    _reference_stft,
+    _silence_in_second_block,
+    signals,
+)
+
+from sonolink import core
+from sonolink.core import AudioBuffer, _Pending, default_stft_config, istft, stft
+from sonolink.dereverb import DereverbConfig, dereverberate
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """A helper pool that counts the tasks handed to it."""
+
+    def __init__(self):
+        super().__init__(1, thread_name_prefix="test-helper")
+        self.tasks = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """The main thread's helper pool, present even on a one-CPU machine."""
+    saved = core._pool
+    core._pool = _CountingPool()
+    try:
+        yield core._pool
+    finally:
+        core._pool.shutdown()
+        core._pool = saved
+
+
+def _in_a_worker(fn, *args):
+    """fn(*args) on a thread that is not the main thread: the inline path."""
+    result = {}
+
+    def run():
+        try:
+            result["value"] = fn(*args)
+        except BaseException as exc:  # handed back to the test below
+            result["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
+def _passes(buf, cfg, rt60):
+    """Each pass's output: stft's bins, istft of them, and dereverberate on
+    the recording with ``rt60`` (None: blind) and on the grid."""
+    grid = stft(buf, cfg.stft)
+    out = {"stft": grid.bins, "istft": istft(grid).samples}
+    for name, given_input in (("recording", buf), ("grid", grid)):
+        samples, diag = dereverberate(given_input, cfg, rt60=rt60)
+        out[name] = samples.samples
+        out[name + " diagnostics"] = (diag.rt60, diag.mean_gain)
+    return out
+
+
+def _same(got, want) -> bool:
+    """Equal bytes in every output."""
+    return got.keys() == want.keys() and all(
+        got[k].tobytes() == want[k].tobytes() if isinstance(got[k], np.ndarray)
+        else got[k] == want[k] for k in got)
+
+
+def _check_against_references(buf, cfg, rt60, got):
+    want_grid = _reference_stft(buf, cfg.stft)
+    assert np.array_equal(got["stft"], want_grid.bins)  # a skipped frame holds +0, rfft may give -0
+    assert np.array_equal(got["istft"], _reference_istft(want_grid).samples)
+    want, gains, want_rt60 = _reference_dereverberate(buf, cfg, rt60)
+    for name in ("recording", "grid"):
+        assert np.array_equal(got[name], want.samples), name
+        assert got[name + " diagnostics"] == (want_rt60, _block_mean(gains.gain)), name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(signals(), st.sampled_from([None, 0.3, 1.5]))
+@example(_silence_in_second_block(), 0.3)
+@example(_fewer_frames_than_overlap(), None)
+def test_both_paths_match_the_references(pool, case, rt60):
+    # block counts of 1 to 3 and hops from 1 sample to the whole window: the
+    # main thread hands every pass of two or more blocks to the helper, and
+    # a worker thread runs the same passes inline
+    buf, stft_cfg = case
+    cfg = DereverbConfig(stft=stft_cfg)
+    tasks = pool.tasks
+    pooled = _passes(buf, cfg, rt60)
+    handed = pool.tasks - tasks
+    inline = _in_a_worker(_passes, buf, cfg, rt60)
+    assert pool.tasks - tasks == handed  # the worker never touched the pool
+    assert (handed > 0) == (stft(buf, stft_cfg).num_frames > core.BLOCK_FRAMES)
+    assert _same(pooled, inline)
+    _check_against_references(buf, cfg, rt60, pooled)
+
+
+@pytest.mark.parametrize("rt60", [None, 0.9])
+def test_both_paths_match_the_references_at_44k(pool, rt60):
+    # the default 2048/128 configuration over 12 blocks, blind and given
+    fs = 44100
+    rng = np.random.default_rng(11)
+    t = np.arange(fs * 11 // 4) / fs
+    x = rng.standard_normal(t.size) * np.exp(-4.0 * t)
+    x[fs:fs + fs // 3] = 0.0  # dead frames inside the grid
+    buf = AudioBuffer(x, fs)
+    cfg = DereverbConfig(stft=default_stft_config(fs))
+    tasks = pool.tasks
+    pooled = _passes(buf, cfg, rt60)
+    assert pool.tasks > tasks
+    assert _same(pooled, _in_a_worker(_passes, buf, cfg, rt60))
+    _check_against_references(buf, cfg, rt60, pooled)
+
+
+def test_threads_get_the_single_thread_results(pool):
+    # four worker threads (inline) and the main thread (pooled) run every
+    # pass at once under a 10 us switch interval
+    cfg = DereverbConfig(stft=default_stft_config(8000))
+    rng = np.random.default_rng(9)
+    inputs = [AudioBuffer(rng.standard_normal(n) * np.exp(-np.arange(n) / 3000.0), 8000)
+              for n in (21_000, 9_000, 30_000, 14_000)]
+    rt60s = [None, 0.7, 1.2, None]
+    want = [_passes(buf, cfg, rt60) for buf, rt60 in zip(inputs, rt60s)]
+    start = threading.Barrier(len(inputs) + 1)
+    wrong, done = [], []
+
+    def worker(i: int) -> None:
+        start.wait(timeout=30)
+        for _ in range(4):
+            if not _same(_passes(inputs[i], cfg, rt60s[i]), want[i]):
+                wrong.append(i)
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        start.wait(timeout=30)
+        tasks = pool.tasks
+        for _ in range(2):
+            for i in range(len(inputs)):
+                if not _same(_passes(inputs[i], cfg, rt60s[i]), want[i]):
+                    wrong.append(("main", i))
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(len(inputs))) and not wrong
+    assert pool.tasks > tasks
+
+
+def test_a_pass_waits_for_its_helper_task_before_it_raises(pool):
+    finished = threading.Event()
+
+    def slow():
+        time.sleep(0.2)
+        finished.set()
+
+    with pytest.raises(KeyError):
+        with _Pending(pool) as pending:
+            pending.start(slow)
+            raise KeyError("the caller's own step failed")
+    assert finished.is_set()
+
+
+def test_an_error_on_the_helper_reaches_the_caller(pool, monkeypatch):
+    fs = 8000
+    buf = AudioBuffer(np.random.default_rng(2).standard_normal(3 * fs), fs)
+    rfft = core._Frames.rfft
+
+    def failing(self, s, out, buffer=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("helper failed")
+        rfft(self, s, out, buffer)
+
+    monkeypatch.setattr(core._Frames, "rfft", failing)
+    for run in (lambda: stft(buf, default_stft_config(fs)), lambda: dereverberate(buf, rt60=0.5)):
+        with pytest.raises(FloatingPointError, match="helper failed"):
+            run()
+
+
+def test_one_cpu_or_another_thread_runs_inline(monkeypatch):
+    monkeypatch.setattr(core, "_pool", None)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    assert core._helper() is None and core._pool is None
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
+    assert _in_a_worker(core._helper) is None and core._pool is None
+    made = core._helper()
+    try:
+        assert made is core._pool and made._max_workers == 2
+        assert core._helper() is made
+    finally:
+        made.shutdown()
+
+
+def _child(buf, cfg, results) -> None:
+    out, _ = dereverberate(buf, cfg, rt60=0.6)
+    results.put(out.samples.tobytes())
+
+
+def test_a_forked_child_makes_its_own_pool(pool, monkeypatch):
+    # without the fork hook, the child's first task would wait for a
+    # helper thread that was never forked
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    fs = 8000
+    buf = AudioBuffer(np.random.default_rng(6).standard_normal(4 * fs), fs)
+    cfg = DereverbConfig(stft=default_stft_config(fs))
+    tasks = pool.tasks
+    want = dereverberate(buf, cfg, rt60=0.6)[0].samples.tobytes()
+    assert pool.tasks > tasks  # the parent's pool has run tasks
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=_child, args=(buf, cfg, results))
+    child.start()
+    try:
+        got = results.get(timeout=60)
+        child.join(timeout=60)
+        assert child.exitcode == 0
+    except queue.Empty:
+        pytest.fail("the forked child did not finish")
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert got == want
+
+
+AT_EXIT = '''
+import atexit
+import numpy as np
+from sonolink.core import AudioBuffer, default_stft_config, istft, stft
+from sonolink.dereverb import dereverberate
+
+buf = AudioBuffer(np.random.default_rng(3).standard_normal(20_000), 8000)
+cfg = default_stft_config(8000)
+
+def passes():
+    grid = stft(buf, cfg)
+    out = dereverberate(buf, rt60=0.5)[0].samples
+    print(hash(grid.bins.tobytes()), hash(istft(grid).samples.tobytes()), hash(out.tobytes()))
+
+atexit.register(passes)
+if {made}:
+    passes()
+'''
+
+
+@pytest.mark.parametrize("made", [True, False])
+def test_passes_run_in_an_atexit_callback(made):
+    # after the interpreter has begun to exit, a made pool takes no task and
+    # no pool can be made; the passes then run every block in the caller
+    src = Path(core.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", AT_EXIT.format(made=made)], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    lines = proc.stdout.split()
+    assert len(lines) == 3 * (1 + made) and lines[:3] == lines[-3:]
