@@ -5,9 +5,10 @@ checkout and in a changed one, alternating which side goes first from one
 pair to the next, and records each run's end-to-end metrics,
 ``attempted``/``failed`` counts and minor page faults (those of the
 perfbench process and of every process it starts, its set-up probes
-included).  The summary gives, per workload, each side's median fault
-count and, per metric, each side's median and quartiles, the change's
-wins counted over pairs (ties count for neither side), whether the gain
+included).  The summary records the usable CPU count and the BLAS thread
+variables, on which the timings depend, and gives, per workload, each
+side's median fault count and, per metric, each side's median and
+quartiles, the change's wins counted over pairs (ties count for neither side), whether the gain
 rule holds (the change wins at least 9 of 10 pairs and the medians differ
 by more than the base's interquartile range), whether the no-regression
 rule holds (the change's median is worse than the base's by no more than
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -36,6 +38,14 @@ import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def machine() -> dict:
+    """The CPUs this process may use (its affinity set where the platform
+    has one) and the BLAS thread variables it passes on to its runs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"cpus": cpus, "environment": {v: os.environ.get(v) for v in BLAS_VARIABLES}}
 
 
 def end_to_end_metrics(path: Path = BENCHMARK) -> dict[str, dict]:
@@ -169,6 +179,7 @@ def main(argv=None) -> None:
     runs = [r for r in runs if r["workload"] in workloads and r["seed"] in seeds]
     summary = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds}",
+        **machine(),
         "seeds": seeds,
         "workloads": {w: summarise(runs, w, metrics) for w in workloads},
         "runs": runs,

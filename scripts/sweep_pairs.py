@@ -32,10 +32,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import quartiles
+from bench_pairs import machine, quartiles
 
 TOLERANCE = 0.05  # the change's median may be this much slower and still count as no slower
-BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _sha256(path: Path) -> str:
@@ -118,8 +117,7 @@ def main(argv=None) -> None:
     written = digests(runs)
     summary = {
         "command": "sonolink bench --packets 2 --threads T -o DIR",
-        "environment": {v: os.environ.get(v) for v in BLAS_VARIABLES},
-        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        **machine(),
         "tolerance": TOLERANCE,
         "digests": [{"report_json_sha256": j, "report_csv_sha256": c} for j, c in written],
         "digests_equal": len(written) == 1,

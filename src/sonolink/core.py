@@ -15,16 +15,19 @@ bit for bit, what a single pass over the whole grid would give.  ``stft``
 and ``istft`` are a block source of windowed, transformed frames and an
 overlap-add accumulator; the suppressor runs between the two without a grid.
 
-A pass on the main thread of a process that may use more than one CPU
-hands block FFTs to a helper pool of (usable CPUs - 1) threads, made by the
-first such pass; ``stft`` gives the helper every other block, windowed into
-a buffer of its own, and ``istft``'s helper transforms every odd block
-while the caller transforms the even ones and accumulates each block in
-frame order.  Any other thread (``sonolink bench``'s workers), or a
-process with one CPU, runs every block itself, in the order and through the
-buffers it would without a helper.  The bytes are the same either way, and
-no pass returns while the helper still writes into one of its buffers.  A
-forked child drops the parent's pool and makes its own.
+Each pass has one block schedule, in which a helper task works on other
+blocks while the caller works on its own: ``stft``'s helper takes every
+other block, windowed into a buffer of its own, and ``istft``'s helper
+transforms every odd block while the caller transforms the even ones and
+accumulates each block in frame order.  :class:`_Pending` decides where a
+helper task runs.  On the main thread of a process that may use more than
+one CPU, a pass of two or more blocks hands it to a one-thread helper
+pool, made by the first such pass; anywhere else (``sonolink bench``'s
+workers, one usable CPU, a one-block pass, interpreter exit) the caller
+runs it.  The bytes are the same either way, every thread holds the helper
+task's block buffer, and no pass returns while the helper still writes
+into one of its buffers.  A forked child drops the parent's pool and makes
+its own.
 
 ``convolve`` writes its FFTs into a workspace of the calling thread, kept
 between calls up to :data:`_WORKSPACE_POINTS` points, so a stream of room
@@ -63,7 +66,7 @@ _WORKSPACE_POINTS = 1 << 18
 
 _workspace = threading.local()
 
-_pool = None  # the helper threads; made by the first pass that hands them work
+_pool = None  # the helper thread; made by the first pass that hands it work
 
 
 def _usable_cpus() -> int:
@@ -76,26 +79,24 @@ def _usable_cpus() -> int:
 
 
 def _helper():
-    """The helper pool for a pass on the main thread of a process that may
-    use more than one CPU, made on first use; None otherwise, and the pass
-    runs every task itself."""
+    """The one-thread helper pool for a pass on the main thread of a process
+    that may use more than one CPU, made on first use; None otherwise."""
     global _pool
     if threading.current_thread() is not threading.main_thread():
         return None
     if _pool is None:
-        workers = _usable_cpus() - 1
-        if workers < 1:
+        if _usable_cpus() < 2:
             return None
         try:  # only a pass that uses the pool pays the import
             from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="sonolink-helper")
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="sonolink-helper")
         except RuntimeError:  # at interpreter exit (an atexit callback) no pool can start
             return None
     return _pool
 
 
 def _drop_helper() -> None:
-    """In a forked child: the parent's helper threads do not exist here."""
+    """In a forked child: the parent's helper thread does not exist here."""
     global _pool
     _pool = None
 
@@ -105,22 +106,30 @@ if hasattr(os, "register_at_fork"):
 
 
 class _Pending:
-    """A pass's task in flight on the helper pool, one at a time.  Leaving
-    the ``with`` block waits for it, so a pass never returns, normally or by
-    an exception, while the helper still writes into one of its buffers."""
+    """A pass's helper task, one at a time.  A pass of ``blocks`` blocks
+    hands it to the helper pool when :func:`_helper` gives one and the pass
+    has more than one block; otherwise, or when the pool refuses it because
+    interpreter exit has begun, ``start`` runs it in the caller.  Leaving
+    the ``with`` block waits for a task on the pool, so a pass never
+    returns, normally or by an exception, while the helper still writes
+    into one of its buffers."""
 
-    def __init__(self, pool):
-        self.pool, self.future = pool, None
+    def __init__(self, blocks: int):
+        self.pool = _helper() if blocks > 1 else None
+        self.future = self.value = None
 
     def start(self, fn, *args) -> None:
-        try:
-            self.future = self.pool.submit(fn, *args)
-        except RuntimeError:  # the pool takes no tasks once interpreter exit has begun
-            from concurrent.futures import Future
-            self.future = Future()
-            self.future.set_result(fn(*args))  # every pass is correct with its tasks run here
+        if self.pool is not None:
+            try:
+                self.future = self.pool.submit(fn, *args)
+                return
+            except RuntimeError:  # the pool takes no tasks once interpreter exit has begun
+                self.pool = None
+        self.value = fn(*args)
 
     def result(self):
+        if self.future is None:
+            return self.value
         future, self.future = self.future, None
         return future.result()
 
@@ -369,14 +378,11 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
             frames.rfft(s, bins[s:s + BLOCK_FRAMES], buffer)
 
     starts = range(0, frames.n_frames, BLOCK_FRAMES)
-    helper = _helper() if len(starts) > 1 else None
-    if helper is None:
-        transform(starts)
-    else:  # the helper takes every other block, windowed into a buffer of its own
-        with _Pending(helper) as pending:
-            pending.start(transform, starts[1::2], np.empty_like(frames.windowed))
-            transform(starts[::2])
-            pending.result()
+    # the helper task takes every other block, windowed into a buffer of its own
+    with _Pending(len(starts)) as pending:
+        pending.start(transform, starts[1::2], np.empty_like(frames.windowed))
+        transform(starts[::2])
+        pending.result()
     return Spectrogram(bins=bins.T, config=cfg, sample_rate=buf.sample_rate,
                        num_samples=buf.samples.size)
 
@@ -462,22 +468,18 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     def block(s: int) -> np.ndarray:
         return spec.bins[:, s:s + BLOCK_FRAMES].T
 
+    # the helper task transforms each odd block, this thread each even one
+    # and accumulates every block in frame order
     starts = range(0, spec.num_frames, BLOCK_FRAMES)
-    helper = _helper() if len(starts) > 1 else None
-    if helper is None:
-        for s in starts:
+    spare = np.empty_like(ola.frames)
+    with _Pending(len(starts)) as pending:
+        for s in starts[::2]:
+            odd = s + BLOCK_FRAMES
+            if odd < spec.num_frames:
+                pending.start(ola.transform, block(odd), spare)
             ola.add(s, block(s))
-    else:  # the helper transforms each odd block, this thread each even one and
-        # accumulates every block in frame order
-        spare = np.empty_like(ola.frames)
-        with _Pending(helper) as pending:
-            for s in starts[::2]:
-                odd = s + BLOCK_FRAMES
-                if odd < spec.num_frames:
-                    pending.start(ola.transform, block(odd), spare)
-                ola.add(s, block(s))
-                if odd < spec.num_frames:
-                    ola.accumulate(odd, pending.result())
+            if odd < spec.num_frames:
+                ola.accumulate(odd, pending.result())
     return AudioBuffer(ola.samples(spec.num_samples), spec.sample_rate)
 
 

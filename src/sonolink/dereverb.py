@@ -12,14 +12,13 @@ no complex grid either (a caller's grid is copied a block at a time); blind,
 it holds the grid its RT60 estimate reads.  :func:`reverberant_psd` and
 :func:`spectral_gain` run the same block steps over whole grids.
 
-On the main thread, with a second CPU (see :mod:`sonolink.core`), the pass
-is a pipeline: the helper fills block k + 1 (an rfft from the recording or
-a copy from the grid) and transforms block k - 1 while the caller shapes
-block k (power, late PSD, gain, multiply); the caller then accumulates
-block k - 1, so the overlap-add still sums every sample's frames in frame
-order.  It holds one more block of bins for this.  On any other thread, or
-with one CPU, the caller fills, shapes, transforms and accumulates each
-block in turn.
+The pass is a pipeline: a helper task fills block k + 1 (an rfft from the
+recording or a copy from the grid) and transforms block k - 1 while the
+caller shapes block k (power, late PSD, gain, multiply); the caller then
+accumulates block k - 1, so the overlap-add still sums every sample's
+frames in frame order.  It holds one more block of bins for this, on every
+thread.  Where the task runs, on the helper thread or in the caller, is
+:class:`sonolink.core._Pending`'s choice.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _Frames, _helper,
-                   _OverlapAdd, _Pending, _power, as_spectrogram, default_stft_config)
+from .core import (BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _Frames, _OverlapAdd,
+                   _Pending, _power, as_spectrogram, default_stft_config)
 from .errors import EstimationError, InvalidArgumentError, _positive, _real
 from .rt60 import _estimate_from_bins
 
@@ -309,37 +308,30 @@ def dereverberate(
         block *= gain[:, :n]
         return float(np.sum(gain[:, :n]))
 
+    # block k is shaped here while the helper task transforms k - 1 and fills k + 1
     starts = range(0, n_frames, BLOCK_FRAMES)
-    helper = _helper() if len(starts) > 1 else None
+    buffers = (blocks, np.empty_like(blocks))
+
+    def rows(k: int) -> np.ndarray:
+        return buffers[k % 2][: min(BLOCK_FRAMES, n_frames - starts[k])]
+
+    def ahead(k: int) -> np.ndarray | None:
+        # k - 1's bins are read before k + 1's overwrite their buffer
+        windowed = ola.transform(rows(k - 1), ola.frames) if k else None
+        if k + 1 < len(starts):
+            fill(starts[k + 1], rows(k + 1))
+        return windowed
+
     gain_sum = 0.0
-    if helper is None:
-        for s in starts:
-            block = blocks[: min(BLOCK_FRAMES, n_frames - s)]
-            fill(s, block)
-            gain_sum += shape(s, block)
-            ola.add(s, block)
-    else:  # block k is shaped here while the helper transforms k - 1 and fills k + 1
-        buffers = (blocks, np.empty_like(blocks))
-
-        def rows(k: int) -> np.ndarray:
-            return buffers[k % 2][: min(BLOCK_FRAMES, n_frames - starts[k])]
-
-        def ahead(k: int) -> np.ndarray | None:
-            # k - 1's bins are read before k + 1's overwrite their buffer
-            windowed = ola.transform(rows(k - 1), ola.frames) if k else None
-            if k + 1 < len(starts):
-                fill(starts[k + 1], rows(k + 1))
-            return windowed
-
-        fill(0, rows(0))
-        with _Pending(helper) as pending:
-            for k, s in enumerate(starts):
-                pending.start(ahead, k)
-                gain_sum += shape(s, rows(k))
-                windowed = pending.result()
-                if k:
-                    ola.accumulate(starts[k - 1], windowed)
-        ola.add(starts[-1], rows(len(starts) - 1))
+    fill(0, rows(0))
+    with _Pending(len(starts)) as pending:
+        for k, s in enumerate(starts):
+            pending.start(ahead, k)
+            gain_sum += shape(s, rows(k))
+            windowed = pending.result()
+            if k:
+                ola.accumulate(starts[k - 1], windowed)
+    ola.add(starts[-1], rows(len(starts) - 1))
 
     out = AudioBuffer(ola.samples(num_samples), rate)
     return out, DereverbDiagnostics(rt60, estimated, fallback, gain_sum / (n_bands * n_frames))

@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py: the gain and no-regression rules on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -137,3 +138,25 @@ def test_a_run_records_the_faults_of_perfbench_and_its_probes(tmp_path):
     # each touched page faults once; without the probe's the count stays
     # under 3000 plus one interpreter start-up (about 1000-2000)
     assert run["minor_faults"] >= 9000
+
+
+def test_summary_records_the_cpus_and_blas_settings(monkeypatch, tmp_path):
+    # the STFT passes use a second CPU when the process may, so the timings
+    # depend on the usable CPU count as well as on BLAS threading
+    def run_once(checkout, workload, seed, seconds):
+        return {"correct": True, "attempted": 1, "failed": 0, "minor_faults": 0,
+                "metrics": {name: 1.0 for name in bench_pairs.end_to_end_metrics()}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "out.json"
+    bench_pairs.main(["--base", "B", "--change", "C", "--workloads", "modem", "--seeds", "1",
+                      "--runs", str(tmp_path / "runs.jsonl"), "--out", str(out)])
+    summary = json.loads(out.read_text())
+    assert summary["cpus"] == 3
+    assert summary["environment"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                      "MKL_NUM_THREADS": None}
+    assert summary["workloads"]["modem"]["pairs"] == 1

@@ -1,9 +1,12 @@
-"""The STFT passes' helper thread: ``stft``, ``istft`` and ``dereverberate``
-give the same bytes whether the main thread hands block FFTs to the helper
-pool or a worker thread runs every block itself, both equal the whole-grid
-references of ``test_block_grid.py``, no pass leaves a helper task running,
-a forked child does not inherit the parent's pool, and passes still run
-in an atexit callback, when the pool takes no more tasks."""
+"""The STFT passes' helper thread.  ``stft``, ``istft`` and ``dereverberate``
+each have one block schedule, whose helper tasks run on the helper pool
+when the main thread makes the pass and in the caller on a worker thread;
+both give the same bytes, equal to the whole-grid references of
+``test_block_grid.py``.  A task run in the caller finishes inside
+``start``, no pass leaves a helper task running, a pass of an empty grid
+fails before any task, a forked child does not inherit the parent's pool,
+and passes still run in an atexit callback, when the pool takes no more
+tasks."""
 
 import multiprocessing
 import os
@@ -20,8 +23,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_block_grid import (
+    THREADS,
     _block_mean,
     _fewer_frames_than_overlap,
+    _in_a_worker,
     _reference_dereverberate,
     _reference_istft,
     _reference_stft,
@@ -30,8 +35,9 @@ from test_block_grid import (
 )
 
 from sonolink import core
-from sonolink.core import AudioBuffer, _Pending, default_stft_config, istft, stft
+from sonolink.core import AudioBuffer, Spectrogram, _Pending, default_stft_config, istft, stft
 from sonolink.dereverb import DereverbConfig, dereverberate
+from sonolink.errors import InvalidArgumentError
 
 
 class _CountingPool(ThreadPoolExecutor):
@@ -56,25 +62,6 @@ def pool():
     finally:
         core._pool.shutdown()
         core._pool = saved
-
-
-def _in_a_worker(fn, *args):
-    """fn(*args) on a thread that is not the main thread: the inline path."""
-    result = {}
-
-    def run():
-        try:
-            result["value"] = fn(*args)
-        except BaseException as exc:  # handed back to the test below
-            result["error"] = exc
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive()
-    if "error" in result:
-        raise result["error"]
-    return result["value"]
 
 
 def _passes(buf, cfg, rt60):
@@ -112,8 +99,8 @@ def _check_against_references(buf, cfg, rt60, got):
 @example(_fewer_frames_than_overlap(), None)
 def test_both_paths_match_the_references(pool, case, rt60):
     # block counts of 1 to 3 and hops from 1 sample to the whole window: the
-    # main thread hands every pass of two or more blocks to the helper, and
-    # a worker thread runs the same passes inline
+    # main thread hands the helper tasks of every pass of two or more blocks
+    # to the helper, and a worker thread runs the same tasks itself
     buf, stft_cfg = case
     cfg = DereverbConfig(stft=stft_cfg)
     tasks = pool.tasks
@@ -144,8 +131,8 @@ def test_both_paths_match_the_references_at_44k(pool, rt60):
 
 
 def test_threads_get_the_single_thread_results(pool):
-    # four worker threads (inline) and the main thread (pooled) run every
-    # pass at once under a 10 us switch interval
+    # four worker threads (tasks in the caller) and the main thread (pooled)
+    # run every pass at once under a 10 us switch interval
     cfg = DereverbConfig(stft=default_stft_config(8000))
     rng = np.random.default_rng(9)
     inputs = [AudioBuffer(rng.standard_normal(n) * np.exp(-np.arange(n) / 3000.0), 8000)
@@ -191,10 +178,63 @@ def test_a_pass_waits_for_its_helper_task_before_it_raises(pool):
         finished.set()
 
     with pytest.raises(KeyError):
-        with _Pending(pool) as pending:
+        with _Pending(2) as pending:
+            assert pending.pool is pool
             pending.start(slow)
             raise KeyError("the caller's own step failed")
     assert finished.is_set()
+
+
+@pytest.mark.parametrize("where", ["one block", "one CPU", "a worker"])
+def test_without_a_pool_start_runs_the_task(pool, monkeypatch, where):
+    # a one-block pass, a process with one usable CPU and a worker thread
+    # have no pool: the task runs inside start, and leaving the block waits
+    # for nothing
+    if where == "one CPU":
+        monkeypatch.setattr(core, "_pool", None)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    blocks = 1 if where == "one block" else 2
+
+    def run():
+        tasks, ran = pool.tasks, []
+
+        def task(x):
+            ran.append(threading.current_thread())
+            return 2 * x
+
+        with _Pending(blocks) as pending:
+            assert pending.pool is None
+            pending.start(task, 21)
+            assert ran == [threading.current_thread()]
+            assert pending.future is None
+            assert pending.result() == 42
+        with pytest.raises(KeyError, match="the task failed"):
+            with _Pending(blocks) as pending:
+                pending.start(_raise, KeyError("the task failed"))
+                ran.append("after start")
+        assert len(ran) == 1 and pending.future is None
+        assert pool.tasks == tasks
+
+    if where == "a worker":
+        _in_a_worker(run)
+    else:
+        run()
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_an_empty_grid_fails_before_any_task(pool):
+    # the schedules fill block 0 before their loops; an empty grid must
+    # fail at the overlap-add check first, not with an IndexError
+    cfg = default_stft_config(8000)
+    grid = Spectrogram(np.zeros((cfg.num_bins, 0), np.complex128), cfg, 8000, 0)
+    for run in (lambda: istft(grid), lambda: dereverberate(grid, rt60=0.5),
+                lambda: dereverberate(grid)):
+        for on in THREADS:
+            with pytest.raises(InvalidArgumentError, match="cannot invert an empty spectrogram"):
+                on(run)
 
 
 def test_an_error_on_the_helper_reaches_the_caller(pool, monkeypatch):
@@ -221,7 +261,7 @@ def test_one_cpu_or_another_thread_runs_inline(monkeypatch):
     assert _in_a_worker(core._helper) is None and core._pool is None
     made = core._helper()
     try:
-        assert made is core._pool and made._max_workers == 2
+        assert made is core._pool and made._max_workers == 1
         assert core._helper() is made
     finally:
         made.shutdown()
