@@ -6,8 +6,11 @@ every T in ``--threads``, in a base checkout and in a changed one. Which
 side goes first alternates from one pair to the next. Each run records the
 process's wall time and the sha256 of the ``report.json`` and
 ``report.csv`` it wrote. The summary gives, per thread count, each side's
-median and quartiles, the change's wins counted over pairs, and whether the
-change's median is within ``TOLERANCE`` of the base's. The script exits
+median and quartiles, the change's wins counted over pairs, whether the
+change's median is within ``TOLERANCE`` of the base's, and whether the runs
+resolve that tolerance at all (the base's interquartile range is within it,
+or every change run is faster than every base run; otherwise ``no_slower``
+is unresolved, not shown). The script exits
 non-zero, after writing the summary, if any two runs wrote different
 report bytes: a speed change must not move the sweep's figures.
 
@@ -69,6 +72,8 @@ def summarise(runs: list[dict], threads: int) -> dict:
     base = [p["base"]["seconds"] for p in pairs.values()]
     change = [p["change"]["seconds"] for p in pairs.values()]
     b, c = quartiles(base), quartiles(change)
+    spread_within_tolerance = b["q3"] - b["q1"] <= TOLERANCE * b["median"]
+    all_change_faster = max(change) < min(base)
     return {
         "pairs": len(pairs),
         "base": b,
@@ -77,6 +82,7 @@ def summarise(runs: list[dict], threads: int) -> dict:
         "change_wins": sum(x < y for x, y in zip(change, base)),
         "base_wins": sum(x > y for x, y in zip(change, base)),
         "no_slower": c["median"] <= (1.0 + TOLERANCE) * b["median"],
+        "resolved": spread_within_tolerance or all_change_faster,
     }
 
 

@@ -16,18 +16,24 @@ and ``istft`` are a block source of windowed, transformed frames and an
 overlap-add accumulator; the suppressor runs between the two without a grid.
 
 Each pass has one block schedule, in which a helper task works on other
-blocks while the caller works on its own: ``stft``'s helper takes every
-other block, windowed into a buffer of its own, and ``istft``'s helper
-transforms every odd block while the caller transforms the even ones and
-accumulates each block in frame order.  :class:`_Pending` decides where a
-helper task runs.  On the main thread of a process that may use more than
-one CPU, a pass of two or more blocks hands it to a one-thread helper
-pool, made by the first such pass; anywhere else (``sonolink bench``'s
-workers, one usable CPU, a one-block pass, interpreter exit) the caller
-runs it.  The bytes are the same either way, every thread holds the helper
-task's block buffer, and no pass returns while the helper still writes
-into one of its buffers.  A forked child drops the parent's pool and makes
-its own.
+blocks while the caller works on its own.  Most passes split their blocks
+into halves with :func:`_halves`: the helper task takes every other block
+(or other item) and the caller the rest, each through block buffers of its
+own, writing only its own slots of the output or returning a partial
+result that the caller combines exactly.  ``stft`` splits its blocks of
+frames, :func:`_band_peaks` (used by ``lsd``, ``rr`` and the blind RT60
+estimator) its blocks of frames, ``metrics.lsd`` its blocks of frames and
+its runs of active frames, ``metrics.rr`` its two grids' band energies and
+``rt60`` its blocks of retained bands.  ``istft``'s helper transforms every
+odd block while the caller transforms the even ones and accumulates each
+block in frame order.  :class:`_Pending` decides where a helper task runs.
+On the main thread of a process that may use more than one CPU, a pass of
+two or more blocks hands it to a one-thread helper pool, made by the first
+such pass; anywhere else (``sonolink bench``'s workers, one usable CPU, a
+one-block pass, interpreter exit) the caller runs it.  The bytes are the
+same either way, every thread holds the helper task's block buffers, and
+no pass returns while the helper still writes into one of its buffers.  A
+forked child drops the parent's pool and makes its own.
 
 ``convolve`` writes its FFTs into a workspace of the calling thread, kept
 between calls up to :data:`_WORKSPACE_POINTS` points, so a stream of room
@@ -106,13 +112,13 @@ if hasattr(os, "register_at_fork"):
 
 
 class _Pending:
-    """A pass's helper task, one at a time.  A pass of ``blocks`` blocks
-    hands it to the helper pool when :func:`_helper` gives one and the pass
-    has more than one block; otherwise, or when the pool refuses it because
-    interpreter exit has begun, ``start`` runs it in the caller.  Leaving
-    the ``with`` block waits for a task on the pool, so a pass never
-    returns, normally or by an exception, while the helper still writes
-    into one of its buffers."""
+    """A pass's helper task, one at a time.  A pass of ``blocks`` blocks (or
+    other items) hands it to the helper pool when :func:`_helper` gives one
+    and the pass has more than one; otherwise, or when the pool refuses it
+    because interpreter exit has begun, ``start`` runs it in the caller.
+    Leaving the ``with`` block waits for a task on the pool, so a pass
+    never returns, normally or by an exception, while the helper still
+    writes into one of its buffers."""
 
     def __init__(self, blocks: int):
         self.pool = _helper() if blocks > 1 else None
@@ -270,16 +276,34 @@ def _power(bins: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.square(out, out=out)
 
 
+def _halves(fn, items):
+    """fn(items[::2]) in the caller and fn(items[1::2]) as a helper task,
+    which runs where :class:`_Pending` puts it; returns both results, the
+    caller's first.  Each half must write only into buffers and slots of
+    its own."""
+    with _Pending(len(items)) as pending:
+        pending.start(fn, items[1::2])
+        mine = fn(items[::2])
+        return mine, pending.result()
+
+
 def _band_peaks(bins: np.ndarray) -> np.ndarray:
-    """Each band's peak power over a [bands, frames] grid.  Only |X| of a
-    block is written, into one reused buffer, and only the per-band maxima
-    are squared: rounding a square is monotone, so max fl(a²) = fl(max a)²."""
-    peaks = np.zeros(bins.shape[0])
-    mags = np.empty((BLOCK_FRAMES, bins.shape[0])).T
-    for s in range(0, bins.shape[1], BLOCK_FRAMES):
-        block = bins[:, s:s + BLOCK_FRAMES]
-        block = np.abs(block, out=mags[:, : block.shape[1]], dtype=np.float64)
-        np.maximum(peaks, block.max(axis=1), out=peaks)
+    """Each band's peak power over a [bands, frames] grid.  Each half of the
+    blocks of frames writes |X| of a block into a reused buffer of its own,
+    and the halves' maxima are combined, which is exact.  Only the per-band
+    maxima are squared: rounding a square is monotone, so max fl(a²) =
+    fl(max a)²."""
+    def peaks_of(starts) -> np.ndarray:
+        peaks = np.zeros(bins.shape[0])
+        mags = np.empty((BLOCK_FRAMES, bins.shape[0])).T
+        for s in starts:
+            block = bins[:, s:s + BLOCK_FRAMES]
+            block = np.abs(block, out=mags[:, : block.shape[1]], dtype=np.float64)
+            np.maximum(peaks, block.max(axis=1), out=peaks)
+        return peaks
+
+    peaks, other = _halves(peaks_of, range(0, bins.shape[1], BLOCK_FRAMES))
+    np.maximum(peaks, other, out=peaks)
     return np.square(peaks, out=peaks)
 
 
@@ -334,14 +358,16 @@ class _Frames:
                                  np.any(self.last.reshape(-1, hop), axis=1)])
         self.live = np.any(windows(chunks, win // hop), axis=1)
         self.window = _make_window(win)
-        self.windowed = np.empty((BLOCK_FRAMES, win))
 
-    def rfft(self, s: int, out: np.ndarray, buffer: np.ndarray | None = None) -> None:
+    def buffer(self) -> np.ndarray:
+        """A block buffer for :meth:`rfft` to window frames into."""
+        return np.empty((BLOCK_FRAMES, self.window.size))
+
+    def rfft(self, s: int, out: np.ndarray, buffer: np.ndarray) -> None:
         """The bins of frames s .. s + len(out) - 1 into ``out``, a frame per
         row; the rows of dead frames are left as they are.  The frames are
-        windowed into ``buffer`` (default: this source's own)."""
+        windowed into ``buffer``, one of :meth:`buffer`'s."""
         last = self.n_frames - 1 - s  # the last frame's row, if out holds it
-        buffer = self.windowed if buffer is None else buffer
         for a, b in _blocks(self.live[s:s + len(out)]):
             windowed, inside = buffer[: b - a], min(b, last)
             np.multiply(self.frames[s + a:s + inside], self.window, out=windowed[: inside - a])
@@ -370,19 +396,16 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
         One-sided spectrum, ``window_length//2 + 1`` bins per frame.
     """
     frames = _Frames(buf.samples, cfg)
-    # frame-major, so a block of frames is one slab; dead frames stay zero
-    bins = np.zeros((frames.n_frames, cfg.num_bins), dtype=np.complex128)
+    # frame-major, so a block of frames is one slab; only dead frames are zeroed
+    bins = np.empty((frames.n_frames, cfg.num_bins), dtype=np.complex128)
+    bins[~frames.live] = 0.0
 
-    def transform(starts, buffer=None):
+    def transform(starts) -> None:
+        windowed = frames.buffer()
         for s in starts:
-            frames.rfft(s, bins[s:s + BLOCK_FRAMES], buffer)
+            frames.rfft(s, bins[s:s + BLOCK_FRAMES], windowed)
 
-    starts = range(0, frames.n_frames, BLOCK_FRAMES)
-    # the helper task takes every other block, windowed into a buffer of its own
-    with _Pending(len(starts)) as pending:
-        pending.start(transform, starts[1::2], np.empty_like(frames.windowed))
-        transform(starts[::2])
-        pending.result()
+    _halves(transform, range(0, frames.n_frames, BLOCK_FRAMES))
     return Spectrogram(bins=bins.T, config=cfg, sample_rate=buf.sample_rate,
                        num_samples=buf.samples.size)
 

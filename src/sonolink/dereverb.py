@@ -278,9 +278,10 @@ def dereverberate(
         frames = _Frames(buf.samples, stft_cfg)
         n_frames, num_samples = frames.n_frames, len(buf)
         blocks = np.empty((BLOCK_FRAMES, stft_cfg.num_bins), np.complex128)
+        frame_buffer = frames.buffer()
         def fill(s: int, block: np.ndarray) -> None:
             block[~frames.live[s:s + len(block)]] = 0.0  # rfft leaves dead frames' rows
-            frames.rfft(s, block)
+            frames.rfft(s, block, frame_buffer)
 
     estimated = fallback = False
     frame_period = stft_cfg.frame_period(rate)

@@ -5,13 +5,21 @@ clean reference (with each spectrogram's log magnitudes confined to a 50 dB
 dynamic range) and reverberation reduction on tone-free subbands.  Both
 read their grids in blocks through reused buffers and hold no grid-sized
 power or log array.
+
+Each pass splits its work into halves (``core._halves``), each half with
+buffers of its own, so on the main thread the helper thread takes one
+half: ``lsd``'s clean-power pass splits the blocks of frames and its
+distortion pass the runs of active frames, whose per-frame RMS land in
+their slots of one array, and ``rr`` sums the reverberant grid's band
+energies on the helper while the caller sums the processed grid's.  The
+results are the same bytes as one thread's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import BLOCK_FRAMES, Spectrogram, _band_peaks, _blocks, _power
+from .core import BLOCK_FRAMES, Spectrogram, _band_peaks, _blocks, _halves, _power
 from .errors import InvalidArgumentError, MetricError
 
 __all__ = ["lsd", "rr"]
@@ -40,34 +48,47 @@ def lsd(clean: Spectrogram, test: Spectrogram) -> float:
     if clean.num_frames == 0:
         raise InvalidArgumentError("cannot compare empty spectrograms")
     n_bands, n_frames = clean.bins.shape
-    # Frame-major block buffers (the first takes the clean power in the
-    # first pass), so each frame's power sums its contiguous bins as a
-    # whole-grid pass over stft's grid would.
-    log_clean = np.empty((BLOCK_FRAMES, n_bands))
-    log_test = np.empty_like(log_clean)
     frame_power = np.empty(n_frames)
-    peak = 0.0
-    for s in range(0, n_frames, BLOCK_FRAMES):
-        block = clean.bins[:, s:s + BLOCK_FRAMES]
-        power = _power(block, out=log_clean[: block.shape[1]].T)
-        np.sum(power, axis=0, out=frame_power[s:s + block.shape[1]])
-        peak = max(peak, power.max())
+
+    def clean_power(starts) -> float:
+        # a frame-major block buffer, so each frame's power sums its
+        # contiguous bins as a whole-grid pass over stft's grid would
+        buffer = np.empty((BLOCK_FRAMES, n_bands))
+        peak = 0.0
+        for s in starts:
+            block = clean.bins[:, s:s + BLOCK_FRAMES]
+            power = _power(block, out=buffer[: block.shape[1]].T)
+            np.sum(power, axis=0, out=frame_power[s:s + block.shape[1]])
+            peak = max(peak, power.max())
+        return peak
+
+    peak = max(_halves(clean_power, range(0, n_frames, BLOCK_FRAMES)))
     active = frame_power > frame_power.max() * 10.0 ** (-ACTIVITY_THRESHOLD_DB / 10.0)
     if not active.any():  # a silent clean side has no active frame
         return 0.0
     # Only active clean frames are averaged, so only they are logged, clipped
     # and differenced.  Each side's top is the log of its peak power, which
     # is the peak of its logs because log10 is monotone.
-    per_frame = []
     with np.errstate(divide="ignore"):
         top_clean = 10.0 * np.log10(peak)
         top_test = 10.0 * np.log10(_band_peaks(test.bins).max())
-        top_test = top_test if np.isfinite(top_test) else top_clean
-        for a, b in _blocks(active):
-            diff = _clipped_db(_power(clean.bins[:, a:b].T, out=log_clean[: b - a]), top_clean)
-            diff -= _clipped_db(_power(test.bins[:, a:b].T, out=log_test[: b - a]), top_test)
-            per_frame.append(np.sqrt(np.mean(np.square(diff, out=diff), axis=1)))
-    return float(np.mean(np.concatenate(per_frame)))
+    top_test = top_test if np.isfinite(top_test) else top_clean
+    # each run of active frames writes its frames' RMS into their slots, in frame order
+    runs = list(_blocks(active))
+    slots = np.cumsum([0] + [b - a for a, b in runs]).tolist()
+    per_frame = np.empty(slots[-1])
+
+    def distortions(jobs) -> None:
+        log_clean = np.empty((BLOCK_FRAMES, n_bands))
+        log_test = np.empty_like(log_clean)
+        with np.errstate(divide="ignore"):  # set per thread
+            for at, (a, b) in jobs:
+                diff = _clipped_db(_power(clean.bins[:, a:b].T, out=log_clean[: b - a]), top_clean)
+                diff -= _clipped_db(_power(test.bins[:, a:b].T, out=log_test[: b - a]), top_test)
+                np.sqrt(np.mean(np.square(diff, out=diff), axis=1), out=per_frame[at:at + b - a])
+
+    _halves(distortions, list(zip(slots, runs)))
+    return float(np.mean(per_frame))
 
 
 def _clipped_db(power: np.ndarray, top: float) -> np.ndarray:
@@ -98,7 +119,9 @@ def rr(
     if not silent.any():
         raise MetricError("no silent subbands below the activity threshold")
 
-    rev_energy, proc_energy = (_energies(g.bins, silent) for g in (reverberant, processed))
+    # the helper task sums the reverberant grid while this thread sums the processed one
+    (proc_energy,), (rev_energy,) = _halves(
+        lambda grids: [_energies(g.bins, silent) for g in grids], [processed, reverberant])
     tiny = np.finfo(np.float64).tiny
     ratios = 10.0 * np.log10(
         np.maximum(rev_energy, tiny) / np.maximum(proc_energy, tiny)

@@ -8,6 +8,14 @@ are averaged into a single RT60 figure.  It never holds the grid's power:
 band peaks are taken over blocks of :data:`~sonolink.core.BLOCK_FRAMES`
 frames, and the retained bands are processed BLOCK_FRAMES at a time as one
 [bands x frames] power matrix computed from those rows of the grid.
+
+Both passes split their blocks into halves (``core._halves``), so on the
+main thread the helper thread takes every other block; each half holds
+its own block, and each block of bands writes its own slice of the
+per-band results.  A block keeps its BLOCK_FRAMES bands: the fit's run
+width is the longest run in the block, and numpy's pairwise sums over
+that width round differently at another width, so smaller blocks would
+move the estimates' last bits.
 """
 
 from __future__ import annotations
@@ -17,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _band_peaks, _power, as_spectrogram
+from .core import (BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _band_peaks, _halves, _power,
+                   as_spectrogram)
 from .errors import EstimationError, _non_negative, _real
 
 __all__ = ["RtEstimate", "estimate_rt60"]
@@ -81,12 +90,13 @@ def _estimate_from_bins(
 
     rt60_k = np.zeros(bands.size)
     r2 = np.zeros(bands.size)
-    for s in range(0, bands.size, BLOCK_FRAMES):
-        block = slice(s, s + BLOCK_FRAMES)
-        curves, ok = _decay_curves(_power(bins[bands[block], ::-1]), offset)
-        block_rt60, block_r2 = _fit_decays(curves, frame_period)
-        rt60_k[block] = np.where(ok, block_rt60, 0.0)
-        r2[block] = np.where(ok, block_r2, 0.0)
+
+    def fit(starts) -> None:
+        for s in starts:
+            block = slice(s, s + BLOCK_FRAMES)
+            rt60_k[block], r2[block] = _fit_bands(bins, bands[block], offset, frame_period)
+
+    _halves(fit, range(0, bands.size, BLOCK_FRAMES))
     valid = rt60_k > 0.0
     if not valid.any():
         raise EstimationError("no subband produced a usable decay fit")
@@ -95,6 +105,15 @@ def _estimate_from_bins(
         per_band=list(zip(bands.tolist(), rt60_k.tolist(), r2.tolist())),
         bands_used=int(np.count_nonzero(valid)),
     )
+
+
+def _fit_bands(bins: np.ndarray, rows: np.ndarray, offset: int,
+               frame_period: float) -> tuple[np.ndarray, np.ndarray]:
+    """RT60 and r^2 of the given rows of a [bands, frames] grid, 0 where
+    the decay has no usable fit.  Nothing of the block outlives the call."""
+    curves, ok = _decay_curves(_power(bins[rows, ::-1]), offset)
+    rt60, r2 = _fit_decays(curves, frame_period)
+    return np.where(ok, rt60, 0.0), np.where(ok, r2, 0.0)
 
 
 def _decay_curves(curves: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,18 @@
-"""The STFT passes' helper thread.  ``stft``, ``istft`` and ``dereverberate``
-each have one block schedule, whose helper tasks run on the helper pool
-when the main thread makes the pass and in the caller on a worker thread;
-both give the same bytes, equal to the whole-grid references of
-``test_block_grid.py``.  A task run in the caller finishes inside
-``start``, no pass leaves a helper task running, a pass of an empty grid
+"""The grid passes' helper thread.  ``stft``, ``istft`` and
+``dereverberate`` each have one block schedule, and ``lsd``, ``rr`` and
+``estimate_rt60`` split their passes into halves (``core._halves``); the
+helper tasks run on the helper pool when the main thread makes the pass,
+and in the caller on a worker thread, which never hands the pool a task.
+Both give the same bytes, equal to the whole-grid references of
+``test_block_grid.py`` and, for ``estimate_rt60``, to the one-thread
+block form below.  A task run in the caller finishes inside ``start``, no
+pass leaves a helper task running, an error in either half reaches the
+caller only after the helper's half has ended, a pass of an empty grid
 fails before any task, a forked child does not inherit the parent's pool,
 and passes still run in an atexit callback, when the pool takes no more
 tasks."""
 
+import math
 import multiprocessing
 import os
 import queue
@@ -26,29 +31,37 @@ from test_block_grid import (
     THREADS,
     _block_mean,
     _fewer_frames_than_overlap,
+    _half_silent,
     _in_a_worker,
     _reference_dereverberate,
     _reference_istft,
+    _reference_lsd,
+    _reference_rr,
     _reference_stft,
     _silence_in_second_block,
     signals,
 )
 
-from sonolink import core
-from sonolink.core import AudioBuffer, Spectrogram, _Pending, default_stft_config, istft, stft
+from sonolink import core, metrics, rt60
+from sonolink.core import (BLOCK_FRAMES, AudioBuffer, Spectrogram, _Pending, _power,
+                           default_stft_config, istft, stft)
 from sonolink.dereverb import DereverbConfig, dereverberate
-from sonolink.errors import InvalidArgumentError
+from sonolink.errors import InvalidArgumentError, SonolinkError
+from sonolink.metrics import lsd, rr
+from sonolink.rt60 import estimate_rt60
 
 
 class _CountingPool(ThreadPoolExecutor):
-    """A helper pool that counts the tasks handed to it."""
+    """A helper pool that counts the tasks handed to it, and those handed
+    to it from a thread other than the main thread."""
 
     def __init__(self):
         super().__init__(1, thread_name_prefix="test-helper")
-        self.tasks = 0
+        self.tasks = self.foreign = 0
 
     def submit(self, fn, *args, **kwargs):
         self.tasks += 1
+        self.foreign += threading.current_thread() is not threading.main_thread()
         return super().submit(fn, *args, **kwargs)
 
 
@@ -64,15 +77,38 @@ def pool():
         core._pool = saved
 
 
+def _or_error(fn, *args):
+    """fn(*args), or the name of the sonolink error it raised."""
+    try:
+        return fn(*args)
+    except SonolinkError as exc:
+        return type(exc).__name__
+
+
+def _clean(buf):
+    """A clean reference for ``buf``: a tone at an eighth of the rate over
+    its first half, as the bench's packet padded to the recording's length,
+    so many bands of the grid are silent."""
+    return _half_silent(AudioBuffer(np.sin(np.pi / 4.0 * np.arange(len(buf))), buf.sample_rate))
+
+
 def _passes(buf, cfg, rt60):
-    """Each pass's output: stft's bins, istft of them, and dereverberate on
-    the recording with ``rt60`` (None: blind) and on the grid."""
+    """Each pass's output: stft's bins, istft of them, dereverberate on the
+    recording with ``rt60`` (None: blind) and on the grid, and the metrics
+    of the recording's grid (the reverberant one) and of its dereverberated
+    form (the processed one) against :func:`_clean`: lsd of both, rr and
+    estimate_rt60."""
     grid = stft(buf, cfg.stft)
     out = {"stft": grid.bins, "istft": istft(grid).samples}
     for name, given_input in (("recording", buf), ("grid", grid)):
         samples, diag = dereverberate(given_input, cfg, rt60=rt60)
         out[name] = samples.samples
         out[name + " diagnostics"] = (diag.rt60, diag.mean_gain)
+    clean = stft(_clean(buf), cfg.stft)
+    processed = stft(AudioBuffer(out["recording"], buf.sample_rate), cfg.stft)
+    out["lsd"] = (lsd(clean, grid), lsd(clean, processed))
+    out["rr"] = _or_error(rr, grid, processed, clean)
+    out["estimate_rt60"] = _or_error(estimate_rt60, grid)
     return out
 
 
@@ -91,6 +127,30 @@ def _check_against_references(buf, cfg, rt60, got):
     for name in ("recording", "grid"):
         assert np.array_equal(got[name], want.samples), name
         assert got[name + " diagnostics"] == (want_rt60, _block_mean(gains.gain)), name
+    clean = _reference_stft(_clean(buf), cfg.stft)
+    processed = _reference_stft(want, cfg.stft)
+    assert got["lsd"] == (_reference_lsd(clean, want_grid), _reference_lsd(clean, processed))
+    assert got["rr"] == (_reference_rr(want_grid, processed, clean) or "MetricError")
+    assert got["estimate_rt60"] == _or_error(_reference_rt60, want_grid)
+
+
+def _reference_rt60(grid):
+    # the one-thread form: each block of retained bands gathered whole, in order
+    bins, period = grid.bins, grid.config.frame_period(grid.sample_rate)
+    peaks = grid.power().max(axis=1)
+    bands = np.flatnonzero(peaks >= peaks.max() * 10.0 ** (-rt60.DEFAULT_THRESHOLD_DB / 10.0))
+    offset = math.ceil(rt60.DEFAULT_DECAY_OFFSET / period)
+    per_band = []
+    for s in range(0, bands.size if peaks.max() > 0.0 else 0, BLOCK_FRAMES):
+        block = bands[s:s + BLOCK_FRAMES]
+        curves, ok = rt60._decay_curves(_power(bins[block, ::-1]), offset)
+        rt60_k, r2 = rt60._fit_decays(curves, period)
+        per_band += zip(block.tolist(), np.where(ok, rt60_k, 0.0).tolist(),
+                        np.where(ok, r2, 0.0).tolist())
+    valid = [v for _, v, _ in per_band if v > 0.0]
+    if not valid:
+        raise rt60.EstimationError("no subband produced a usable decay fit")
+    return rt60.RtEstimate(float(np.mean(valid)), per_band, len(valid))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -107,8 +167,9 @@ def test_both_paths_match_the_references(pool, case, rt60):
     pooled = _passes(buf, cfg, rt60)
     handed = pool.tasks - tasks
     inline = _in_a_worker(_passes, buf, cfg, rt60)
-    assert pool.tasks - tasks == handed  # the worker never touched the pool
-    assert (handed > 0) == (stft(buf, stft_cfg).num_frames > core.BLOCK_FRAMES)
+    assert pool.tasks - tasks == handed and pool.foreign == 0  # the worker never touched the pool
+    if stft(buf, stft_cfg).num_frames > BLOCK_FRAMES:
+        assert handed > 0
     assert _same(pooled, inline)
     _check_against_references(buf, cfg, rt60, pooled)
 
@@ -127,6 +188,8 @@ def test_both_paths_match_the_references_at_44k(pool, rt60):
     pooled = _passes(buf, cfg, rt60)
     assert pool.tasks > tasks
     assert _same(pooled, _in_a_worker(_passes, buf, cfg, rt60))
+    assert pool.foreign == 0
+    assert not isinstance(pooled["rr"], str) and not isinstance(pooled["estimate_rt60"], str)
     _check_against_references(buf, cfg, rt60, pooled)
 
 
@@ -167,7 +230,7 @@ def test_threads_get_the_single_thread_results(pool):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert sorted(done) == list(range(len(inputs))) and not wrong
-    assert pool.tasks > tasks
+    assert pool.tasks > tasks and pool.foreign == 0
 
 
 def test_a_pass_waits_for_its_helper_task_before_it_raises(pool):
@@ -251,6 +314,47 @@ def test_an_error_on_the_helper_reaches_the_caller(pool, monkeypatch):
     for run in (lambda: stft(buf, default_stft_config(fs)), lambda: dereverberate(buf, rt60=0.5)):
         with pytest.raises(FloatingPointError, match="helper failed"):
             run()
+
+
+def _metric_inputs():
+    # 750 frames of 257 bands, most of them retained for the RT60 fit, and a
+    # tone for clean reference, which leaves most bands silent for rr
+    fs = 8000
+    t = np.arange(3 * fs) / fs
+    wet = stft(AudioBuffer(np.random.default_rng(4).standard_normal(t.size) * np.exp(-2.0 * t), fs),
+               default_stft_config(fs))
+    tone = stft(AudioBuffer(np.sin(2 * np.pi * 700.0 * t), fs), default_stft_config(fs))
+    return {"lsd": (lsd, tone, wet), "rr": (rr, wet, wet, tone), "estimate_rt60": (estimate_rt60, wet)}
+
+
+@pytest.mark.parametrize("metric", ["lsd", "rr", "estimate_rt60"])
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_a_metric_raises_only_after_its_helper_half(pool, monkeypatch, metric, failing):
+    # the helper half's first block power fails after 0.2 s, or the caller's
+    # fails at once while the helper half is in its first block: the error
+    # reaches the caller, and nothing runs on the helper once it has
+    fn, *args = _metric_inputs()[metric]
+    power, calls, finished = _power, [], threading.Event()
+
+    def slow(*a, **kw):
+        on_helper = threading.current_thread() is not threading.main_thread()
+        calls.append(on_helper)
+        if on_helper:
+            time.sleep(0.2)
+            finished.set()
+        if on_helper == (failing == "helper"):
+            raise FloatingPointError(f"{failing} failed")
+        return power(*a, **kw)
+
+    monkeypatch.setattr(metrics, "_power", slow)
+    monkeypatch.setattr(rt60, "_power", slow)
+    tasks = pool.tasks
+    with pytest.raises(FloatingPointError, match=f"{failing} failed"):
+        fn(*args)
+    assert pool.tasks > tasks and finished.is_set()
+    seen = len(calls)
+    time.sleep(0.3)
+    assert len(calls) == seen and any(calls) and not all(calls)
 
 
 def test_one_cpu_or_another_thread_runs_inline(monkeypatch):

@@ -40,6 +40,21 @@ def test_no_slower_allows_the_tolerance(factor, no_slower):
     assert out["no_slower"] is no_slower
 
 
+@pytest.mark.parametrize("base, change, resolved", [
+    # the base's quartiles 20.0 and 21.0: a spread of 5% of its median 20.0
+    ([20.0, 20.0, 20.0, 21.0, 21.0], [20.0] * 5, True),
+    # a spread of 18% of the median at a 5% tolerance, as in BENCH_22.json's 1-thread sweep
+    ([28.7, 28.7, 31.0, 34.3, 34.3], [30.0, 31.0, 31.5, 32.0, 35.0], False),
+    # as wide, but every change run is faster than every base run
+    ([28.7, 28.7, 31.0, 34.3, 34.3], [20.0, 21.0, 22.0, 23.0, 28.0], True),
+    # one change run ties the fastest base run
+    ([28.7, 28.7, 31.0, 34.3, 34.3], [20.0, 21.0, 22.0, 23.0, 28.7], False),
+])
+def test_resolved_needs_a_narrow_base_or_a_clean_sweep(base, change, resolved):
+    out = sweep_pairs.summarise(_runs(base, change), 1)
+    assert out["resolved"] is resolved
+
+
 def test_only_complete_pairs_of_one_thread_count_count():
     runs = _runs([20.0, 20.0], [10.0, 10.0], threads=1) + _runs([5.0], [50.0], threads=2)
     runs.append({"threads": 1, "pair": 7, "side": "base", "seconds": 1.0, **DIGESTS})
