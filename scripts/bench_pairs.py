@@ -94,6 +94,16 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
 
 
+def resolved(base: list[float], change: list[float], bound: float, sign: float = 1.0) -> bool:
+    """Whether the runs resolve a change of ``bound`` times the base's
+    median: the base's interquartile range is within it, or every change
+    run is better than every base run (``sign`` is 1.0 where lower is
+    better, -1.0 where higher is)."""
+    b = quartiles(base)
+    return (b["q3"] - b["q1"] <= bound * b["median"]
+            or max(sign * v for v in change) < min(sign * v for v in base))
+
+
 def _median_faults(pairs, side: str) -> float | None:
     """The median fault count of one side's runs; None if none has one
     (runs recorded before faults were counted)."""
@@ -127,8 +137,6 @@ def summarise(runs: list[dict], workload: str, metrics: dict[str, dict]) -> dict
         wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
         losses = sum(sign * (b - c) < 0 for b, c in zip(base, change))
         b, c = quartiles(base), quartiles(change)
-        spread_within_bound = b["q3"] - b["q1"] <= rule["bound"] * b["median"]
-        all_change_better = max(sign * v for v in change) < min(sign * v for v in base)
         out["metrics"][name] = {
             "better": better,
             "base": b,
@@ -140,7 +148,7 @@ def summarise(runs: list[dict], workload: str, metrics: dict[str, dict]) -> dict
             and sign * (b["median"] - c["median"]) > b["q3"] - b["q1"],
             "bound": rule["bound"],
             "within_bound": sign * (c["median"] - b["median"]) <= rule["bound"] * b["median"],
-            "resolved": spread_within_bound or all_change_better,
+            "resolved": resolved(base, change, rule["bound"], sign),
         }
     return out
 

@@ -35,7 +35,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import machine, quartiles
+from bench_pairs import machine, quartiles, resolved
 
 TOLERANCE = 0.05  # the change's median may be this much slower and still count as no slower
 
@@ -72,8 +72,6 @@ def summarise(runs: list[dict], threads: int) -> dict:
     base = [p["base"]["seconds"] for p in pairs.values()]
     change = [p["change"]["seconds"] for p in pairs.values()]
     b, c = quartiles(base), quartiles(change)
-    spread_within_tolerance = b["q3"] - b["q1"] <= TOLERANCE * b["median"]
-    all_change_faster = max(change) < min(base)
     return {
         "pairs": len(pairs),
         "base": b,
@@ -82,7 +80,7 @@ def summarise(runs: list[dict], threads: int) -> dict:
         "change_wins": sum(x < y for x, y in zip(change, base)),
         "base_wins": sum(x > y for x, y in zip(change, base)),
         "no_slower": c["median"] <= (1.0 + TOLERANCE) * b["median"],
-        "resolved": spread_within_tolerance or all_change_faster,
+        "resolved": resolved(base, change, TOLERANCE),
     }
 
 

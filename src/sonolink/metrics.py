@@ -10,9 +10,9 @@ Each pass splits its work into halves (``core._halves``), each half with
 buffers of its own, so on the main thread the helper thread takes one
 half: ``lsd``'s clean-power pass splits the blocks of frames and its
 distortion pass the runs of active frames, whose per-frame RMS land in
-their slots of one array, and ``rr`` sums the reverberant grid's band
-energies on the helper while the caller sums the processed grid's.  The
-results are the same bytes as one thread's.
+their slots of one per-frame array, and ``rr`` sums the reverberant
+grid's band energies on the helper while the caller sums the processed
+grid's.  The results are the same bytes as one thread's.
 """
 
 from __future__ import annotations
@@ -73,22 +73,20 @@ def lsd(clean: Spectrogram, test: Spectrogram) -> float:
         top_clean = 10.0 * np.log10(peak)
         top_test = 10.0 * np.log10(_band_peaks(test.bins).max())
     top_test = top_test if np.isfinite(top_test) else top_clean
-    # each run of active frames writes its frames' RMS into their slots, in frame order
-    runs = list(_blocks(active))
-    slots = np.cumsum([0] + [b - a for a, b in runs]).tolist()
-    per_frame = np.empty(slots[-1])
+    # each run of active frames writes its frames' RMS into their slots
+    rms = np.empty(n_frames)
 
-    def distortions(jobs) -> None:
+    def distortions(runs) -> None:
         log_clean = np.empty((BLOCK_FRAMES, n_bands))
         log_test = np.empty_like(log_clean)
         with np.errstate(divide="ignore"):  # set per thread
-            for at, (a, b) in jobs:
+            for a, b in runs:
                 diff = _clipped_db(_power(clean.bins[:, a:b].T, out=log_clean[: b - a]), top_clean)
                 diff -= _clipped_db(_power(test.bins[:, a:b].T, out=log_test[: b - a]), top_test)
-                np.sqrt(np.mean(np.square(diff, out=diff), axis=1), out=per_frame[at:at + b - a])
+                np.sqrt(np.mean(np.square(diff, out=diff), axis=1), out=rms[a:b])
 
-    _halves(distortions, list(zip(slots, runs)))
-    return float(np.mean(per_frame))
+    _halves(distortions, list(_blocks(active)))
+    return float(np.mean(rms[active]))
 
 
 def _clipped_db(power: np.ndarray, top: float) -> np.ndarray:

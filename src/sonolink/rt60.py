@@ -12,10 +12,11 @@ frames, and the retained bands are processed BLOCK_FRAMES at a time as one
 Both passes split their blocks into halves (``core._halves``), so on the
 main thread the helper thread takes every other block; each half holds
 its own block, and each block of bands writes its own slice of the
-per-band results.  A block keeps its BLOCK_FRAMES bands: the fit's run
-width is the longest run in the block, and numpy's pairwise sums over
-that width round differently at another width, so smaller blocks would
-move the estimates' last bits.
+per-band results.  A block's power is computed from a few of its complex
+rows at a time, so no complex copy of the block is held.  A block keeps
+its BLOCK_FRAMES bands: the fit's run width is the longest run in the
+block, and numpy's pairwise sums over that width round differently at
+another width, so smaller blocks would move the estimates' last bits.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ FIT_UPPER_DB = -5.0
 FIT_LOWER_DB = -35.0
 MIN_FIT_SAMPLES = 5
 MIN_FIT_R2 = 0.8
+GATHER_ROWS = 8  # retained bands whose complex rows are copied at once
 
 
 @dataclass
@@ -110,8 +112,14 @@ def _estimate_from_bins(
 def _fit_bands(bins: np.ndarray, rows: np.ndarray, offset: int,
                frame_period: float) -> tuple[np.ndarray, np.ndarray]:
     """RT60 and r^2 of the given rows of a [bands, frames] grid, 0 where
-    the decay has no usable fit.  Nothing of the block outlives the call."""
-    curves, ok = _decay_curves(_power(bins[rows, ::-1]), offset)
+    the decay has no usable fit.  The rows' power in reversed frame order
+    is gathered GATHER_ROWS rows at a time, each through a contiguous
+    complex copy, so no complex copy of the whole block is held.  Nothing
+    of the block outlives the call."""
+    power = np.empty((rows.size, bins.shape[1]))
+    for i in range(0, rows.size, GATHER_ROWS):
+        _power(bins[rows[i:i + GATHER_ROWS], ::-1], out=power[i:i + GATHER_ROWS])
+    curves, ok = _decay_curves(power, offset)
     rt60, r2 = _fit_decays(curves, frame_period)
     return np.where(ok, rt60, 0.0), np.where(ok, r2, 0.0)
 
@@ -159,12 +167,18 @@ def _fit_decays(curves: np.ndarray, frame_period: float) -> tuple[np.ndarray, np
     fitted = (count >= MIN_FIT_SAMPLES) & (run[:, 0] != last)
 
     # frame times, centred on each run's midpoint; the run counts backwards in time
-    dt = np.where(inside, ((count[:, None] - 1) / 2.0 - pos) * frame_period, 0.0)
+    dt = ((count[:, None] - 1) / 2.0 - pos) * frame_period
+    outside = ~inside
+    dt[outside] = 0.0
+    # the run becomes its deviations from its mean in place, and one buffer
+    # takes the residuals, so a block holds three run-wide arrays, not five
+    run[outside] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.where(inside, run, 0.0).sum(axis=1) / count
-        dy = np.where(inside, run - mean[:, None], 0.0)
+        mean = run.sum(axis=1) / count
+        dy = np.subtract(run, mean[:, None], out=run, where=inside)
         slope = np.sum(dt * dy, axis=1) / np.sum(dt * dt, axis=1)
-        ss_res = np.sum((dy - slope[:, None] * dt) ** 2, axis=1)
+        residual = np.multiply(slope[:, None], dt)
+        ss_res = np.sum(np.square(np.subtract(dy, residual, out=residual), out=residual), axis=1)
         r2 = np.where(fitted, 1.0 - ss_res / np.sum(dy * dy, axis=1), 0.0)
         good = fitted & (slope < 0.0) & (r2 >= MIN_FIT_R2)
         return np.where(good, -60.0 / slope, 0.0), r2

@@ -482,9 +482,9 @@ def test_dereverberate_matches_reference_at_44k():
 # its RT60 estimate reads, one block of frames in each of its buffers (two
 # of bins, on every thread) and the overlap-add sum (one signal's float64
 # bytes, 1/16 grid at the default configuration): about 1.17 grids.  On
-# the main thread its RT60 estimate's two halves each hold a block of
-# retained bands beside the grid: about 1.21 grids.  A grid-sized float
-# temporary (half a grid) crosses this bound.
+# the main thread its RT60 estimate's two halves each hold the power of a
+# block of retained bands and its fit beside the grid, less than those
+# buffers.  A grid-sized float temporary (half a grid) crosses this bound.
 MAX_PEAK_GRIDS = 1.25
 # With RT60 given it holds no grid: on a caller's grid it copies one block
 # at a time, so a whole copy (one grid) crosses this bound.

@@ -93,23 +93,34 @@ def _clean(buf):
 
 
 def _passes(buf, cfg, rt60):
-    """Each pass's output: stft's bins, istft of them, dereverberate on the
-    recording with ``rt60`` (None: blind) and on the grid, and the metrics
-    of the recording's grid (the reverberant one) and of its dereverberated
-    form (the processed one) against :func:`_clean`: lsd of both, rr and
-    estimate_rt60."""
+    """Each pass's output: those of :func:`_grid_passes` and :func:`_metric_passes`."""
+    out = _grid_passes(buf, cfg, rt60)
+    out.update(_metric_passes(buf, cfg, out["recording"]))
+    return out
+
+
+def _grid_passes(buf, cfg, rt60):
+    """stft's bins, istft of them, and dereverberate on the recording with
+    ``rt60`` (None: blind) and on the grid."""
     grid = stft(buf, cfg.stft)
     out = {"stft": grid.bins, "istft": istft(grid).samples}
     for name, given_input in (("recording", buf), ("grid", grid)):
         samples, diag = dereverberate(given_input, cfg, rt60=rt60)
         out[name] = samples.samples
         out[name + " diagnostics"] = (diag.rt60, diag.mean_gain)
-    clean = stft(_clean(buf), cfg.stft)
-    processed = stft(AudioBuffer(out["recording"], buf.sample_rate), cfg.stft)
-    out["lsd"] = (lsd(clean, grid), lsd(clean, processed))
-    out["rr"] = _or_error(rr, grid, processed, clean)
-    out["estimate_rt60"] = _or_error(estimate_rt60, grid)
     return out
+
+
+def _metric_passes(buf, cfg, processed):
+    """The metrics of the recording's grid (the reverberant one) and of
+    ``processed``, its dereverberated samples (the processed one), against
+    :func:`_clean`: lsd of both, rr and estimate_rt60."""
+    grid = stft(buf, cfg.stft)
+    clean = stft(_clean(buf), cfg.stft)
+    processed = stft(AudioBuffer(processed, buf.sample_rate), cfg.stft)
+    return {"lsd": (lsd(clean, grid), lsd(clean, processed)),
+            "rr": _or_error(rr, grid, processed, clean),
+            "estimate_rt60": _or_error(estimate_rt60, grid)}
 
 
 def _same(got, want) -> bool:
@@ -134,14 +145,22 @@ def _check_against_references(buf, cfg, rt60, got):
     assert got["estimate_rt60"] == _or_error(_reference_rt60, want_grid)
 
 
+def _retained_bands(grid):
+    """The bands the blind RT60 estimate fits: those whose peak power is
+    within its threshold of the loudest band's; none in a silent grid."""
+    peaks = grid.power().max(axis=1)
+    if peaks.max() <= 0.0:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(peaks >= peaks.max() * 10.0 ** (-rt60.DEFAULT_THRESHOLD_DB / 10.0))
+
+
 def _reference_rt60(grid):
     # the one-thread form: each block of retained bands gathered whole, in order
     bins, period = grid.bins, grid.config.frame_period(grid.sample_rate)
-    peaks = grid.power().max(axis=1)
-    bands = np.flatnonzero(peaks >= peaks.max() * 10.0 ** (-rt60.DEFAULT_THRESHOLD_DB / 10.0))
+    bands = _retained_bands(grid)
     offset = math.ceil(rt60.DEFAULT_DECAY_OFFSET / period)
     per_band = []
-    for s in range(0, bands.size if peaks.max() > 0.0 else 0, BLOCK_FRAMES):
+    for s in range(0, bands.size, BLOCK_FRAMES):
         block = bands[s:s + BLOCK_FRAMES]
         curves, ok = rt60._decay_curves(_power(bins[block, ::-1]), offset)
         rt60_k, r2 = rt60._fit_decays(curves, period)
@@ -164,12 +183,20 @@ def test_both_paths_match_the_references(pool, case, rt60):
     buf, stft_cfg = case
     cfg = DereverbConfig(stft=stft_cfg)
     tasks = pool.tasks
-    pooled = _passes(buf, cfg, rt60)
-    handed = pool.tasks - tasks
+    pooled = _grid_passes(buf, cfg, rt60)
+    grid_tasks = pool.tasks - tasks
+    pooled.update(_metric_passes(buf, cfg, pooled["recording"]))
+    metric_tasks = pool.tasks - tasks - grid_tasks
     inline = _in_a_worker(_passes, buf, cfg, rt60)
-    assert pool.tasks - tasks == handed and pool.foreign == 0  # the worker never touched the pool
-    if stft(buf, stft_cfg).num_frames > BLOCK_FRAMES:
-        assert handed > 0
+    assert pool.tasks - tasks == grid_tasks + metric_tasks  # the worker never touched the pool
+    assert pool.foreign == 0
+    # the grid passes hand tasks exactly when they have two or more blocks:
+    # of frames, or of retained bands in the blind estimate
+    grid = _reference_stft(buf, stft_cfg)
+    bands = _retained_bands(grid).size if rt60 is None else 0
+    assert (grid_tasks > 0) == (max(grid.num_frames, bands) > BLOCK_FRAMES)
+    if grid.num_frames > BLOCK_FRAMES:  # lsd's clean-power pass splits the frame blocks
+        assert metric_tasks > 0
     assert _same(pooled, inline)
     _check_against_references(buf, cfg, rt60, pooled)
 

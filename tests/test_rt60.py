@@ -150,6 +150,42 @@ def test_block_pass_matches_per_band_reference(n_bands, n_frames, period, thresh
     np.testing.assert_allclose([r for _, _, r in got], [r for _, _, r in want], rtol=1e-12, atol=0)
 
 
+def _masked_fit(curves, period):
+    # the fit with every run-wide step a fresh array, masked by np.where
+    below = np.count_nonzero(curves < -35.0, axis=1)
+    count = np.count_nonzero(curves <= -5.0, axis=1) - below
+    pos = np.arange(max(int(count.max(initial=0)), 1))
+    inside = pos < count[:, None]
+    run = np.take_along_axis(curves, np.minimum(below[:, None] + pos, curves.shape[1] - 1), axis=1)
+    last = np.take_along_axis(run, np.maximum(count - 1, 0)[:, None], axis=1)[:, 0]
+    fitted = (count >= 5) & (run[:, 0] != last)
+    dt = np.where(inside, ((count[:, None] - 1) / 2.0 - pos) * period, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.where(inside, run, 0.0).sum(axis=1) / count
+        dy = np.where(inside, run - mean[:, None], 0.0)
+        slope = np.sum(dt * dy, axis=1) / np.sum(dt * dt, axis=1)
+        ss_res = np.sum((dy - slope[:, None] * dt) ** 2, axis=1)
+        r2 = np.where(fitted, 1.0 - ss_res / np.sum(dy * dy, axis=1), 0.0)
+        good = fitted & (slope < 0.0) & (r2 >= 0.8)
+        return np.where(good, -60.0 / slope, 0.0), r2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_bands=st.integers(1, BLOCK_FRAMES),
+    n_frames=st.integers(1, 400),
+    period=st.sampled_from([0.04, 0.01, 0.003]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_is_the_masked_fit_bit_for_bit(n_bands, n_frames, period, seed):
+    # _fit_decays reuses its run and residual buffers in place; it must give
+    # the bytes of the fit that masks fresh arrays
+    offset = math.ceil(0.080 / period)
+    curves, _ = _decay_curves(_power_grid(n_bands, n_frames, offset, seed, 1.0)[:, ::-1].copy(), offset)
+    got, want = _fit_decays(curves, period), _masked_fit(curves, period)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 # ---------------------------------------------------------------------------
 # decay curve
 # ---------------------------------------------------------------------------
