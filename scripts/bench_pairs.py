@@ -104,6 +104,48 @@ def resolved(base: list[float], change: list[float], bound: float, sign: float =
             or max(sign * v for v in change) < min(sign * v for v in base))
 
 
+def paired_runs(runs_file: Path, pairs: list[tuple[int, dict]], run) -> list[dict]:
+    """Both sides of every pair, run or read back from ``runs_file``.
+
+    ``pairs`` gives each pair's index and the fields that name it, and the
+    side that goes first alternates with the index (base first at even
+    ones); ``run(side, fields)`` measures one side.  Each run is appended to
+    ``runs_file`` as one JSON line as soon as it ends, and runs already in
+    the file are not repeated, so an interrupted series resumes where it
+    stopped.  Returns the file's runs of these pairs, in the file's order.
+    """
+    names = list(pairs[0][1]) if pairs else []
+
+    def key(record: dict) -> tuple:
+        return tuple(record.get(name) for name in names)
+
+    runs = []
+    if runs_file.exists():
+        runs = [json.loads(line) for line in runs_file.read_text().splitlines() if line]
+    done = {(key(r), r["side"]) for r in runs}
+    for i, fields in pairs:
+        for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+            if (key(fields), side) in done:
+                continue
+            record = {**fields, "side": side, "ran_first": (side == "base") == (i % 2 == 0),
+                      **run(side, fields)}
+            with open(runs_file, "a") as fh:
+                fh.write(json.dumps(record) + "\n")
+            runs.append(record)
+    wanted = {key(fields) for _, fields in pairs}
+    return [r for r in runs if key(r) in wanted]
+
+
+def complete_pairs(runs: list[dict], pair: str, **match) -> list[dict]:
+    """The {side: run} pairs, in order of their ``pair`` field, of the runs
+    whose fields equal ``match``; a pair without both sides is left out."""
+    pairs: dict = {}
+    for run in runs:
+        if all(run[name] == value for name, value in match.items()):
+            pairs.setdefault(run[pair], {})[run["side"]] = run
+    return [p for _, p in sorted(pairs.items()) if len(p) == 2]
+
+
 def _median_faults(pairs, side: str) -> float | None:
     """The median fault count of one side's runs; None if none has one
     (runs recorded before faults were counted)."""
@@ -112,27 +154,23 @@ def _median_faults(pairs, side: str) -> float | None:
 
 
 def summarise(runs: list[dict], workload: str, metrics: dict[str, dict]) -> dict:
-    pairs: dict[int, dict] = {}
-    for run in runs:
-        if run["workload"] == workload:
-            pairs.setdefault(run["seed"], {})[run["side"]] = run
-    pairs = {seed: p for seed, p in sorted(pairs.items()) if len(p) == 2}
+    pairs = complete_pairs(runs, "seed", workload=workload)
     out: dict = {
         "pairs": len(pairs),
         "counts_identical": all(
             (p["base"]["attempted"], p["base"]["failed"])
             == (p["change"]["attempted"], p["change"]["failed"])
-            for p in pairs.values()
+            for p in pairs
         ),
-        "all_correct": all(p[s]["correct"] for p in pairs.values() for s in p),
-        "minor_faults_median": {side: _median_faults(pairs.values(), side)
+        "all_correct": all(p[s]["correct"] for p in pairs for s in p),
+        "minor_faults_median": {side: _median_faults(pairs, side)
                                  for side in ("base", "change")},
         "metrics": {},
     }
     for name, rule in metrics.items():
         better = rule["better"]
-        base = [p["base"]["metrics"][name] for p in pairs.values()]
-        change = [p["change"]["metrics"][name] for p in pairs.values()]
+        base = [p["base"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
         sign = 1.0 if better == "lower" else -1.0
         wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
         losses = sum(sign * (b - c) < 0 for b, c in zip(base, change))
@@ -167,24 +205,11 @@ def main(argv=None) -> None:
     metrics = end_to_end_metrics()
     workloads = args.workloads.split(",")
     seeds = parse_seeds(args.seeds)
-    runs = []
-    if args.runs.exists():
-        runs = [json.loads(line) for line in args.runs.read_text().splitlines() if line]
-    done = {(r["workload"], r["seed"], r["side"]) for r in runs}
     checkouts = {"base": args.base, "change": args.change}
-    for workload in workloads:
-        for i, seed in enumerate(seeds):
-            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                if (workload, seed, side) in done:
-                    continue
-                run = {"workload": workload, "seed": seed, "side": side,
-                       "ran_first": (side == "base") == (i % 2 == 0),
-                       **run_once(checkouts[side], workload, seed, args.seconds)}
-                with open(args.runs, "a") as fh:
-                    fh.write(json.dumps(run) + "\n")
-                runs.append(run)
-
-    runs = [r for r in runs if r["workload"] in workloads and r["seed"] in seeds]
+    pairs = [(i, {"workload": workload, "seed": seed})
+             for workload in workloads for i, seed in enumerate(seeds)]
+    runs = paired_runs(args.runs, pairs, lambda side, f: run_once(
+        checkouts[side], f["workload"], f["seed"], args.seconds))
     summary = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds}",
         **machine(),

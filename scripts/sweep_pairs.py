@@ -35,7 +35,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import machine, quartiles, resolved
+from bench_pairs import complete_pairs, machine, paired_runs, quartiles, resolved
 
 TOLERANCE = 0.05  # the change's median may be this much slower and still count as no slower
 
@@ -64,13 +64,9 @@ def run_once(checkout: Path, threads: int) -> dict:
 
 def summarise(runs: list[dict], threads: int) -> dict:
     """Both sides' wall times at one thread count, over the complete pairs."""
-    pairs: dict[int, dict] = {}
-    for run in runs:
-        if run["threads"] == threads:
-            pairs.setdefault(run["pair"], {})[run["side"]] = run
-    pairs = {i: p for i, p in sorted(pairs.items()) if len(p) == 2}
-    base = [p["base"]["seconds"] for p in pairs.values()]
-    change = [p["change"]["seconds"] for p in pairs.values()]
+    pairs = complete_pairs(runs, "pair", threads=threads)
+    base = [p["base"]["seconds"] for p in pairs]
+    change = [p["change"]["seconds"] for p in pairs]
     b, c = quartiles(base), quartiles(change)
     return {
         "pairs": len(pairs),
@@ -100,24 +96,10 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
 
     thread_counts = [int(t) for t in args.threads.split(",")]
-    runs = []
-    if args.runs.exists():
-        runs = [json.loads(line) for line in args.runs.read_text().splitlines() if line]
-    done = {(r["threads"], r["pair"], r["side"]) for r in runs}
     checkouts = {"base": args.base, "change": args.change}
-    for i in range(args.pairs):
-        for threads in thread_counts:
-            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                if (threads, i, side) in done:
-                    continue
-                run = {"threads": threads, "pair": i, "side": side,
-                       "ran_first": (side == "base") == (i % 2 == 0),
-                       **run_once(checkouts[side], threads)}
-                with open(args.runs, "a") as fh:
-                    fh.write(json.dumps(run) + "\n")
-                runs.append(run)
-
-    runs = [r for r in runs if r["threads"] in thread_counts and r["pair"] < args.pairs]
+    pairs = [(i, {"threads": threads, "pair": i})
+             for i in range(args.pairs) for threads in thread_counts]
+    runs = paired_runs(args.runs, pairs, lambda side, f: run_once(checkouts[side], f["threads"]))
     written = digests(runs)
     summary = {
         "command": "sonolink bench --packets 2 --threads T -o DIR",

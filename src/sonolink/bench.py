@@ -137,9 +137,6 @@ class BenchReport:
     errors: list[dict]
     schema_version: int = _SCHEMA_VERSION
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _round4(value) -> float | None:
     if value is None:
@@ -365,7 +362,7 @@ def write_report(report: BenchReport, directory) -> dict[str, Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {"json": directory / "report.json", "csv": directory / "report.csv"}
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+    text = json.dumps(asdict(report), sort_keys=True, indent=2, allow_nan=False)
     paths["json"].write_text(text + "\n")
     with open(paths["csv"], "w", newline="") as fh:
         writer = csv.writer(fh)

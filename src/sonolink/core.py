@@ -178,10 +178,6 @@ class AudioBuffer:
         """Length in seconds."""
         return self.samples.size / self.sample_rate
 
-    def scaled(self, factor: float) -> "AudioBuffer":
-        """Return a copy with samples multiplied by ``factor``."""
-        return AudioBuffer(self.samples * float(factor), self.sample_rate)
-
 
 @dataclass(frozen=True)
 class StftConfig:

@@ -32,7 +32,7 @@ import numpy as np
 from .core import (BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _Frames, _OverlapAdd,
                    _Pending, _power, as_spectrogram, default_stft_config)
 from .errors import EstimationError, InvalidArgumentError, _positive, _real
-from .rt60 import _estimate_from_bins
+from .rt60 import estimate_rt60
 
 __all__ = [
     "DereverbConfig",
@@ -287,7 +287,7 @@ def dereverberate(
     frame_period = stft_cfg.frame_period(rate)
     if rt60 is None:
         try:
-            rt60 = _estimate_from_bins(grid.bins, frame_period).rt60
+            rt60 = estimate_rt60(grid).rt60
             estimated = True
         except EstimationError:
             rt60 = FALLBACK_RT60

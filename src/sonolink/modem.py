@@ -15,9 +15,10 @@ signal (``_partials``).  The preamble scan is one block-DFT grid per
 recording: one matrix product gives every symbol/8 block's partial DTFT,
 and each 8-block window sums its blocks' partials, so work and memory grow
 with the samples, not with samples x window length.  Demodulation reads
-the few symbol slots after a preamble through the same kernel, picks the
-strongest tone per slot, and hands low-confidence symbols to the
-Reed-Solomon decoder as erasures.
+the [slots x tones] magnitude grid of the few symbol slots after a
+preamble through the same kernel (``_slot_magnitudes``), picks the
+strongest tone per slot (``_decisions``), and hands low-confidence
+symbols to the Reed-Solomon decoder as erasures.
 """
 
 from __future__ import annotations
@@ -151,8 +152,6 @@ class DecodeResult:
 
 def _pack_symbols(payload: bytes) -> list[int]:
     """Pack bytes into 5-bit symbols, MSB first, zero-padded at the tail."""
-    if not payload:
-        return []
     total_bits = 8 * len(payload)
     n_symbols = -(-total_bits // rs.SYMBOL_BITS)
     value = int.from_bytes(payload, "big") << (n_symbols * rs.SYMBOL_BITS - total_bits)
@@ -210,11 +209,10 @@ def _tone_bank(profile: ProtocolProfile, sample_rate: int) -> np.ndarray:
     t = np.arange(n) / sample_rate
     bank = profile.amplitude * np.sin(2.0 * np.pi * np.outer(freqs, t))
     ramp = int(round(profile.ramp_time * sample_rate))
-    if ramp > 0:
-        # raised-cosine attack/release over the first/last ramp samples
-        shape = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
-        bank[:, :ramp] *= shape
-        bank[:, n - ramp:] *= shape[::-1]
+    # raised-cosine attack/release over the first/last ramp samples
+    shape = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
+    bank[:, :ramp] *= shape
+    bank[:, n - ramp:] *= shape[::-1]
     bank.setflags(write=False)
     return bank
 
@@ -248,7 +246,7 @@ def _dtft_tables(profile: ProtocolProfile, sample_rate: int):
     freqs = tone_frequencies(profile, sample_rate)
     omega = 2.0 * np.pi * freqs / sample_rate
     sym = profile.symbol_samples(sample_rate)
-    hop = max(1, sym // 8)
+    hop = sym // 8
     phase = np.outer(np.arange(sym), omega)
     kernel = np.empty((sym, 2 * freqs.size))
     kernel[:, 0::2] = np.cos(phase)
@@ -338,42 +336,36 @@ def detect_preamble(buf: AudioBuffer, profile: ProtocolProfile) -> list[int]:
     return candidates
 
 
-def _demodulate_symbols(
-    buf: AudioBuffer, start_offset: int, count: int, profile: ProtocolProfile
-) -> tuple[np.ndarray, np.ndarray]:
-    """Demodulate ``count`` symbols starting at a sample offset.
-
-    Magnitudes of all tones are measured over the central 80% of each
-    symbol window (tolerant to alignment error up to the excluded 10%).
-
-    Returns
-    -------
-    (symbols, confidences)
-        Strongest tone index per slot and the best/second-best magnitude
-        ratio (inf when only one tone carries any energy).
-    """
+def _slot_magnitudes(
+    buf: AudioBuffer, start: int, count: int, profile: ProtocolProfile
+) -> np.ndarray | None:
+    """[slots x tones] DTFT magnitudes of ``count`` symbol slots from a
+    sample offset, each over the central 80% of its window (tolerant to
+    alignment error up to the excluded 10%); None when a window runs
+    outside the buffer."""
     x = buf.samples
     _, kernel, _ = _dtft_tables(profile, buf.sample_rate)
     sym = profile.symbol_samples(buf.sample_rate)
-    if count < 1:
-        raise InvalidArgumentError("count must be >= 1")
     skip = int(round(0.1 * sym))
     core = sym - 2 * skip
-    first_start = start_offset + skip
-    end = first_start + (count - 1) * sym + core
-    if start_offset < 0 or end > x.size:
-        raise InvalidArgumentError(
-            f"symbol windows [{start_offset}, {end}) exceed buffer of {x.size} samples"
-        )
-    mags = np.abs(_partials(x[first_start:], core, count, sym, kernel))
+    first_start = start + skip
+    if start < 0 or first_start + (count - 1) * sym + core > x.size:
+        return None
+    return np.abs(_partials(x[first_start:], core, count, sym, kernel))
+
+
+def _decisions(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strongest tone per slot of a magnitude grid and the best/second-best
+    magnitude ratio (inf when only one tone carries any energy, 1 when none
+    does).  The tone is argsort's last, so a silent slot reads tone 31."""
     order = np.argsort(mags, axis=1)
-    symbols = order[:, -1]
-    best = mags[np.arange(count), order[:, -1]]
-    second = mags[np.arange(count), order[:, -2]]
+    slots = np.arange(len(mags))
+    best = mags[slots, order[:, -1]]
+    second = mags[slots, order[:, -2]]
     with np.errstate(divide="ignore", invalid="ignore"):
         confidences = np.where(second > 0.0, best / np.maximum(second, 1e-300), np.inf)
     confidences = np.where((second == 0.0) & (best == 0.0), 1.0, confidences)
-    return symbols.astype(np.int64), confidences
+    return order[:, -1].astype(np.int64), confidences
 
 
 def _decode_at(buf: AudioBuffer, offset: int, profile: ProtocolProfile) -> DecodeResult:
@@ -384,14 +376,21 @@ def _decode_at(buf: AudioBuffer, offset: int, profile: ProtocolProfile) -> Decod
     decodes neither with erasures nor errors-only fails as "fec-failure".
     """
     sym = profile.symbol_samples(buf.sample_rate)
-    try:
-        n_bytes = int(_demodulate_symbols(buf, offset + 2 * sym, 1, profile)[0][0])
-        if not 1 <= n_bytes <= profile.max_payload_bytes:
-            return DecodeResult(None, offset, failure="length-symbol-invalid")
-        blocks = _rs_blocks(-(-8 * n_bytes // rs.SYMBOL_BITS), profile.rs_parity)
-        symbols, confidences = _demodulate_symbols(buf, offset + 3 * sym, blocks[-1][1].stop, profile)
-    except InvalidArgumentError:
-        return DecodeResult(None, offset, failure="length-symbol-invalid")
+    invalid = DecodeResult(None, offset, failure="length-symbol-invalid")
+    # The length slot is read on its own, then the body: BLAS rounds a
+    # one-row product differently from the same row of a longer one, so
+    # one read of both would move the decisions' last bits.
+    length = _slot_magnitudes(buf, offset + 2 * sym, 1, profile)
+    if length is None:
+        return invalid
+    n_bytes = int(_decisions(length)[0][0])
+    if not 1 <= n_bytes <= profile.max_payload_bytes:
+        return invalid
+    blocks = _rs_blocks(-(-8 * n_bytes // rs.SYMBOL_BITS), profile.rs_parity)
+    grid = _slot_magnitudes(buf, offset + 3 * sym, blocks[-1][1].stop, profile)
+    if grid is None:
+        return invalid
+    symbols, confidences = _decisions(grid)
 
     data, corrected, erasures_used = [], 0, 0
     for d, p in blocks:

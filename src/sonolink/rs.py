@@ -28,7 +28,6 @@ FIELD_SIZE = 32
 SYMBOL_BITS = 5
 MAX_CODEWORD = FIELD_SIZE - 1  # 31 symbols
 _PRIMITIVE_POLY = 0x25  # x^5 + x^2 + 1
-_GENERATOR = 2
 _FCR = 1  # first consecutive root exponent
 
 # exp table doubled so products of two logs index without a modulo
@@ -60,12 +59,9 @@ def _gf_div(a: int, b: int) -> int:
     return _EXP[(_LOG[a] - _LOG[b]) % MAX_CODEWORD]
 
 
-def _gf_pow(a: int, n: int) -> int:
-    if a == 0:
-        if n == 0:
-            return 1
-        return 0
-    return _EXP[(_LOG[a] * n) % MAX_CODEWORD]
+def _alpha(n: int) -> int:
+    """alpha^n for the generator element alpha = 2 (any integer n)."""
+    return _EXP[n % MAX_CODEWORD]
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -92,7 +88,7 @@ def _generator_poly(nparity: int) -> list[int]:
     """Monic generator with roots at alpha^1..alpha^nparity, ascending order."""
     g = [1]
     for i in range(nparity):
-        g = _poly_mul(g, [_gf_pow(_GENERATOR, _FCR + i), 1])
+        g = _poly_mul(g, [_alpha(_FCR + i), 1])
     return g
 
 
@@ -139,7 +135,7 @@ def _syndromes(codeword: list[int], nparity: int) -> list[int]:
     # codeword is in transmission order: first symbol = highest power of x
     out = []
     for j in range(nparity):
-        root = _gf_pow(_GENERATOR, _FCR + j)
+        root = _alpha(_FCR + j)
         acc = 0
         for coef in codeword:
             acc = _gf_mul(acc, root) ^ coef
@@ -192,7 +188,7 @@ def rs_decode(codeword, nparity: int, erasures=()) -> tuple[list[int], int]:
         raise FecError(f"{n_erasures} erasures exceed parity budget {nparity}")
 
     # locators X = alpha^(n-1-i) for transmission index i
-    erasure_locators = [_gf_pow(_GENERATOR, n - 1 - e) for e in erasure_set]
+    erasure_locators = [_alpha(n - 1 - e) for e in erasure_set]
     gamma = [1]
     for loc in erasure_locators:
         gamma = _poly_mul(gamma, [1, loc])
@@ -227,7 +223,7 @@ def rs_decode(codeword, nparity: int, erasures=()) -> tuple[list[int], int]:
     root_positions = []
     root_inverses = []
     for i in range(n):
-        x_inv = _gf_pow(_GENERATOR, (i - (n - 1)) % MAX_CODEWORD)
+        x_inv = _alpha(i - (n - 1))
         if _poly_eval(psi, x_inv) == 0:
             root_positions.append(i)
             root_inverses.append(x_inv)

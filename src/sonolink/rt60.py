@@ -73,15 +73,7 @@ def estimate_rt60(
     """
     threshold_db = _non_negative(_real(threshold_db, "threshold_db"), "threshold_db")
     grid = as_spectrogram(buf, cfg)
-    return _estimate_from_bins(grid.bins, grid.config.frame_period(grid.sample_rate), threshold_db)
-
-
-def _estimate_from_bins(
-    bins: np.ndarray,
-    frame_period: float,
-    threshold_db: float = DEFAULT_THRESHOLD_DB,
-) -> RtEstimate:
-    """estimate_rt60 on a grid's [bands, frames] bins, for callers that hold them."""
+    bins, frame_period = grid.bins, grid.config.frame_period(grid.sample_rate)
     peaks = _band_peaks(bins)
     top = peaks.max(initial=0.0)
     if top > 0.0:

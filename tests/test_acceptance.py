@@ -209,7 +209,7 @@ def test_criterion_6_property_suites():
         buf = _decaying_burst(rng, rt60=float(rng.uniform(0.3, 1.2)), seconds=0.8)
         scale = 2.0 ** (case % 24 - 12)
         out, _ = dereverberate(buf, small, rt60=0.5)
-        out_scaled, _ = dereverberate(buf.scaled(scale), small, rt60=0.5)
+        out_scaled, _ = dereverberate(AudioBuffer(buf.samples * scale, buf.sample_rate), small, rt60=0.5)
         assert np.array_equal(out_scaled.samples, out.samples * scale)
         scale_cases += 1
 
@@ -219,13 +219,14 @@ def test_criterion_6_property_suites():
     for case in range(100):
         buf = _decaying_burst(rng, rt60=float(rng.uniform(0.3, 1.2)))
         scale = 2.0 ** (case % 20 - 10)
+        scaled = AudioBuffer(buf.samples * scale, buf.sample_rate)
         try:
             base = estimate_rt60(buf, est_cfg).rt60
         except EstimationError:
             with pytest.raises(EstimationError):
-                estimate_rt60(buf.scaled(scale), est_cfg)
+                estimate_rt60(scaled, est_cfg)
         else:
-            assert estimate_rt60(buf.scaled(scale), est_cfg).rt60 == base
+            assert estimate_rt60(scaled, est_cfg).rt60 == base
         est_cases += 1
 
     # (e) the applied mask never amplifies any time-frequency bin, and it is

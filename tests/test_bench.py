@@ -160,9 +160,9 @@ class TestSyntheticRun:
     def test_deterministic_across_runs_and_threads(self, tiny_report):
         again = run_benchmark(TINY)
         threaded = run_benchmark(dataclasses.replace(TINY, threads=2))
-        base = json.dumps(tiny_report.to_dict(), sort_keys=True)
-        assert json.dumps(again.to_dict(), sort_keys=True) == base
-        assert json.dumps(threaded.to_dict(), sort_keys=True) == base
+        base = json.dumps(dataclasses.asdict(tiny_report), sort_keys=True)
+        assert json.dumps(dataclasses.asdict(again), sort_keys=True) == base
+        assert json.dumps(dataclasses.asdict(threaded), sort_keys=True) == base
 
     def test_bug_in_a_layer_is_an_error_not_a_failure(self, monkeypatch):
         # a programming error must surface with its type, not hide in the
@@ -316,7 +316,7 @@ class TestReportIO:
     def test_json_roundtrip(self, tiny_report, tmp_path):
         paths = write_report(tiny_report, tmp_path)
         assert sorted(paths) == ["csv", "json"]
-        assert json.loads(paths["json"].read_text()) == tiny_report.to_dict()
+        assert json.loads(paths["json"].read_text()) == dataclasses.asdict(tiny_report)
 
     def test_csv_layout(self, tmp_path):
         report = BenchReport(

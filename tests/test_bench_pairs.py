@@ -160,3 +160,22 @@ def test_summary_records_the_cpus_and_blas_settings(monkeypatch, tmp_path):
     assert summary["environment"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
                                       "MKL_NUM_THREADS": None}
     assert summary["workloads"]["modem"]["pairs"] == 1
+
+
+def test_paired_runs_alternate_resume_and_keep_only_their_pairs(tmp_path):
+    calls = []
+
+    def run(side, fields):
+        calls.append((side, fields["seed"]))
+        return {"value": 1.0}
+
+    runs_file = tmp_path / "runs.jsonl"
+    runs_file.write_text(json.dumps({"workload": "other", "seed": 1, "side": "base"}) + "\n")
+    pairs = [(i, {"workload": "w", "seed": seed}) for i, seed in enumerate([1, 2])]
+    runs = bench_pairs.paired_runs(runs_file, pairs, run)
+    assert calls == [("base", 1), ("change", 1), ("change", 2), ("base", 2)]
+    assert [(r["seed"], r["side"], r["ran_first"]) for r in runs] == [
+        (1, "base", True), (1, "change", False), (2, "change", True), (2, "base", False)]
+    # every run is in the file now, so a second call repeats none of them
+    assert bench_pairs.paired_runs(runs_file, pairs, run) == runs
+    assert len(calls) == 4

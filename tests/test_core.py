@@ -35,10 +35,6 @@ class TestAudioBuffer:
         assert buf.samples.dtype == np.float64
         assert buf.duration == pytest.approx(3 / 44100)
 
-    def test_scaled(self):
-        buf = AudioBuffer([1.0, -2.0], 8000)
-        assert np.array_equal(buf.scaled(0.5).samples, [0.5, -1.0])
-
     def test_rejects_2d(self):
         with pytest.raises(InvalidArgumentError, match="one-dimensional"):
             AudioBuffer(np.zeros((4, 2)), 44100)

@@ -1,11 +1,13 @@
-"""Demodulation: the shared DTFT kernel against the window gather it replaced.
+"""Demodulation: the shared DTFT kernel's magnitude grid against the window
+gather it replaced.
 
 The reference gathers a [slots x core] matrix of each symbol slot's central
 80% and multiplies it by cos/sin tables built from 2*pi*f*n/fs.  The kernel
 path reads the same samples through a strided view against the receiver's
 one cos/-sin kernel, built from omega*n, so magnitudes may differ by
-rounding only: symbols must match wherever the reference's best tone
-clearly beats the second, and confidences must agree to rounding.
+rounding only: the grids must agree to rounding, the decisions taken from
+them must match wherever the reference's best tone clearly beats the
+second, and confidences must agree to rounding.
 """
 
 from unittest import mock
@@ -20,7 +22,8 @@ from sonolink.modem import (
     AUDIBLE,
     ULTRASONIC,
     Packet,
-    _demodulate_symbols,
+    _decisions,
+    _slot_magnitudes,
     decode_packet,
     encode_packet,
     tone_frequencies,
@@ -38,25 +41,21 @@ CASES = [
 ]
 
 
-def _reference_demodulate(buf, start_offset, count, profile):
-    """Symbols and best/second ratios of ``count`` slots by direct gather."""
+def _reference_magnitudes(buf, start_offset, count, profile):
+    """[slots x tones] magnitudes of ``count`` slots by direct gather; None
+    when a window runs outside the buffer."""
     x = buf.samples
     fs = buf.sample_rate
     freqs = tone_frequencies(profile, fs)
     sym = profile.symbol_samples(fs)
     skip = int(round(0.1 * sym))
     core = sym - 2 * skip
-    phase = 2.0 * np.pi * np.outer(np.arange(core), freqs) / fs
     starts = start_offset + np.arange(count) * sym + skip
+    if start_offset < 0 or starts[-1] + core > x.size:
+        return None
+    phase = 2.0 * np.pi * np.outer(np.arange(core), freqs) / fs
     windows = x[starts[:, None] + np.arange(core)[None, :]]
-    mags = np.hypot(windows @ np.cos(phase), windows @ np.sin(phase))
-    order = np.argsort(mags, axis=1)
-    best = mags[np.arange(count), order[:, -1]]
-    second = mags[np.arange(count), order[:, -2]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        confidences = np.where(second > 0.0, best / np.maximum(second, 1e-300), np.inf)
-    confidences = np.where((second == 0.0) & (best == 0.0), 1.0, confidences)
-    return order[:, -1].astype(np.int64), confidences
+    return np.hypot(windows @ np.cos(phase), windows @ np.sin(phase))
 
 
 @st.composite
@@ -92,15 +91,19 @@ def slots(draw):
 @given(slots())
 def test_kernel_demodulation_matches_gather(case):
     profile, buf, start, count, kind = case
-    got_symbols, got_conf = _demodulate_symbols(buf, start, count, profile)
-    want_symbols, want_conf = _reference_demodulate(buf, start, count, profile)
+    got = _slot_magnitudes(buf, start, count, profile)
+    want = _reference_magnitudes(buf, start, count, profile)
+    # a tone far below its grid's loudest carries that tone's rounding
+    np.testing.assert_allclose(got, want, rtol=REL_TOL, atol=REL_TOL * want.max())
 
+    got_symbols, got_conf = _decisions(got)
+    want_symbols, want_conf = _decisions(want)
     clear = want_conf > 1.0 + REL_TOL
     assert np.array_equal(got_symbols[clear], want_symbols[clear])
     assert np.allclose(got_conf, want_conf, rtol=REL_TOL, atol=0.0)
 
     if kind.endswith("packet"):
-        with mock.patch.object(modem, "_demodulate_symbols", _reference_demodulate):
+        with mock.patch.object(modem, "_slot_magnitudes", _reference_magnitudes):
             want = decode_packet(buf, profile)
         got = decode_packet(buf, profile)
         assert (got.payload, got.preamble_offset, got.failure) == (

@@ -18,10 +18,11 @@ from sonolink.modem import (
     DecodeResult,
     Packet,
     ProtocolProfile,
+    _decisions,
     _decode_at,
-    _demodulate_symbols,
     _pack_symbols,
     _packet_symbols,
+    _slot_magnitudes,
     _unpack_payload,
     decode_packet,
     detect_preamble,
@@ -197,7 +198,7 @@ def test_roundtrip_survives_scaling():
     payload = b"\x12\x34"
     buf = encode_packet(Packet(payload), AUDIBLE, 44100)
     for factor in (1e-4, 0.1, 2.0):
-        result = decode_packet(buf.scaled(factor), AUDIBLE)
+        result = decode_packet(AudioBuffer(buf.samples * factor, 44100), AUDIBLE)
         assert result.ok and result.payload == payload
 
 
@@ -304,23 +305,42 @@ def test_ambiguous_symbols_become_erasures():
 # ---------------------------------------------------------------------------
 
 
-def test_demodulate_validation():
-    buf = encode_packet(Packet(b"\x01"), AUDIBLE, 44100)
-    with pytest.raises(InvalidArgumentError):
-        _demodulate_symbols(buf, 0, 0, AUDIBLE)
-    with pytest.raises(InvalidArgumentError, match="exceed"):
-        _demodulate_symbols(buf, 0, 1000, AUDIBLE)
-    with pytest.raises(InvalidArgumentError):
-        _demodulate_symbols(buf, -5, 1, AUDIBLE)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from([(AUDIBLE, 22050), (AUDIBLE, 44100),
+                          (ULTRASONIC, 44100), (ULTRASONIC, 48000)]),
+    payload=st.binary(min_size=1, max_size=16),
+    last_slot=st.booleans(),
+    short=st.floats(0.0, 1.0),
+)
+def test_a_window_past_the_end_fails_as_length_symbol_invalid(case, payload, last_slot, short):
+    # cut a clean packet inside the central 80% of its length slot or of its
+    # last body slot: decoding at the true offset must fail, not raise
+    profile, fs = case
+    buf = encode_packet(Packet(payload), profile, fs)
+    sym = profile.symbol_samples(fs)
+    skip = int(round(0.1 * sym))
+    slot = len(buf) // sym - 1 if last_slot else 2
+    window_end = slot * sym + sym - skip
+    cut = window_end - 1 - int(short * (sym - skip - 1))  # in [slot * sym, window_end)
+    result = _decode_at(AudioBuffer(buf.samples[:cut], fs), 0, profile)
+    assert result == DecodeResult(None, 0, failure="length-symbol-invalid")
 
 
 def test_demodulate_reads_back_symbols():
     pkt = Packet(b"\x5a\xc3")
     expected = list(AUDIBLE.preamble) + _packet_symbols(pkt, AUDIBLE)
     buf = encode_packet(pkt, AUDIBLE, 44100)
-    symbols, confidences = _demodulate_symbols(buf, 0, len(expected), AUDIBLE)
+    symbols, confidences = _decisions(_slot_magnitudes(buf, 0, len(expected), AUDIBLE))
     assert symbols.tolist() == expected
     assert np.all(confidences > 1.5)
+    assert _slot_magnitudes(buf, -1, 1, AUDIBLE) is None  # a window before the start
+
+
+def test_a_silent_slot_reads_the_top_tone_at_confidence_one():
+    # the decision is argsort's last tone; argmax would pick tone 0 here
+    symbols, confidences = _decisions(np.zeros((1, AUDIBLE.tone_count)))
+    assert symbols.tolist() == [31] and confidences.tolist() == [1.0]
 
 
 def test_noise_never_raises_mean_confidence():
@@ -328,13 +348,13 @@ def test_noise_never_raises_mean_confidence():
     pkt = Packet(b"\x5a\xc3\x99\x01")
     buf = encode_packet(pkt, AUDIBLE, 44100)
     count = 2 + len(_packet_symbols(pkt, AUDIBLE))
-    _, conf_clean = _demodulate_symbols(buf, 0, count, AUDIBLE)
+    _, conf_clean = _decisions(_slot_magnitudes(buf, 0, count, AUDIBLE))
     clean_mean = conf_clean.mean()
     below = 0
     for trial in range(100):
         noise = np.random.default_rng(trial).standard_normal(len(buf)) * 0.05
-        _, conf = _demodulate_symbols(
-            AudioBuffer(buf.samples + noise, 44100), 0, count, AUDIBLE
+        _, conf = _decisions(
+            _slot_magnitudes(AudioBuffer(buf.samples + noise, 44100), 0, count, AUDIBLE)
         )
         below += conf.mean() <= clean_mean
     assert below == 100

@@ -50,19 +50,17 @@ def test_gf_div():
         rs._gf_div(5, 0)
 
 
-def test_gf_pow():
-    for n in range(0, 40):
-        expected = 1
-        for _ in range(n):
-            expected = slow_mul(expected, 3)
-        assert rs._gf_pow(3, n) == expected
-    assert rs._gf_pow(0, 0) == 1
-    assert rs._gf_pow(0, 5) == 0
+def test_alpha():
+    expected = 1  # 2^n by repeated multiplication
+    for n in range(40):
+        assert rs._alpha(n) == expected
+        assert slow_mul(rs._alpha(-n), expected) == 1  # alpha^-n inverts alpha^n
+        expected = slow_mul(expected, 2)
 
 
 def test_generator_element_has_full_order():
     # powers of 2 must enumerate every nonzero element exactly once
-    seen = {rs._gf_pow(2, i) for i in range(31)}
+    seen = {rs._alpha(i) for i in range(31)}
     assert seen == set(range(1, 32))
 
 
@@ -93,7 +91,7 @@ def test_generator_poly_oracle(nparity):
 def test_generator_poly_roots():
     g = rs._generator_poly(8)
     for j in range(1, 9):
-        assert rs._poly_eval(g, rs._gf_pow(2, j)) == 0
+        assert rs._poly_eval(g, rs._alpha(j)) == 0
     # alpha^0 must NOT be a root (first root exponent is 1)
     assert rs._poly_eval(g, 1) != 0
 
@@ -108,7 +106,7 @@ def test_encode_systematic_and_valid():
         assert len(cw) == k + 8
         # codeword polynomial evaluates to zero at every generator root
         for j in range(1, 9):
-            root = rs._gf_pow(2, j)
+            root = rs._alpha(j)
             acc = 0
             for c in cw:
                 acc = slow_mul(acc, root) ^ c

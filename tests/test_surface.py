@@ -1,8 +1,10 @@
 """Public surface: every exported name exists and has a caller outside the
-tests, the package root exports none, and importing the CLI loads no scipy."""
+tests, and so does every public method and property of an exported class;
+the package root exports none, and importing the CLI loads no scipy."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -99,6 +101,33 @@ def test_all_names_have_a_caller(name):
         used |= _references(tree, name)
     unused = [export for export in getattr(module, "__all__", []) if export not in used]
     assert not unused, f"sonolink.{name}.__all__ names with no caller outside tests: {unused}"
+
+
+def _public_members(module) -> list[str]:
+    """``Class.name`` of each public method and property defined in the body
+    of a class that ``module`` exports."""
+    members = []
+    for export in getattr(module, "__all__", []):
+        cls = getattr(module, export)
+        if inspect.isclass(cls):
+            members += [
+                f"{export}.{name}" for name, value in vars(cls).items()
+                if not name.startswith("_")
+                and (inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod)))
+            ]
+    return members
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_methods_have_a_caller(name):
+    # a method or property is used when code outside the tests, its own
+    # module included, reads an attribute of its name; the receiver's type
+    # is not resolved, so only a name that nothing reads at all fails
+    module = importlib.import_module(f"sonolink.{name}")
+    read = {node.attr for tree in _trees(CALLER_DIRS).values()
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unused = [member for member in _public_members(module) if member.rpartition(".")[2] not in read]
+    assert not unused, f"sonolink.{name} members with no caller outside tests: {unused}"
 
 
 def test_outside_code_imports_no_private_name():

@@ -47,7 +47,7 @@ def _apply_channel_reference(signal: AudioBuffer, chan: ChannelSpec) -> AudioBuf
         peak = float(np.max(np.abs(out.samples)))
         if peak == 0.0:
             raise InvalidArgumentError("cannot peak-normalize a silent signal")
-        out = out.scaled(chan.normalize / peak)
+        out = AudioBuffer(out.samples * (chan.normalize / peak), out.sample_rate)
     return out
 
 
