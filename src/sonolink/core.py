@@ -11,9 +11,12 @@ Whole-grid work that needs temporaries runs over blocks of
 :data:`BLOCK_FRAMES` frames written through preallocated buffers, so a pass
 over a long recording's grid keeps its temporaries in cache instead of
 allocating a grid-sized one per operation.  Each output element equals,
-bit for bit, what a single pass over the whole grid would give.  ``stft``
-and ``istft`` are a block source of windowed, transformed frames and an
-overlap-add accumulator; the suppressor runs between the two without a grid.
+bit for bit, what a single pass over the whole grid would give.
+:class:`_Frames` windows and transforms a recording's frames a block at a
+time, and :func:`_overlap_add` resynthesises blocks of bins that it copies
+from a grid or takes from those frames.  ``istft`` and the suppressor both
+run that one pipeline; the suppressor shapes each block on the way, so it
+needs no grid.
 
 Each pass has one block schedule, in which a helper task works on other
 blocks while the caller works on its own.  Most passes split their blocks
@@ -24,9 +27,9 @@ result that the caller combines exactly.  ``stft`` splits its blocks of
 frames, :func:`_band_peaks` (used by ``lsd``, ``rr`` and the blind RT60
 estimator) its blocks of frames, ``metrics.lsd`` its blocks of frames and
 its runs of active frames, ``metrics.rr`` its two grids' band energies and
-``rt60`` its blocks of retained bands.  ``istft``'s helper transforms every
-odd block while the caller transforms the even ones and accumulates each
-block in frame order.  :class:`_Pending` decides where a helper task runs.
+``rt60`` its blocks of retained bands.  :func:`_overlap_add`'s helper task
+transforms the block before the caller's and fills the one after it.
+:class:`_Pending` decides where a helper task runs.
 On the main thread of a process that may use more than one CPU, a pass of
 two or more blocks hands it to a one-thread helper pool, made by the first
 such pass; anywhere else (``sonolink bench``'s workers, one usable CPU, a
@@ -361,10 +364,12 @@ class _Frames:
 
     def rfft(self, s: int, out: np.ndarray, buffer: np.ndarray) -> None:
         """The bins of frames s .. s + len(out) - 1 into ``out``, a frame per
-        row; the rows of dead frames are left as they are.  The frames are
-        windowed into ``buffer``, one of :meth:`buffer`'s."""
+        row, with zeros in the rows of dead frames.  The frames are windowed
+        into ``buffer``, one of :meth:`buffer`'s."""
         last = self.n_frames - 1 - s  # the last frame's row, if out holds it
-        for a, b in _blocks(self.live[s:s + len(out)]):
+        live = self.live[s:s + len(out)]
+        out[~live] = 0.0
+        for a, b in _blocks(live):
             windowed, inside = buffer[: b - a], min(b, last)
             np.multiply(self.frames[s + a:s + inside], self.window, out=windowed[: inside - a])
             if b > last:
@@ -392,9 +397,8 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
         One-sided spectrum, ``window_length//2 + 1`` bins per frame.
     """
     frames = _Frames(buf.samples, cfg)
-    # frame-major, so a block of frames is one slab; only dead frames are zeroed
+    # frame-major, so a block of frames is one slab
     bins = np.empty((frames.n_frames, cfg.num_bins), dtype=np.complex128)
-    bins[~frames.live] = 0.0
 
     def transform(starts) -> None:
         windowed = frames.buffer()
@@ -436,11 +440,10 @@ class _OverlapAdd:
         self.out = np.zeros((n_frames + self.overlap - 1, cfg.hop))
         self.frames = np.empty((BLOCK_FRAMES, cfg.window_length))
 
-    def transform(self, bins: np.ndarray, frames: np.ndarray) -> np.ndarray:
-        """A block's windowed frames, from their bins (a frame per row), into
-        the first len(bins) rows of ``frames``, a [BLOCK_FRAMES, window]
-        buffer; returns those rows."""
-        frames = np.fft.irfft(bins, n=self.window.size, axis=1, out=frames[: len(bins)])
+    def transform(self, bins: np.ndarray) -> np.ndarray:
+        """A block's windowed frames, from their bins (a frame per row), in
+        the first len(bins) rows of this sum's frame buffer."""
+        frames = np.fft.irfft(bins, n=self.window.size, axis=1, out=self.frames[: len(bins)])
         frames *= self.window
         return frames
 
@@ -449,10 +452,6 @@ class _OverlapAdd:
         parts = frames.reshape(len(frames), self.overlap, -1)
         for r in range(self.overlap - 1, -1, -1):
             self.out[s + r:s + r + len(frames)] += parts[:, r]
-
-    def add(self, s: int, bins: np.ndarray) -> None:
-        """Frames s .. s + len(bins) - 1, from their bins, a frame per row."""
-        self.accumulate(s, self.transform(bins, self.frames))
 
     def samples(self, num_samples: int) -> np.ndarray:
         """The first num_samples samples, divided (once, in place) by the
@@ -473,6 +472,44 @@ class _OverlapAdd:
         return self.out.reshape(-1)[:num_samples]
 
 
+def _overlap_add(cfg: StftConfig, n_frames: int, num_samples: int, fill, dtype,
+                 shape=None) -> np.ndarray:
+    """The first num_samples samples of the weighted overlap-add of
+    n_frames frames.  ``fill(s, rows)`` writes the bins of frames s .. s +
+    len(rows) - 1 into ``rows``, a frame per row of a block buffer of
+    ``dtype``, and ``shape(s, rows)``, when given, then changes them in place.
+
+    The helper task transforms block k - 1 and fills block k + 1 while the
+    caller shapes block k; then the caller accumulates block k - 1, so every
+    sample sums its frames in frame order.  It holds two blocks of bins.
+    """
+    ola = _OverlapAdd(cfg, n_frames)
+    starts = range(0, n_frames, BLOCK_FRAMES)
+    buffers = [np.empty((BLOCK_FRAMES, cfg.num_bins), dtype) for _ in range(2)]
+
+    def rows(k: int) -> np.ndarray:
+        return buffers[k % 2][: min(BLOCK_FRAMES, n_frames - starts[k])]
+
+    def ahead(k: int) -> np.ndarray | None:
+        # k - 1's bins are read before k + 1's overwrite their buffer
+        windowed = ola.transform(rows(k - 1)) if k else None
+        if k + 1 < len(starts):
+            fill(starts[k + 1], rows(k + 1))
+        return windowed
+
+    fill(0, rows(0))
+    with _Pending(len(starts)) as pending:
+        for k, s in enumerate(starts):
+            pending.start(ahead, k)
+            if shape is not None:
+                shape(s, rows(k))
+            windowed = pending.result()
+            if k:
+                ola.accumulate(starts[k - 1], windowed)
+    ola.accumulate(starts[-1], ola.transform(rows(len(starts) - 1)))
+    return ola.samples(num_samples)
+
+
 def istft(spec: Spectrogram) -> AudioBuffer:
     """Inverse STFT via weighted overlap-add.
 
@@ -480,26 +517,15 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     result is normalized by the summed squared window so unmodified spectra
     reconstruct the original samples exactly wherever the window envelope is
     nonzero (everything except sample 0, where the Hann window is zero).
-    The output is ``spec.num_samples`` long.
+    The output is ``spec.num_samples`` long.  The frames are transformed
+    in double precision whatever the grid's precision.
     """
-    ola = _OverlapAdd(spec.config, spec.num_frames)
+    def fill(s: int, rows: np.ndarray) -> None:
+        np.copyto(rows, spec.bins[:, s:s + len(rows)].T)
 
-    def block(s: int) -> np.ndarray:
-        return spec.bins[:, s:s + BLOCK_FRAMES].T
-
-    # the helper task transforms each odd block, this thread each even one
-    # and accumulates every block in frame order
-    starts = range(0, spec.num_frames, BLOCK_FRAMES)
-    spare = np.empty_like(ola.frames)
-    with _Pending(len(starts)) as pending:
-        for s in starts[::2]:
-            odd = s + BLOCK_FRAMES
-            if odd < spec.num_frames:
-                pending.start(ola.transform, block(odd), spare)
-            ola.add(s, block(s))
-            if odd < spec.num_frames:
-                ola.accumulate(odd, pending.result())
-    return AudioBuffer(ola.samples(spec.num_samples), spec.sample_rate)
+    samples = _overlap_add(spec.config, spec.num_frames, spec.num_samples, fill,
+                           np.result_type(spec.bins, np.float64))
+    return AudioBuffer(samples, spec.sample_rate)
 
 
 def _fast_length(n: int) -> int:

@@ -12,13 +12,10 @@ no complex grid either (a caller's grid is copied a block at a time); blind,
 it holds the grid its RT60 estimate reads.  :func:`reverberant_psd` and
 :func:`spectral_gain` run the same block steps over whole grids.
 
-The pass is a pipeline: a helper task fills block k + 1 (an rfft from the
-recording or a copy from the grid) and transforms block k - 1 while the
-caller shapes block k (power, late PSD, gain, multiply); the caller then
-accumulates block k - 1, so the overlap-add still sums every sample's
-frames in frame order.  It holds one more block of bins for this, on every
-thread.  Where the task runs, on the helper thread or in the caller, is
-:class:`sonolink.core._Pending`'s choice.
+The pass is the overlap-add pipeline that ``istft`` runs too
+(:func:`sonolink.core._overlap_add`).  The pipeline fills each block with an
+rfft from the recording or a copy from the grid, this module shapes it
+(power, late PSD, gain, multiply), and the pipeline resynthesises it.
 """
 
 from __future__ import annotations
@@ -29,8 +26,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _Frames, _OverlapAdd,
-                   _Pending, _power, as_spectrogram, default_stft_config)
+from .core import (BLOCK_FRAMES, AudioBuffer, Spectrogram, StftConfig, _Frames, _overlap_add,
+                   _power, as_spectrogram, default_stft_config)
 from .errors import EstimationError, InvalidArgumentError, _positive, _real
 from .rt60 import estimate_rt60
 
@@ -270,17 +267,15 @@ def dereverberate(
         grid = as_spectrogram(buf, cfg.stft)
         stft_cfg, rate, n_frames, num_samples = (
             grid.config, grid.sample_rate, grid.num_frames, grid.num_samples)
-        blocks = np.empty((BLOCK_FRAMES, stft_cfg.num_bins), np.result_type(grid.bins, np.float64))
+        dtype = np.result_type(grid.bins, np.float64)
         def fill(s: int, block: np.ndarray) -> None:
             np.copyto(block, grid.bins[:, s:s + len(block)].T)
     else:  # no grid: each block is transformed from the recording
         stft_cfg, rate = cfg.stft or default_stft_config(buf.sample_rate), buf.sample_rate
         frames = _Frames(buf.samples, stft_cfg)
-        n_frames, num_samples = frames.n_frames, len(buf)
-        blocks = np.empty((BLOCK_FRAMES, stft_cfg.num_bins), np.complex128)
+        n_frames, num_samples, dtype = frames.n_frames, len(buf), np.complex128
         frame_buffer = frames.buffer()
         def fill(s: int, block: np.ndarray) -> None:
-            block[~frames.live[s:s + len(block)]] = 0.0  # rfft leaves dead frames' rows
             frames.rfft(s, block, frame_buffer)
 
     estimated = fallback = False
@@ -298,41 +293,18 @@ def dereverberate(
     state = _Gain(n_bands, cfg)
     gamma_rr = np.empty((BLOCK_FRAMES, n_bands)).T
     gain = np.empty((BLOCK_FRAMES, n_bands)).T
-    ola = _OverlapAdd(stft_cfg, n_frames)
+    gain_sum = 0.0
 
-    def shape(s: int, rows: np.ndarray) -> float:
-        """Block s's gain multiplied into its bins (a frame per row); the gain's sum."""
+    def shape(s: int, rows: np.ndarray) -> None:
+        """Block s's gain, multiplied into its bins (a frame per row) and added to gain_sum."""
+        nonlocal gain_sum
         n, block = len(rows), rows.T
         power = _power(block, out=late.block[:, :n])
         late.step(s, gamma_rr[:, :n])
         state.step(power, gamma_rr[:, :n], gain[:, :n])
         block *= gain[:, :n]
-        return float(np.sum(gain[:, :n]))
+        gain_sum += float(np.sum(gain[:, :n]))
 
-    # block k is shaped here while the helper task transforms k - 1 and fills k + 1
-    starts = range(0, n_frames, BLOCK_FRAMES)
-    buffers = (blocks, np.empty_like(blocks))
-
-    def rows(k: int) -> np.ndarray:
-        return buffers[k % 2][: min(BLOCK_FRAMES, n_frames - starts[k])]
-
-    def ahead(k: int) -> np.ndarray | None:
-        # k - 1's bins are read before k + 1's overwrite their buffer
-        windowed = ola.transform(rows(k - 1), ola.frames) if k else None
-        if k + 1 < len(starts):
-            fill(starts[k + 1], rows(k + 1))
-        return windowed
-
-    gain_sum = 0.0
-    fill(0, rows(0))
-    with _Pending(len(starts)) as pending:
-        for k, s in enumerate(starts):
-            pending.start(ahead, k)
-            gain_sum += shape(s, rows(k))
-            windowed = pending.result()
-            if k:
-                ola.accumulate(starts[k - 1], windowed)
-    ola.add(starts[-1], rows(len(starts) - 1))
-
-    out = AudioBuffer(ola.samples(num_samples), rate)
+    samples = _overlap_add(stft_cfg, n_frames, num_samples, fill, dtype, shape)
+    out = AudioBuffer(samples, rate)
     return out, DereverbDiagnostics(rt60, estimated, fallback, gain_sum / (n_bands * n_frames))

@@ -133,14 +133,8 @@ def rs_encode(data, nparity: int) -> list[int]:
 
 def _syndromes(codeword: list[int], nparity: int) -> list[int]:
     # codeword is in transmission order: first symbol = highest power of x
-    out = []
-    for j in range(nparity):
-        root = _alpha(_FCR + j)
-        acc = 0
-        for coef in codeword:
-            acc = _gf_mul(acc, root) ^ coef
-        out.append(acc)
-    return out
+    ascending = codeword[::-1]
+    return [_poly_eval(ascending, _alpha(_FCR + j)) for j in range(nparity)]
 
 
 def rs_decode(codeword, nparity: int, erasures=()) -> tuple[list[int], int]:

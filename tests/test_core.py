@@ -201,6 +201,17 @@ class TestStft:
         assert len(out) == num_samples
         assert np.array_equal(out.samples, full.samples[:num_samples])
 
+    def test_istft_of_a_complex64_grid_is_that_of_its_complex128_upcast(self):
+        # numpy 2 runs irfft on complex64 input in single precision; istft
+        # copies every block into complex128 first, as dereverberate does
+        fs = 8000
+        x = np.random.default_rng(12).standard_normal(30_000) * 0.1
+        grid = stft(AudioBuffer(x, fs), default_stft_config(fs))
+        single = grid.bins.astype(np.complex64)
+        got, want = (istft(Spectrogram(bins, grid.config, fs, grid.num_samples))
+                     for bins in (single, single.astype(np.complex128)))
+        assert got.samples.tobytes() == want.samples.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # Round trip

@@ -1,5 +1,5 @@
-"""The grid passes' helper thread.  ``stft``, ``istft`` and
-``dereverberate`` each have one block schedule, and ``lsd``, ``rr`` and
+"""The grid passes' helper thread.  ``stft`` has one block schedule, and
+``istft`` and ``dereverberate`` share one (``core._overlap_add``); ``lsd``, ``rr`` and
 ``estimate_rt60`` split their passes into halves (``core._halves``); the
 helper tasks run on the helper pool when the main thread makes the pass,
 and in the caller on a worker thread, which never hands the pool a task.

@@ -142,6 +142,24 @@ def test_outside_code_imports_no_private_name():
     assert not private, f"private sonolink names imported outside the package: {private}"
 
 
+# the helper-thread protocol and the overlap-add accumulator; other modules
+# reach them only through core's passes (_halves, _overlap_add)
+CORE_ONLY = {"_Pending", "_helper", "_OverlapAdd"}
+
+
+def test_only_core_names_the_helper_protocol():
+    named = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+        for path, tree in _trees(CALLER_DIRS).items()
+        if path != ROOT / "src" / "sonolink" / "core.py"
+        for node in ast.walk(tree)
+        for name in ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", None), getattr(node, "attr", None)])
+        if name in CORE_ONLY
+    ]
+    assert not named, f"modules other than core name core's helper protocol: {named}"
+
+
 def test_package_root_exports_only_the_version():
     public = {n for n in vars(sonolink) if not n.startswith("_")}
     assert public <= set(MODULES)  # submodules appear once imported
