@@ -5,10 +5,8 @@ checkout and in a changed one, alternating which side goes first from one
 pair to the next, and records each run's end-to-end metrics,
 ``attempted``/``failed`` counts and minor page faults (those of the
 perfbench process and of every process it starts, its set-up probes
-included).  The summary records the usable CPU count, how much faster two
-threads run a fixed numpy job than one (:func:`probe_speedup`, before
-and after the runs) and the BLAS thread variables, on which the timings
-depend, and gives, per workload, each
+included).  The summary records the usable CPU count and the BLAS thread
+variables, on which the timings depend, and gives, per workload, each
 side's median fault count and, per metric, each side's median and
 quartiles, the change's wins counted over pairs (ties count for neither side), whether the gain
 rule holds (the change wins at least 9 of 10 pairs and the medians differ
@@ -32,76 +30,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import resource
 import statistics
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def two_thread_speedup(work, repeats: int = 5) -> float:
-    """How many times faster two threads run two ``work()`` calls than one
-    thread runs both: about 2 where two threads run in parallel, about 1
-    where they do not (an affinity set of 2 does not promise it).  Each
-    side keeps its fastest of ``repeats`` runs."""
-
-    def one_thread() -> None:
-        work()
-        work()
-
-    def two_threads() -> None:
-        helper = threading.Thread(target=work)
-        helper.start()
-        work()
-        helper.join()
-
-    def fastest(fn) -> float:
-        best = math.inf
-        for _ in range(repeats):
-            started = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    return fastest(one_thread) / fastest(two_threads)
-
-
-def _rfft_speedup() -> float:
-    """:func:`two_thread_speedup` of ``np.fft.rfft`` over a 1000 × 2048
-    block, the STFT passes' kind of work."""
-    import numpy as np
-
-    block = np.random.default_rng(0).standard_normal((1000, 2048))
-    return two_thread_speedup(lambda: np.fft.rfft(block, axis=1))
-
-
-def probe_speedup() -> float:
-    """:func:`_rfft_speedup`, measured in a child interpreter.  On Linux a
-    child's ``ru_maxrss`` starts at its parent's high-water mark, so the
-    probe's numpy memory in this process would become the floor of every
-    later run's ``peak_rss_mb``."""
-    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
-            "import bench_pairs; print(bench_pairs._rfft_speedup())")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    return float(proc.stdout)
-
-
 def machine() -> dict:
     """The CPUs this process may use (its affinity set where the platform
-    has one), the speedup two threads give it (:func:`probe_speedup`) and
-    the BLAS thread variables it passes on to its runs.  The pair
-    scripts take it before their runs and the speedup again after them:
-    on a shared machine the speedup can move while the runs go on."""
+    has one) and the BLAS thread variables it passes on to its runs."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return {"cpus": cpus, "two_thread_speedup": probe_speedup(),
-            "environment": {v: os.environ.get(v) for v in BLAS_VARIABLES}}
+    return {"cpus": cpus, "environment": {v: os.environ.get(v) for v in BLAS_VARIABLES}}
 
 
 def end_to_end_metrics(path: Path = BENCHMARK) -> dict[str, dict]:
@@ -264,13 +208,11 @@ def main(argv=None) -> None:
     checkouts = {"base": args.base, "change": args.change}
     pairs = [(i, {"workload": workload, "seed": seed})
              for workload in workloads for i, seed in enumerate(seeds)]
-    before = machine()
     runs = paired_runs(args.runs, pairs, lambda side, f: run_once(
         checkouts[side], f["workload"], f["seed"], args.seconds))
     summary = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds}",
-        **before,
-        "two_thread_speedup_after_runs": probe_speedup(),
+        **machine(),
         "seeds": seeds,
         "workloads": {w: summarise(runs, w, metrics) for w in workloads},
         "runs": runs,

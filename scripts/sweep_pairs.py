@@ -19,10 +19,8 @@ report bytes: a speed change must not move the sweep's figures.
 
 The environment is passed on as it is, BLAS thread variables included, so
 this times what a user's ``sonolink bench`` does; the summary records
-those variables, the usable CPU count and how much faster two threads run
-a fixed numpy job than one (``bench_pairs.probe_speedup``, before and after
-the runs). Each run is appended to ``--runs`` as one JSON line as
-soon as it ends, and runs already in that file are not repeated.
+those variables. Each run is appended to ``--runs`` as one JSON line as soon
+as it ends, and runs already in that file are not repeated.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import complete_pairs, machine, paired_runs, probe_speedup, quartiles, resolved
+from bench_pairs import complete_pairs, machine, paired_runs, quartiles, resolved
 
 TOLERANCE = 0.05  # the change's median may be this much slower and still count as no slower
 
@@ -101,13 +99,11 @@ def main(argv=None) -> None:
     checkouts = {"base": args.base, "change": args.change}
     pairs = [(i, {"threads": threads, "pair": i})
              for i in range(args.pairs) for threads in thread_counts]
-    before = machine()
     runs = paired_runs(args.runs, pairs, lambda side, f: run_once(checkouts[side], f["threads"]))
     written = digests(runs)
     summary = {
         "command": "sonolink bench --packets 2 --threads T -o DIR",
-        **before,
-        "two_thread_speedup_after_runs": probe_speedup(),
+        **machine(),
         "tolerance": TOLERANCE,
         "digests": [{"report_json_sha256": j, "report_csv_sha256": c} for j, c in written],
         "digests_equal": len(written) == 1,

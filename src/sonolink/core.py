@@ -33,10 +33,10 @@ transforms the block before the caller's and fills the one after it.
 On the main thread of a process that may use more than one CPU, a pass of
 two or more blocks hands it to a one-thread helper pool, made by the first
 such pass; anywhere else (``sonolink bench``'s workers, one usable CPU, a
-one-block pass, interpreter exit) the caller runs it.  The bytes are the
-same either way, every thread holds the helper task's block buffers, and
-no pass returns while the helper still writes into one of its buffers.  A
-forked child drops the parent's pool and makes its own.
+one-block pass, ``istft``, interpreter exit) the caller runs it.  The bytes
+are the same either way, every thread holds the helper task's block
+buffers, and no pass returns while the helper still writes into one of its
+buffers.  A forked child drops the parent's pool and makes its own.
 
 ``convolve`` writes its FFTs into a workspace of the calling thread, kept
 between calls up to :data:`_WORKSPACE_POINTS` points, so a stream of room
@@ -482,6 +482,8 @@ def _overlap_add(cfg: StftConfig, n_frames: int, num_samples: int, fill, dtype,
     The helper task transforms block k - 1 and fills block k + 1 while the
     caller shapes block k; then the caller accumulates block k - 1, so every
     sample sums its frames in frame order.  It holds two blocks of bins.
+    Without a shaping step the caller runs the tasks itself: it would only
+    wait while the helper did every transform.
     """
     ola = _OverlapAdd(cfg, n_frames)
     starts = range(0, n_frames, BLOCK_FRAMES)
@@ -498,7 +500,7 @@ def _overlap_add(cfg: StftConfig, n_frames: int, num_samples: int, fill, dtype,
         return windowed
 
     fill(0, rows(0))
-    with _Pending(len(starts)) as pending:
+    with _Pending(len(starts) if shape is not None else 1) as pending:
         for k, s in enumerate(starts):
             pending.start(ahead, k)
             if shape is not None:

@@ -2,9 +2,6 @@
 
 import importlib.util
 import json
-import subprocess
-import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -152,7 +149,6 @@ def test_summary_records_the_cpus_and_blas_settings(monkeypatch, tmp_path):
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    monkeypatch.setattr(bench_pairs, "probe_speedup", lambda: 1.25)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -161,7 +157,6 @@ def test_summary_records_the_cpus_and_blas_settings(monkeypatch, tmp_path):
                       "--runs", str(tmp_path / "runs.jsonl"), "--out", str(out)])
     summary = json.loads(out.read_text())
     assert summary["cpus"] == 3
-    assert summary["two_thread_speedup"] == summary["two_thread_speedup_after_runs"] == 1.25
     assert summary["environment"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
                                       "MKL_NUM_THREADS": None}
     assert summary["workloads"]["modem"]["pairs"] == 1
@@ -184,26 +179,3 @@ def test_paired_runs_alternate_resume_and_keep_only_their_pairs(tmp_path):
     # every run is in the file now, so a second call repeats none of them
     assert bench_pairs.paired_runs(runs_file, pairs, run) == runs
     assert len(calls) == 4
-
-
-def _busy() -> None:
-    sum(range(300_000))  # holds the GIL throughout
-
-
-@pytest.mark.parametrize("job, lo, hi", [(lambda: time.sleep(0.03), 1.5, 2.5), (_busy, 0.0, 1.3)])
-def test_two_thread_speedup_tells_parallel_jobs_from_serial_ones(job, lo, hi):
-    # two sleeps overlap on any machine, and two pure-Python loops never do
-    assert lo < bench_pairs.two_thread_speedup(job, repeats=3) < hi
-
-
-def test_the_numpy_probe_runs_in_a_child_interpreter():
-    # a run's ru_maxrss starts at the high-water mark of the process that
-    # starts it, so the script's own process must never load numpy or hold
-    # the probe's 1000 x 2048 blocks (its ru_maxrss cannot show that here:
-    # it starts at pytest's own)
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import bench_pairs; "
-            "print(bench_pairs.probe_speedup(), 'numpy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, str(SCRIPT.parent)],
-                          capture_output=True, text=True, check=True, timeout=120)
-    speedup, numpy_loaded = proc.stdout.split()
-    assert float(speedup) > 0.0 and numpy_loaded == "False"

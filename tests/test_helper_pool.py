@@ -2,7 +2,8 @@
 ``istft`` and ``dereverberate`` share one (``core._overlap_add``); ``lsd``, ``rr`` and
 ``estimate_rt60`` split their passes into halves (``core._halves``); the
 helper tasks run on the helper pool when the main thread makes the pass,
-and in the caller on a worker thread, which never hands the pool a task.
+and in the caller on a worker thread, which never hands the pool a task;
+``istft`` shapes no block, so it runs its tasks in the caller on any thread.
 Both give the same bytes, equal to the whole-grid references of
 ``test_block_grid.py`` and, for ``estimate_rt60``, to the one-thread
 block form below.  A task run in the caller finishes inside ``start``, no
@@ -325,6 +326,20 @@ def test_an_empty_grid_fails_before_any_task(pool):
         for on in THREADS:
             with pytest.raises(InvalidArgumentError, match="cannot invert an empty spectrogram"):
                 on(run)
+
+
+def test_istft_hands_the_pool_no_task(pool):
+    # with no shaping step istft's caller would only wait on the helper;
+    # dereverberate shapes the same grid's blocks while the helper works
+    fs = 8000
+    buf = AudioBuffer(np.random.default_rng(3).standard_normal(3 * fs), fs)
+    grid = stft(buf, default_stft_config(fs))
+    assert grid.num_frames > BLOCK_FRAMES
+    tasks = pool.tasks
+    istft(grid)
+    assert pool.tasks == tasks
+    dereverberate(grid, rt60=0.5)
+    assert pool.tasks > tasks
 
 
 def test_an_error_on_the_helper_reaches_the_caller(pool, monkeypatch):

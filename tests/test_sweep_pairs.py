@@ -91,8 +91,6 @@ def test_main_alternates_the_first_side_and_resumes(monkeypatch, tmp_path):
                      ("change", 1), ("base", 1), ("change", 2), ("base", 2)]
     summary = json.loads(out.read_text())
     assert summary["digests_equal"] and set(summary["threads"]) == {"1", "2"}
-    assert "cpus" in summary
-    assert summary["two_thread_speedup"] > 0.0 and summary["two_thread_speedup_after_runs"] > 0.0
     assert all(s["pairs"] == 2 for s in summary["threads"].values())
     assert [r["ran_first"] for r in summary["runs"]] == [True, False] * 4
     # every run is in the runs file, so a second call repeats none of them
