@@ -19,8 +19,10 @@ report bytes: a speed change must not move the sweep's figures.
 
 The environment is passed on as it is, BLAS thread variables included, so
 this times what a user's ``sonolink bench`` does; the summary records
-those variables. Each run is appended to ``--runs`` as one JSON line as soon
-as it ends, and runs already in that file are not repeated.
+those variables.  The CLI sets each of them that is unset to 1 itself, so
+a checkout from before that change runs with BLAS's default threads where
+a later one runs with one.  Each run is appended to ``--runs`` as one JSON
+line as soon as it ends, and runs already in that file are not repeated.
 """
 
 from __future__ import annotations

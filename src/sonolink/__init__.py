@@ -25,3 +25,7 @@ cli
 """
 
 __version__ = "0.1.0"
+
+# The BLAS thread-count variables: numpy's BLAS reads them once, as numpy
+# loads.  The CLI sets each one that is unset to 1 before it imports numpy.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

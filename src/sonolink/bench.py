@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _BLAS_THREADS
 from .core import AudioBuffer, _usable_cpus, default_stft_config, stft
 from .dereverb import DereverbConfig, dereverberate
 from .errors import (EstimationError, InvalidArgumentError, SonolinkError, _check_fields,
@@ -309,7 +311,8 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     drops the room's row and becomes an entry in the report's ``errors``
     list, naming the exception type.  Neither aborts the run; a sweep room
     that cannot be synthesised raises before any packet runs.
-    Timing is printed to stderr only, keeping report bytes seed-determined.
+    Timing is printed to stderr only, keeping report bytes seed-determined,
+    with the worker count and the BLAS thread variables it ran with.
     """
     profile = profile_by_name(cfg.profile)
     if cfg.corpus_dir is not None:
@@ -325,8 +328,9 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         except Exception as exc:  # a whole-RIR failure: report it, keep going
             return {"rir_id": item[2].name, "error": str(exc), "type": type(exc).__name__}
 
+    workers = cfg.threads or min(_usable_cpus(), 8)
     started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=cfg.threads or min(_usable_cpus(), 8)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         outcomes = list(pool.map(run_item, work))
     elapsed = time.perf_counter() - started
 
@@ -335,9 +339,10 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
 
     total_signals = len(work) * cfg.packets_per_rir
     if total_signals:
+        blas = " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in _BLAS_THREADS)
         print(
             f"[bench] {len(work)} impulse responses x {cfg.packets_per_rir} packets "
-            f"in {elapsed:.1f} s ({elapsed / total_signals:.3f} s/signal)",
+            f"in {elapsed:.1f} s ({elapsed / total_signals:.3f} s/signal), workers={workers} {blas}",
             file=sys.stderr,
         )
 

@@ -9,20 +9,29 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
+from . import _BLAS_THREADS
 
-from .bench import _DEREVERB_MODES, BenchConfig, run_benchmark, sweep_rooms, write_report
-from .core import default_stft_config
-from .dereverb import dereverberate
-from .errors import SonolinkError
-from .modem import PROFILES, Packet, decode_packet, encode_packet, profile_by_name
-from .rt60 import DEFAULT_THRESHOLD_DB, estimate_rt60
-from .simulate import ChannelSpec, RirSpec, apply_channel, save_rir_corpus, synth_rir
-from .wavio import wav_read, wav_write
+# BLAS threads of their own keep a core busy that the sweep's other workers
+# and the grid passes' helper thread need, so the CLI runs BLAS on one thread
+# unless the user set otherwise.  numpy reads these as it loads.
+for _name in _BLAS_THREADS:
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402  (below the BLAS settings, as is the rest)
+
+from .bench import _DEREVERB_MODES, BenchConfig, run_benchmark, sweep_rooms, write_report  # noqa: E402
+from .core import default_stft_config  # noqa: E402
+from .dereverb import dereverberate  # noqa: E402
+from .errors import SonolinkError  # noqa: E402
+from .modem import PROFILES, Packet, decode_packet, encode_packet, profile_by_name  # noqa: E402
+from .rt60 import DEFAULT_THRESHOLD_DB, estimate_rt60  # noqa: E402
+from .simulate import ChannelSpec, RirSpec, apply_channel, save_rir_corpus, synth_rir  # noqa: E402
+from .wavio import wav_read, wav_write  # noqa: E402
 
 __all__ = ["main"]
 

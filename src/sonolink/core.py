@@ -19,24 +19,25 @@ run that one pipeline; the suppressor shapes each block on the way, so it
 needs no grid.
 
 Each pass has one block schedule, in which a helper task works on other
-blocks while the caller works on its own.  Most passes split their blocks
-into halves with :func:`_halves`: the helper task takes every other block
-(or other item) and the caller the rest, each through block buffers of its
-own, writing only its own slots of the output or returning a partial
-result that the caller combines exactly.  ``stft`` splits its blocks of
-frames, :func:`_band_peaks` (used by ``lsd``, ``rr`` and the blind RT60
-estimator) its blocks of frames, ``metrics.lsd`` its blocks of frames and
-its runs of active frames, ``metrics.rr`` its two grids' band energies and
-``rt60`` its blocks of retained bands.  :func:`_overlap_add`'s helper task
-transforms the block before the caller's and fills the one after it.
-:class:`_Pending` decides where a helper task runs.
-On the main thread of a process that may use more than one CPU, a pass of
-two or more blocks hands it to a one-thread helper pool, made by the first
-such pass; anywhere else (``sonolink bench``'s workers, one usable CPU, a
-one-block pass, ``istft``, interpreter exit) the caller runs it.  The bytes
-are the same either way, every thread holds the helper task's block
-buffers, and no pass returns while the helper still writes into one of its
-buffers.  A forked child drops the parent's pool and makes its own.
+blocks while the caller works on its own.  :func:`_halves` is the one way
+to the helper: it splits a pass's items into halves, and the helper task
+takes every other block (or other item) and the caller the rest, each
+through block buffers of its own, writing only its own slots of the output
+or returning a partial result that the caller combines exactly.  ``stft``
+splits its blocks of frames, :func:`_band_peaks` (used by ``lsd``, ``rr``
+and the blind RT60 estimator) its blocks of frames, ``metrics.lsd`` its
+blocks of frames and its runs of active frames, ``metrics.rr`` its two
+grids' band energies and ``rt60`` its blocks of retained bands.
+:func:`_overlap_add` splits each block's two steps: the caller shapes the
+block while the helper task transforms the one before it and fills the one
+after it.  On the main thread of a process that may use more than one CPU,
+a split of two or more items hands its helper task to a one-thread helper
+pool, made by the first such split; anywhere else (``sonolink bench``'s
+workers, one usable CPU, a one-block pass, ``istft``, interpreter exit)
+the caller runs it.  The bytes are the same either way, every thread holds
+the helper task's block buffers, and no pass returns while the helper still
+writes into one of its buffers.  A forked child drops the parent's pool and
+makes its own.
 
 ``convolve`` writes its FFTs into a workspace of the calling thread, kept
 between calls up to :data:`_WORKSPACE_POINTS` points, so a stream of room
@@ -112,42 +113,6 @@ def _drop_helper() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_helper)
-
-
-class _Pending:
-    """A pass's helper task, one at a time.  A pass of ``blocks`` blocks (or
-    other items) hands it to the helper pool when :func:`_helper` gives one
-    and the pass has more than one; otherwise, or when the pool refuses it
-    because interpreter exit has begun, ``start`` runs it in the caller.
-    Leaving the ``with`` block waits for a task on the pool, so a pass
-    never returns, normally or by an exception, while the helper still
-    writes into one of its buffers."""
-
-    def __init__(self, blocks: int):
-        self.pool = _helper() if blocks > 1 else None
-        self.future = self.value = None
-
-    def start(self, fn, *args) -> None:
-        if self.pool is not None:
-            try:
-                self.future = self.pool.submit(fn, *args)
-                return
-            except RuntimeError:  # the pool takes no tasks once interpreter exit has begun
-                self.pool = None
-        self.value = fn(*args)
-
-    def result(self):
-        if self.future is None:
-            return self.value
-        future, self.future = self.future, None
-        return future.result()
-
-    def __enter__(self) -> "_Pending":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.future is not None:
-            self.future.exception()  # waits; the exception already raised goes on
 
 
 @dataclass(eq=False)
@@ -276,14 +241,24 @@ def _power(bins: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _halves(fn, items):
-    """fn(items[::2]) in the caller and fn(items[1::2]) as a helper task,
-    which runs where :class:`_Pending` puts it; returns both results, the
-    caller's first.  Each half must write only into buffers and slots of
-    its own."""
-    with _Pending(len(items)) as pending:
-        pending.start(fn, items[1::2])
-        mine = fn(items[::2])
-        return mine, pending.result()
+    """(fn(items[::2]), fn(items[1::2])).  With two or more items the second
+    half goes to :func:`_helper`'s pool, when there is one, while the caller
+    runs the first; otherwise, or when the pool refuses it because
+    interpreter exit has begun, the caller runs the second half first.  It
+    never returns or raises while the helper still runs its half, so each
+    half may write into buffers and slots of its own."""
+    pool = _helper() if len(items) > 1 else None
+    try:
+        task = pool.submit(fn, items[1::2]) if pool is not None else None
+    except RuntimeError:  # the pool takes no tasks once interpreter exit has begun
+        task = None
+    if task is None:
+        other = fn(items[1::2])
+        return fn(items[::2]), other
+    try:
+        return fn(items[::2]), task.result()
+    finally:
+        task.exception()  # waits for the helper's half; an exception already raised goes on
 
 
 def _band_peaks(bins: np.ndarray) -> np.ndarray:
@@ -479,35 +454,40 @@ def _overlap_add(cfg: StftConfig, n_frames: int, num_samples: int, fill, dtype,
     len(rows) - 1 into ``rows``, a frame per row of a block buffer of
     ``dtype``, and ``shape(s, rows)``, when given, then changes them in place.
 
-    The helper task transforms block k - 1 and fills block k + 1 while the
-    caller shapes block k; then the caller accumulates block k - 1, so every
-    sample sums its frames in frame order.  It holds two blocks of bins.
-    Without a shaping step the caller runs the tasks itself: it would only
-    wait while the helper did every transform.
+    The caller shapes block k while the helper transforms block k - 1 and
+    fills block k + 1 (:func:`_halves` of the two steps); then the caller
+    accumulates block k - 1, so every sample sums its frames in frame order.
+    It holds two blocks of bins.  Without a shaping step the caller runs
+    every step itself: it would only wait while the helper did every
+    transform.  A one-block pass has no step to run ahead.
     """
     ola = _OverlapAdd(cfg, n_frames)
     starts = range(0, n_frames, BLOCK_FRAMES)
     buffers = [np.empty((BLOCK_FRAMES, cfg.num_bins), dtype) for _ in range(2)]
+    windowed = None
 
     def rows(k: int) -> np.ndarray:
         return buffers[k % 2][: min(BLOCK_FRAMES, n_frames - starts[k])]
 
-    def ahead(k: int) -> np.ndarray | None:
+    def ahead(k: int) -> None:
+        nonlocal windowed
         # k - 1's bins are read before k + 1's overwrite their buffer
         windowed = ola.transform(rows(k - 1)) if k else None
         if k + 1 < len(starts):
             fill(starts[k + 1], rows(k + 1))
-        return windowed
 
+    def shaped(k: int) -> None:
+        shape(starts[k], rows(k))
+
+    if shape is None:
+        steps = [ahead]
+    else:
+        steps = [shaped, ahead] if len(starts) > 1 else [shaped]
     fill(0, rows(0))
-    with _Pending(len(starts) if shape is not None else 1) as pending:
-        for k, s in enumerate(starts):
-            pending.start(ahead, k)
-            if shape is not None:
-                shape(s, rows(k))
-            windowed = pending.result()
-            if k:
-                ola.accumulate(starts[k - 1], windowed)
+    for k in range(len(starts)):
+        _halves(lambda fns: [fn(k) for fn in fns], steps)
+        if k:
+            ola.accumulate(starts[k - 1], windowed)
     ola.accumulate(starts[-1], ola.transform(rows(len(starts) - 1)))
     return ola.samples(num_samples)
 

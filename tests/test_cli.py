@@ -3,11 +3,15 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sonolink import cli
+from sonolink import _BLAS_THREADS, cli
 from sonolink.bench import BenchConfig, sweep_rooms
 from sonolink.cli import _sweep, main
 from sonolink.core import AudioBuffer
@@ -259,8 +263,10 @@ def test_bench_tiny_run(tmp_path, capsys):
     assert code == 0
     assert (out_dir / "report.json").is_file()
     assert (out_dir / "report.csv").is_file()
-    stdout = capsys.readouterr().out
-    assert "rows: 1" in stdout
+    out, err = capsys.readouterr()
+    assert "rows: 1" in out
+    blas = " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in _BLAS_THREADS)
+    assert f" s/signal), workers=1 {blas}\n" in err  # the timing line names how it ran
     blob = json.loads((out_dir / "report.json").read_text())
     assert blob["config"]["rt60_values"] == [0.4]
 
@@ -296,6 +302,35 @@ def test_bad_seed_or_room_exits_1(tmp_path, capsys, argv, message):
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+PIN_CHECK = """
+import builtins, json, os
+at_numpy, real_import = [], builtins.__import__
+
+def watch(name, *args, **kwargs):
+    if name.partition(".")[0] == "numpy" and not at_numpy:
+        at_numpy.append([os.environ.get(v) for v in {names!r}])
+    return real_import(name, *args, **kwargs)
+
+builtins.__import__ = watch
+import {module}
+print(json.dumps([at_numpy[0], [os.environ.get(v) for v in {names!r}]]))
+"""
+
+
+@pytest.mark.parametrize("module, preset, want", [
+    ("sonolink.cli", None, "1"), ("sonolink.cli", "2", "2"), ("sonolink.core", None, None)])
+def test_the_cli_pins_blas_threads_before_numpy_loads(module, preset, want):
+    # numpy's BLAS reads these once, as numpy loads; a user's own setting
+    # wins, and the library alone leaves the environment as it found it
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    env.update(dict.fromkeys(_BLAS_THREADS, preset) if preset else {})
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    code = PIN_CHECK.format(names=_BLAS_THREADS, module=module)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert json.loads(proc.stdout) == [[want] * 3] * 2  # as numpy loads, and after
 
 
 def _bench_config(monkeypatch, argv):

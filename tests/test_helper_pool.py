@@ -1,17 +1,18 @@
-"""The grid passes' helper thread.  ``stft`` has one block schedule, and
-``istft`` and ``dereverberate`` share one (``core._overlap_add``); ``lsd``, ``rr`` and
-``estimate_rt60`` split their passes into halves (``core._halves``); the
-helper tasks run on the helper pool when the main thread makes the pass,
-and in the caller on a worker thread, which never hands the pool a task;
-``istft`` shapes no block, so it runs its tasks in the caller on any thread.
-Both give the same bytes, equal to the whole-grid references of
-``test_block_grid.py`` and, for ``estimate_rt60``, to the one-thread
-block form below.  A task run in the caller finishes inside ``start``, no
-pass leaves a helper task running, an error in either half reaches the
-caller only after the helper's half has ended, a pass of an empty grid
-fails before any task, a forked child does not inherit the parent's pool,
-and passes still run in an atexit callback, when the pool takes no more
-tasks."""
+"""The grid passes' helper thread.  ``core._halves`` is the one way to it:
+``stft``, ``lsd``, ``rr`` and ``estimate_rt60`` split their blocks into
+halves, and ``istft`` and ``dereverberate`` share one overlap-add pipeline
+(``core._overlap_add``) that splits each block's two steps.  The helper's
+half runs on the helper pool when the main thread makes a split of two or
+more items, and in the caller, first, on a worker thread, which never
+hands the pool a task, with one usable CPU and for one item; ``istft``
+shapes no block, so it runs every step in the caller on any thread.  Both
+give the same bytes, equal to the whole-grid references of
+``test_block_grid.py`` and, for ``estimate_rt60``, to the one-thread block
+form below.  No split leaves the helper's half running, an error in either
+half reaches the caller only after the helper's half has ended, a pass of
+an empty grid fails before any task, a forked child does not inherit the
+parent's pool, and passes still run in an atexit callback, when the pool
+takes no more tasks."""
 
 import math
 import multiprocessing
@@ -44,7 +45,7 @@ from test_block_grid import (
 )
 
 from sonolink import core, metrics, rt60
-from sonolink.core import (BLOCK_FRAMES, AudioBuffer, Spectrogram, _Pending, _power,
+from sonolink.core import (BLOCK_FRAMES, AudioBuffer, Spectrogram, _halves, _power,
                            default_stft_config, istft, stft)
 from sonolink.dereverb import DereverbConfig, dereverberate
 from sonolink.errors import InvalidArgumentError, SonolinkError
@@ -261,59 +262,88 @@ def test_threads_get_the_single_thread_results(pool):
     assert pool.tasks > tasks and pool.foreign == 0
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 7), st.sampled_from(["pool", "one CPU", "a worker"]))
+def test_halves_returns_both_halves(pool, n, where):
+    # only a split of two or more items on the main thread, with a pool,
+    # hands the pool a task: the helper's half, while the caller runs its own
+    items, ran = list(range(10, 10 + n)), []
+
+    def double(half):
+        ran.append((half, threading.current_thread()))
+        return [2 * x for x in half]
+
+    tasks = pool.tasks
+    with pytest.MonkeyPatch.context() as patch:
+        if where == "one CPU":
+            patch.setattr(core, "_pool", None)
+            patch.setattr(core, "_usable_cpus", lambda: 1)
+        if where == "a worker":
+            got, caller = _in_a_worker(lambda: (_halves(double, items), threading.current_thread()))
+        else:
+            got, caller = _halves(double, items), threading.current_thread()
+    assert got == ([2 * x for x in items[::2]], [2 * x for x in items[1::2]])
+    pooled = where == "pool" and n >= 2
+    assert pool.tasks - tasks == pooled and pool.foreign == 0
+    in_caller = [half for half, thread in ran if thread is caller]
+    elsewhere = [half for half, thread in ran if thread is not caller]
+    if pooled:
+        assert in_caller == [items[::2]] and elsewhere == [items[1::2]]
+    else:  # the helper's half first
+        assert in_caller == [items[1::2], items[::2]] and not elsewhere
+
+
 def test_a_pass_waits_for_its_helper_task_before_it_raises(pool):
     finished = threading.Event()
 
-    def slow():
-        time.sleep(0.2)
-        finished.set()
+    def half(items):
+        if items == [1]:  # the helper's half
+            time.sleep(0.2)
+            finished.set()
+        else:
+            raise KeyError("the caller's own half failed")
 
+    tasks = pool.tasks
     with pytest.raises(KeyError):
-        with _Pending(2) as pending:
-            assert pending.pool is pool
-            pending.start(slow)
-            raise KeyError("the caller's own step failed")
-    assert finished.is_set()
+        _halves(half, [0, 1])
+    assert finished.is_set() and pool.tasks == tasks + 1
 
 
-@pytest.mark.parametrize("where", ["one block", "one CPU", "a worker"])
-def test_without_a_pool_start_runs_the_task(pool, monkeypatch, where):
-    # a one-block pass, a process with one usable CPU and a worker thread
-    # have no pool: the task runs inside start, and leaving the block waits
-    # for nothing
+@pytest.mark.parametrize("where", ["one item", "one CPU", "a worker"])
+def test_without_a_pool_the_caller_runs_both_halves(pool, monkeypatch, where):
+    # one item, a process with one usable CPU and a worker thread hand the
+    # pool no task: the caller runs the helper's half first, then its own,
+    # and a failing helper's half stops the split before the caller's runs
     if where == "one CPU":
         monkeypatch.setattr(core, "_pool", None)
         monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
-    blocks = 1 if where == "one block" else 2
+    items = [21] if where == "one item" else [21, 4]
 
     def run():
         tasks, ran = pool.tasks, []
 
-        def task(x):
-            ran.append(threading.current_thread())
-            return 2 * x
+        def double(half):
+            ran.append((half, threading.current_thread()))
+            return [2 * x for x in half]
 
-        with _Pending(blocks) as pending:
-            assert pending.pool is None
-            pending.start(task, 21)
-            assert ran == [threading.current_thread()]
-            assert pending.future is None
-            assert pending.result() == 42
-        with pytest.raises(KeyError, match="the task failed"):
-            with _Pending(blocks) as pending:
-                pending.start(_raise, KeyError("the task failed"))
-                ran.append("after start")
-        assert len(ran) == 1 and pending.future is None
+        assert _halves(double, items) == ([42], [2 * x for x in items[1:]])
+        me = threading.current_thread()
+        assert ran == [(items[1::2], me), (items[::2], me)]
+        ran.clear()
+
+        def fail(half):
+            ran.append(half)
+            raise KeyError("the helper's half failed")
+
+        with pytest.raises(KeyError, match="the helper's half failed"):
+            _halves(fail, items)
+        assert ran == [items[1::2]]
         assert pool.tasks == tasks
 
     if where == "a worker":
         _in_a_worker(run)
     else:
         run()
-
-
-def _raise(exc):
-    raise exc
 
 
 def test_an_empty_grid_fails_before_any_task(pool):

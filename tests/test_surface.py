@@ -142,9 +142,9 @@ def test_outside_code_imports_no_private_name():
     assert not private, f"private sonolink names imported outside the package: {private}"
 
 
-# the helper-thread protocol and the overlap-add accumulator; other modules
-# reach them only through core's passes (_halves, _overlap_add)
-CORE_ONLY = {"_Pending", "_helper", "_OverlapAdd"}
+# the helper pool and the overlap-add accumulator; other modules reach them
+# only through core's passes (_halves, _overlap_add)
+CORE_ONLY = {"_helper", "_OverlapAdd"}
 
 
 def test_only_core_names_the_helper_protocol():
@@ -158,6 +158,22 @@ def test_only_core_names_the_helper_protocol():
         if name in CORE_ONLY
     ]
     assert not named, f"modules other than core name core's helper protocol: {named}"
+
+
+def _submits(tree: ast.AST) -> list[ast.Call]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "submit"]
+
+
+def test_only_halves_hands_the_helper_a_task():
+    # core._halves is the one way to the helper pool
+    trees = _trees(("src",))
+    halves = next(node for node in trees[ROOT / "src" / "sonolink" / "core.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_halves")
+    inside = _submits(halves)
+    outside = [f"{path.relative_to(ROOT)}:{call.lineno}" for path, tree in trees.items()
+               for call in _submits(tree) if call not in inside]
+    assert inside and not outside, f"tasks handed to a pool outside core._halves: {outside}"
 
 
 def test_package_root_exports_only_the_version():
