@@ -330,8 +330,11 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
 
     workers = cfg.threads or min(_usable_cpus(), 8)
     started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(run_item, work))
+    if workers == 1:  # on the calling thread, whose passes may use the helper thread
+        outcomes = [run_item(item) for item in work]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run_item, work))
     elapsed = time.perf_counter() - started
 
     rows = [o for o in outcomes if isinstance(o, RirRow)]

@@ -26,11 +26,14 @@ through block buffers of its own, writing only its own slots of the output
 or returning a partial result that the caller combines exactly.  ``stft``
 splits its blocks of frames, :func:`_band_peaks` (used by ``lsd``, ``rr``
 and the blind RT60 estimator) its blocks of frames, ``metrics.lsd`` its
-blocks of frames and its runs of active frames, ``metrics.rr`` its two
-grids' band energies and ``rt60`` its blocks of retained bands.
-:func:`_overlap_add` splits each block's two steps: the caller shapes the
-block while the helper task transforms the one before it and fills the one
-after it.  On the main thread of a process that may use more than one CPU,
+blocks of frames and its runs of active frames, and ``metrics.rr`` its two
+grids' band energies.  :func:`_overlap_add` and ``rt60.estimate_rt60``
+split each block's two steps instead, so the caller's step, which needs
+the larger temporaries, always runs in the caller: :func:`_overlap_add`'s
+caller shapes a block while the helper task transforms the one before it
+and fills the one after it, and the estimator's caller fits a block of
+retained bands' decay curves while the helper task builds the next
+block's.  On the main thread of a process that may use more than one CPU,
 a split of two or more items hands its helper task to a one-thread helper
 pool, made by the first such split; anywhere else (``sonolink bench``'s
 workers, one usable CPU, a one-block pass, ``istft``, interpreter exit)

@@ -373,7 +373,9 @@ def _decode_at(buf: AudioBuffer, offset: int, profile: ProtocolProfile) -> Decod
 
     A length outside 1..max_payload_bytes, or a body that runs past the
     buffer, fails as "length-symbol-invalid"; a Reed-Solomon block that
-    decodes neither with erasures nor errors-only fails as "fec-failure".
+    decodes neither with erasures nor errors-only fails as "fec-failure",
+    and so does a decoded body whose pad bits (the last data symbol's
+    spare low bits) are not zero.
     """
     sym = profile.symbol_samples(buf.sample_rate)
     invalid = DecodeResult(None, offset, failure="length-symbol-invalid")
@@ -415,6 +417,8 @@ def _decode_at(buf: AudioBuffer, offset: int, profile: ProtocolProfile) -> Decod
                 return DecodeResult(None, offset, failure="fec-failure")
         data.extend(decoded)
         corrected += fixed
+    if data[-1] & ((1 << (len(data) * rs.SYMBOL_BITS - 8 * n_bytes)) - 1):
+        return DecodeResult(None, offset, failure="fec-failure")  # _pack_symbols pads with zeros
     return DecodeResult(_unpack_payload(data, n_bytes), offset, corrected, erasures_used)
 
 

@@ -9,14 +9,19 @@ band peaks are taken over blocks of :data:`~sonolink.core.BLOCK_FRAMES`
 frames, and the retained bands are processed BLOCK_FRAMES at a time as one
 [bands x frames] power matrix computed from those rows of the grid.
 
-Both passes split their blocks into halves (``core._halves``), so on the
-main thread the helper thread takes every other block; each half holds
-its own block, and each block of bands writes its own slice of the
-per-band results.  A block's power is computed from a few of its complex
-rows at a time, so no complex copy of the block is held.  A block keeps
-its BLOCK_FRAMES bands: the fit's run width is the longest run in the
-block, and numpy's pairwise sums over that width round differently at
-another width, so smaller blocks would move the estimates' last bits.
+The band peaks' blocks of frames are split into halves (``core._halves``).
+The blocks of retained bands run two steps side by side, as
+``core._overlap_add`` does: the caller gathers block 0's power and builds
+its decay curves, then, for each block k, the helper gathers block k + 1's
+power into the other of two block buffers and builds its curves in place
+while the caller fits block k's curves and writes that block's slots of
+the per-band results.  So every run-wide temporary of the fit is the
+caller's, and the helper allocates only its gather copies and one mask.
+A block's power is computed from a few of its complex rows at a time, so
+no complex copy of the block is held.  A block keeps its BLOCK_FRAMES
+bands: the fit's run width is the longest run in the block, and numpy's
+pairwise sums over that width round differently at another width, so
+smaller blocks would move the estimates' last bits.
 """
 
 from __future__ import annotations
@@ -84,13 +89,36 @@ def estimate_rt60(
 
     rt60_k = np.zeros(bands.size)
     r2 = np.zeros(bands.size)
+    ok = np.zeros(bands.size, dtype=bool)
+    starts = range(0, bands.size, BLOCK_FRAMES)
+    buffers = [np.empty((min(BLOCK_FRAMES, bands.size), bins.shape[1]))
+               for _ in range(min(len(starts), 2))]
 
-    def fit(starts) -> None:
-        for s in starts:
-            block = slice(s, s + BLOCK_FRAMES)
-            rt60_k[block], r2[block] = _fit_bands(bins, bands[block], offset, frame_period)
+    def curves(k: int) -> tuple[slice, np.ndarray]:
+        block = slice(starts[k], starts[k] + BLOCK_FRAMES)
+        return block, buffers[k % 2][: bands[block].size]
 
-    _halves(fit, range(0, bands.size, BLOCK_FRAMES))
+    def gather(k: int) -> None:
+        # block k's power in reversed frame order, GATHER_ROWS complex rows
+        # at a time, becomes its decay curves in place
+        block, power = curves(k)
+        rows = bands[block]
+        for i in range(0, rows.size, GATHER_ROWS):
+            _power(bins[rows[i:i + GATHER_ROWS], ::-1], out=power[i:i + GATHER_ROWS])
+        ok[block] = _decay_curves(power, offset)[1]
+
+    def fit(k: int) -> None:
+        block, decays = curves(k)
+        rt60, fit_r2 = _fit_decays(decays, frame_period)
+        rt60_k[block], r2[block] = np.where(ok[block], rt60, 0.0), np.where(ok[block], fit_r2, 0.0)
+
+    def ahead(k: int) -> None:
+        gather(k + 1)
+
+    if starts:
+        gather(0)
+    for k in range(len(starts)):
+        _halves(lambda fns: [fn(k) for fn in fns], [fit, ahead] if k + 1 < len(starts) else [fit])
     valid = rt60_k > 0.0
     if not valid.any():
         raise EstimationError("no subband produced a usable decay fit")
@@ -99,21 +127,6 @@ def estimate_rt60(
         per_band=list(zip(bands.tolist(), rt60_k.tolist(), r2.tolist())),
         bands_used=int(np.count_nonzero(valid)),
     )
-
-
-def _fit_bands(bins: np.ndarray, rows: np.ndarray, offset: int,
-               frame_period: float) -> tuple[np.ndarray, np.ndarray]:
-    """RT60 and r^2 of the given rows of a [bands, frames] grid, 0 where
-    the decay has no usable fit.  The rows' power in reversed frame order
-    is gathered GATHER_ROWS rows at a time, each through a contiguous
-    complex copy, so no complex copy of the whole block is held.  Nothing
-    of the block outlives the call."""
-    power = np.empty((rows.size, bins.shape[1]))
-    for i in range(0, rows.size, GATHER_ROWS):
-        _power(bins[rows[i:i + GATHER_ROWS], ::-1], out=power[i:i + GATHER_ROWS])
-    curves, ok = _decay_curves(power, offset)
-    rt60, r2 = _fit_decays(curves, frame_period)
-    return np.where(ok, rt60, 0.0), np.where(ok, r2, 0.0)
 
 
 def _decay_curves(curves: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:

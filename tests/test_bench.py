@@ -224,7 +224,7 @@ class TestSyntheticRun:
         (None, 3, 3),  # a platform without sched_getaffinity
     ])
     def test_default_workers_are_the_cpus_this_process_may_use(
-            self, monkeypatch, affinity, cpu_count, workers):
+            self, monkeypatch, capsys, affinity, cpu_count, workers):
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
@@ -241,7 +241,9 @@ class TestSyntheticRun:
         report = run_benchmark(
             dataclasses.replace(TINY, rt60_values=(0.4,), rirs_per_rt=1, threads=None)
         )
-        assert sizes == [workers] and len(report.rows) == 1
+        assert f"workers={workers} " in capsys.readouterr().err and len(report.rows) == 1
+        # one worker runs the rooms on the calling thread, with no pool
+        assert sizes == ([workers] if workers > 1 else [])
 
     def test_dereverb_off_leaves_after_columns_empty(self):
         cfg = dataclasses.replace(

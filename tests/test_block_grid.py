@@ -481,10 +481,10 @@ def test_dereverberate_matches_reference_at_44k():
 # In units of the complex STFT grid.  Blind, dereverberate holds the grid
 # its RT60 estimate reads, one block of frames in each of its buffers (two
 # of bins, on every thread) and the overlap-add sum (one signal's float64
-# bytes, 1/16 grid at the default configuration): about 1.17 grids.  On
-# the main thread its RT60 estimate's two halves each hold the power of a
-# block of retained bands and its fit beside the grid, less than those
-# buffers.  A grid-sized float temporary (half a grid) crosses this bound.
+# bytes, 1/16 grid at the default configuration): about 1.17 grids.  Its
+# RT60 estimate holds two blocks of retained bands' decay curves and one
+# block's fit beside the grid, less than those buffers.  A grid-sized float
+# temporary (half a grid) crosses this bound.
 MAX_PEAK_GRIDS = 1.25
 # With RT60 given it holds no grid: on a caller's grid it copies one block
 # at a time, so a whole copy (one grid) crosses this bound.
@@ -502,9 +502,10 @@ MAX_STFT_PEAK_GRIDS = 1.05
 # (half a grid) crosses these bounds.
 MAX_LSD_PEAK_GRIDS = 0.25
 MAX_RR_PEAK_GRIDS = 0.25
-# estimate_rt60 on a grid takes band peaks one block of frames at a time and
-# the power of one block of retained bands at a time, in each half of the
-# blocks; a float power grid (half a grid) crosses this bound.
+# estimate_rt60 on a grid takes band peaks one block of frames at a time, in
+# each half of the blocks, and holds the decay curves of two blocks of
+# retained bands (about 0.11 grids); a float power grid (half a grid)
+# crosses this bound.
 MAX_RT60_PEAK_GRIDS = 0.25
 
 

@@ -1,19 +1,22 @@
 """The grid passes' helper thread.  ``core._halves`` is the one way to it:
-``stft``, ``lsd``, ``rr`` and ``estimate_rt60`` split their blocks into
-halves, and ``istft`` and ``dereverberate`` share one overlap-add pipeline
-(``core._overlap_add``) that splits each block's two steps.  The helper's
-half runs on the helper pool when the main thread makes a split of two or
-more items, and in the caller, first, on a worker thread, which never
-hands the pool a task, with one usable CPU and for one item; ``istft``
-shapes no block, so it runs every step in the caller on any thread.  Both
-give the same bytes, equal to the whole-grid references of
+``stft``, ``lsd`` and ``rr`` split their blocks into halves, and
+``estimate_rt60`` and the overlap-add pipeline that ``istft`` and
+``dereverberate`` share (``core._overlap_add``) split each block's two
+steps.  The helper's half runs on the helper pool when the main thread
+makes a split of two or more items, and in the caller, first, on a worker
+thread, which never hands the pool a task, with one usable CPU and for one
+item; ``istft`` shapes no block, so it runs every step in the caller on any
+thread.  Both give the same bytes, equal to the whole-grid references of
 ``test_block_grid.py`` and, for ``estimate_rt60``, to the one-thread block
-form below.  No split leaves the helper's half running, an error in either
-half reaches the caller only after the helper's half has ended, a pass of
-an empty grid fails before any task, a forked child does not inherit the
-parent's pool, and passes still run in an atexit callback, when the pool
-takes no more tasks."""
+form below.  No helper task allocates more than a 64-row block of its
+grid, no split leaves the helper's half running, an error in either half
+reaches the caller only after the helper's half has ended, a pass of an
+empty grid fails before any task, a forked child does not inherit the
+parent's pool, passes still run in an atexit callback, when the pool takes
+no more tasks, and only a one-worker ``run_benchmark`` runs its rooms where
+the helper is used."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -22,19 +25,22 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_bench import TINY
 from test_block_grid import (
     THREADS,
     _block_mean,
     _fewer_frames_than_overlap,
     _half_silent,
     _in_a_worker,
+    _long_noise,
     _reference_dereverberate,
     _reference_istft,
     _reference_lsd,
@@ -45,6 +51,7 @@ from test_block_grid import (
 )
 
 from sonolink import core, metrics, rt60
+from sonolink.bench import run_benchmark
 from sonolink.core import (BLOCK_FRAMES, AudioBuffer, Spectrogram, _halves, _power,
                            default_stft_config, istft, stft)
 from sonolink.dereverb import DereverbConfig, dereverberate
@@ -181,7 +188,9 @@ def _reference_rt60(grid):
 def test_both_paths_match_the_references(pool, case, rt60):
     # block counts of 1 to 3 and hops from 1 sample to the whole window: the
     # main thread hands the helper tasks of every pass of two or more blocks
-    # to the helper, and a worker thread runs the same tasks itself
+    # to the helper, and a worker thread runs the same tasks itself; a pass
+    # of one block (of frames, or of retained bands in the blind estimate)
+    # runs only the caller's step and hands the pool nothing
     buf, stft_cfg = case
     cfg = DereverbConfig(stft=stft_cfg)
     tasks = pool.tasks
@@ -372,6 +381,59 @@ def test_istft_hands_the_pool_no_task(pool):
     assert pool.tasks > tasks
 
 
+class _TracingPool:
+    """A pool stand-in that runs each task in the submitting thread, at
+    once, and records the task's traced peak allocation."""
+
+    def __init__(self):
+        self.peaks = []
+
+    def submit(self, fn, *args, **kwargs):
+        task = Future()
+        tracemalloc.start()
+        try:
+            task.set_result(fn(*args, **kwargs))
+        except BaseException as exc:  # handed back through the future, as a pool does
+            task.set_exception(exc)
+        finally:
+            self.peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        return task
+
+
+def test_no_helper_task_holds_more_than_a_block(monkeypatch):
+    # the helper allocates only its own block buffers and small temporaries:
+    # the blind RT60 estimate's run-wide fit temporaries are the caller's,
+    # and a 64-row block of the grid (64 bands of every frame, 3.5 MB here)
+    # bounds any one task's peak
+    buf, cfg, _ = _long_noise()
+    grid = stft(buf, cfg.stft)
+    clean = stft(_half_silent(buf), cfg.stft)
+    t = np.arange(len(buf)) / buf.sample_rate
+    tone = stft(AudioBuffer(np.sin(2 * np.pi * 1500.0 * t), buf.sample_rate), cfg.stft)
+    block = BLOCK_FRAMES * grid.bins.nbytes // grid.num_bands
+    passes = {"stft": lambda: stft(buf, cfg.stft), "estimate_rt60": lambda: estimate_rt60(grid),
+              "blind dereverberate": lambda: dereverberate(buf, cfg), "lsd": lambda: lsd(clean, grid),
+              "rr": lambda: rr(grid, grid, tone)}
+    for name, run in passes.items():
+        monkeypatch.setattr(core, "_pool", _TracingPool())
+        run()
+        assert core._pool.peaks, name
+        assert max(core._pool.peaks) <= block, (name, max(core._pool.peaks) / block)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_a_one_worker_bench_hands_the_pool_tasks(pool, workers):
+    # one worker runs the rooms on the calling thread, here the main thread,
+    # whose passes hand their helper tasks to the pool; two workers run
+    # them on worker threads, which run their helper tasks themselves
+    cfg = dataclasses.replace(TINY, rt60_values=(0.8,), rirs_per_rt=1, threads=workers)
+    tasks = pool.tasks
+    report = run_benchmark(cfg)
+    assert len(report.rows) == 1 and report.errors == []
+    assert (pool.tasks > tasks) == (workers == 1) and pool.foreign == 0
+
+
 def test_an_error_on_the_helper_reaches_the_caller(pool, monkeypatch):
     fs = 8000
     buf = AudioBuffer(np.random.default_rng(2).standard_normal(3 * fs), fs)
@@ -402,24 +464,32 @@ def _metric_inputs():
 @pytest.mark.parametrize("metric", ["lsd", "rr", "estimate_rt60"])
 @pytest.mark.parametrize("failing", ["helper", "caller"])
 def test_a_metric_raises_only_after_its_helper_half(pool, monkeypatch, metric, failing):
-    # the helper half's first block power fails after 0.2 s, or the caller's
-    # fails at once while the helper half is in its first block: the error
-    # reaches the caller, and nothing runs on the helper once it has
+    # the helper's first block power fails after 0.2 s, or the caller's step
+    # fails at once while the helper's is in its first block power: the
+    # error reaches the caller, and nothing runs on the helper once it has.
+    # The caller's step is a block power in lsd and rr, and in estimate_rt60
+    # the decay fit of a block of retained bands (its caller gathers block
+    # 0's power before any task, so that power must not fail)
     fn, *args = _metric_inputs()[metric]
-    power, calls, finished = _power, [], threading.Event()
+    if metric == "estimate_rt60":
+        assert _retained_bands(args[0]).size > BLOCK_FRAMES
+    calls, finished = [], threading.Event()
 
-    def slow(*a, **kw):
-        on_helper = threading.current_thread() is not threading.main_thread()
-        calls.append(on_helper)
-        if on_helper:
-            time.sleep(0.2)
-            finished.set()
-        if on_helper == (failing == "helper"):
-            raise FloatingPointError(f"{failing} failed")
-        return power(*a, **kw)
+    def slow(step, fails_on_caller: bool):
+        def run(*a, **kw):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            calls.append(on_helper)
+            if on_helper:
+                time.sleep(0.2)
+                finished.set()
+            if on_helper if failing == "helper" else fails_on_caller and not on_helper:
+                raise FloatingPointError(f"{failing} failed")
+            return step(*a, **kw)
+        return run
 
-    monkeypatch.setattr(metrics, "_power", slow)
-    monkeypatch.setattr(rt60, "_power", slow)
+    monkeypatch.setattr(metrics, "_power", slow(_power, True))
+    monkeypatch.setattr(rt60, "_power", slow(_power, False))
+    monkeypatch.setattr(rt60, "_fit_decays", slow(rt60._fit_decays, True))
     tasks = pool.tasks
     with pytest.raises(FloatingPointError, match=f"{failing} failed"):
         fn(*args)

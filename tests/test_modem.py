@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sonolink import modem, rs
 from sonolink.bench import BenchConfig
 from sonolink.core import AudioBuffer
 from sonolink.errors import InvalidArgumentError
@@ -22,6 +23,7 @@ from sonolink.modem import (
     _decode_at,
     _pack_symbols,
     _packet_symbols,
+    _rs_blocks,
     _slot_magnitudes,
     _unpack_payload,
     decode_packet,
@@ -300,6 +302,25 @@ def test_ambiguous_symbols_become_erasures():
     assert 2 * result.corrected_errors + result.erasures_used <= AUDIBLE.rs_parity
 
 
+@pytest.mark.parametrize("profile, fs", [(AUDIBLE, 44100), (ULTRASONIC, 48000)])
+def test_a_body_with_pad_bits_set_is_rejected(monkeypatch, profile, fs):
+    # a 4-byte payload is 32 bits in 7 symbols, so the last data symbol has
+    # 3 pad bits, which the sender leaves zero.  A body that sets them under
+    # valid Reed-Solomon parity was not sent: it fails as fec-failure
+    pkt = Packet(b"\xca\xfe\xba\xbe")
+    assert decode_packet(encode_packet(pkt, profile, fs), profile).payload == pkt.payload
+    pack = modem._pack_symbols
+    monkeypatch.setattr(modem, "_pack_symbols", lambda data: pack(data)[:-1] + [pack(data)[-1] | 0b101])
+    body = _packet_symbols(pkt, profile)[1:]
+    buf = encode_packet(pkt, profile, fs)
+    monkeypatch.undo()
+    for d, p in _rs_blocks(7, profile.rs_parity):
+        assert rs.rs_decode(body[d] + body[p], profile.rs_parity) == (body[d], 0)
+    assert _unpack_payload(body[:7], 4) == pkt.payload  # the pad bits alone differ
+    assert _decode_at(buf, 0, profile) == DecodeResult(None, 0, failure="fec-failure")
+    assert decode_packet(buf, profile).failure == "fec-failure"
+
+
 # ---------------------------------------------------------------------------
 # demodulation and confidences
 # ---------------------------------------------------------------------------
@@ -364,9 +385,10 @@ def test_noise_never_raises_mean_confidence():
 # pinned end-to-end decode results
 # ---------------------------------------------------------------------------
 
-# sha256 of the rows below: 61 correct, 15 wrong payloads, 15 fec-failure
-# and 5 length-symbol-invalid out of 96 packets.
-DECODE_ROWS_SHA256 = "841f4c62d3fc791ee87ea5c912c62b4933f2d9b97f767437c1640a962bee99b2"
+# sha256 of the rows below: 61 correct, 10 wrong payloads, 20 fec-failure
+# and 5 length-symbol-invalid out of 96 packets.  Rows 7, 53, 54, 83 and 95
+# are fec-failures because their one RS-valid decode set pad bits.
+DECODE_ROWS_SHA256 = "c5a5bc6053ff201e22b0f6acbfcd65ddcbee075c5303cae0db3965a66359df75"
 
 
 @pytest.fixture(scope="module")

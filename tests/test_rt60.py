@@ -148,6 +148,20 @@ def _power_grid(n_bands, n_frames, offset, seed, scale):
 @example(n_bands=5, n_frames=40, fs=100, threshold_db=40.0, seed=1, scale=0.0)
 @example(n_bands=70, n_frames=2, fs=200, threshold_db=40.0, seed=2, scale=1.0)
 def test_block_pass_matches_per_band_reference(n_bands, n_frames, fs, threshold_db, seed, scale):
+    _check_per_band_reference(n_bands, n_frames, fs, threshold_db, seed, scale)
+
+
+def test_three_band_blocks_match_per_band_reference():
+    # the middle block's decay curves are built while block 0 is fitted, and
+    # it is fitted while the last block's curves are built
+    want = _check_per_band_reference(3 * BLOCK_FRAMES, 150, 100, 200.0, 5, 1.0)
+    assert 2 * BLOCK_FRAMES < len(want) <= 3 * BLOCK_FRAMES
+    assert sum(rt60_k > 0.0 for _, rt60_k, _ in want) > BLOCK_FRAMES
+
+
+def _check_per_band_reference(n_bands, n_frames, fs, threshold_db, seed, scale):
+    """Checks estimate_rt60 on a _power_grid against _reference_per_band,
+    and returns the reference's per-band results."""
     period = 1.0 / fs
     power = _power_grid(n_bands, n_frames, math.ceil(0.080 / period), seed, scale)
     # the reference reads the power of the real bins the spectrogram holds
@@ -156,12 +170,13 @@ def test_block_pass_matches_per_band_reference(n_bands, n_frames, fs, threshold_
     if not any(rt60_k > 0.0 for _, rt60_k, _ in want):
         with pytest.raises(EstimationError):
             estimate_rt60(_grid(power, fs), threshold_db=threshold_db)
-        return
+        return want
     got = estimate_rt60(_grid(power, fs), threshold_db=threshold_db).per_band
     assert [k for k, _, _ in got] == [k for k, _, _ in want]
     assert [v > 0.0 for _, v, _ in got] == [v > 0.0 for _, v, _ in want]
     np.testing.assert_allclose([v for _, v, _ in got], [v for _, v, _ in want], rtol=1e-12, atol=0)
     np.testing.assert_allclose([r for _, _, r in got], [r for _, _, r in want], rtol=1e-12, atol=0)
+    return want
 
 
 def _masked_fit(curves, period):
