@@ -7,10 +7,12 @@ side goes first alternates from one pair to the next. Each run records the
 process's wall time and the sha256 of the ``report.json`` and
 ``report.csv`` it wrote. The summary gives, per thread count, each side's
 median and quartiles, the change's wins counted over pairs, whether the
-change's median is within ``TOLERANCE`` of the base's, and whether the runs
-resolve that tolerance at all (the base's interquartile range is within it,
-or every change run is faster than every base run; otherwise ``no_slower``
-is unresolved, not shown). The script exits
+change's median is within ``TOLERANCE`` of the base's, the base's drift
+(its median over the later half of the pairs against the earlier half) and
+whether the runs resolve that tolerance at all (the base's interquartile
+range is within it, or every change run is faster than every base run, and
+the base drifted by no more than it; otherwise ``no_slower`` is
+unresolved, not shown). The script exits
 non-zero, after writing the summary, if any two runs wrote different
 report bytes: a speed change must not move the sweep's figures.
 
@@ -31,6 +33,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -64,12 +67,27 @@ def run_once(checkout: Path, threads: int) -> dict:
                 "report_csv_sha256": _sha256(Path(out) / "report.csv")}
 
 
+def base_drift(base: list[float]) -> tuple[float | None, bool]:
+    """The base's median over the later half of its runs, in pair order,
+    relative to its median over the earlier half (a middle run counts for
+    neither), and whether it moved by no more than ``TOLERANCE`` of the
+    earlier; (None, True) for fewer than two runs.  The machine can drift
+    between series by more than one series spreads, and a base that drifts
+    within a series shows it."""
+    half = len(base) // 2
+    if not half:
+        return None, True
+    early, late = statistics.median(base[:half]), statistics.median(base[-half:])
+    return late / early - 1.0, abs(late - early) <= TOLERANCE * early
+
+
 def summarise(runs: list[dict], threads: int) -> dict:
     """Both sides' wall times at one thread count, over the complete pairs."""
     pairs = complete_pairs(runs, "pair", threads=threads)
     base = [p["base"]["seconds"] for p in pairs]
     change = [p["change"]["seconds"] for p in pairs]
     b, c = quartiles(base), quartiles(change)
+    drift, steady = base_drift(base)
     return {
         "pairs": len(pairs),
         "base": b,
@@ -78,7 +96,8 @@ def summarise(runs: list[dict], threads: int) -> dict:
         "change_wins": sum(x < y for x, y in zip(change, base)),
         "base_wins": sum(x > y for x, y in zip(change, base)),
         "no_slower": c["median"] <= (1.0 + TOLERANCE) * b["median"],
-        "resolved": resolved(base, change, TOLERANCE),
+        "base_drift": drift,
+        "resolved": resolved(base, change, TOLERANCE) and steady,
     }
 
 

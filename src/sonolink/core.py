@@ -33,7 +33,11 @@ the larger temporaries, always runs in the caller: :func:`_overlap_add`'s
 caller shapes a block while the helper task transforms the one before it
 and fills the one after it, and the estimator's caller fits a block of
 retained bands' decay curves while the helper task builds the next
-block's.  On the main thread of a process that may use more than one CPU,
+block's.  ``simulate.apply_channel`` splits the two steps of a
+:class:`_Convolution`: the helper task synthesises the room while the
+caller transforms the signal, and draws the noise into the result while the
+caller transforms the room, multiplies and inverts, so every FFT runs in
+the caller.  On the main thread of a process that may use more than one CPU,
 a split of two or more items hands its helper task to a one-thread helper
 pool, made by the first such split; anywhere else (``sonolink bench``'s
 workers, one usable CPU, a one-block pass, ``istft``, interpreter exit)
@@ -42,9 +46,10 @@ the helper task's block buffers, and no pass returns while the helper still
 writes into one of its buffers.  A forked child drops the parent's pool and
 makes its own.
 
-``convolve`` writes its FFTs into a workspace of the calling thread, kept
-between calls up to :data:`_WORKSPACE_POINTS` points, so a stream of room
-convolutions does not fault fresh pages in for every call.
+``convolve`` runs :class:`_Convolution`'s two steps back to back, and they
+write their FFTs into a workspace of the calling thread, kept between calls
+up to :data:`_WORKSPACE_POINTS` points, so a stream of room convolutions
+does not fault fresh pages in for every call.
 """
 
 from __future__ import annotations
@@ -541,14 +546,40 @@ def _fft_buffers(n: int):
     return work[:m], work[m:2 * m], work[2 * m:3 * m].view(np.float64)[:n]
 
 
-def _scratch(size: int):
-    """Two float64 arrays of ``size`` values for work on a ``convolve``
-    output of that length: its spectrum buffers in the calling thread's
-    workspace, free once it has returned, or None each above the cap."""
-    a, b, _ = _fft_buffers(_fast_length(size))
-    if a is None:
-        return None, None
-    return a.view(np.float64)[:size], b.view(np.float64)[:size]
+class _Convolution:
+    """The full linear convolution of ``signal`` with an impulse response of
+    ``ir_length`` samples at ``ir_rate``, in :func:`convolve`'s two steps:
+    :meth:`forward` transforms the signal, and :meth:`inverse` the impulse
+    response, which it then multiplies in and inverts.  Its caller may run
+    other work between them, or hand the helper work while each runs; both
+    must run on one thread, whose workspace holds the spectra.  The checks
+    run when it is made, before either step."""
+
+    def __init__(self, signal: AudioBuffer, ir_length: int, ir_rate: int):
+        if signal.sample_rate != ir_rate:
+            raise InvalidArgumentError(
+                f"sample-rate mismatch: {signal.sample_rate} vs {ir_rate}"
+            )
+        if len(signal) == 0 or ir_length == 0:
+            raise InvalidArgumentError("convolve requires non-empty inputs")
+        self.signal = signal
+        self.size = len(signal) + ir_length - 1
+        self.n = _fast_length(self.size)
+
+    def forward(self) -> None:
+        spectrum, self.ir_spectrum, self.real = _fft_buffers(self.n)
+        self.spectrum = np.fft.rfft(self.signal.samples, self.n, out=spectrum)
+
+    def inverse(self, ir: AudioBuffer) -> np.ndarray:
+        """The convolution's samples, in the workspace until the thread's
+        next convolution (a fresh array above the cap)."""
+        self.spectrum *= np.fft.rfft(ir.samples, self.n, out=self.ir_spectrum)
+        return np.fft.irfft(self.spectrum, self.n, out=self.real)[:self.size]
+
+    def scratch(self) -> np.ndarray:
+        """``size`` float64 values in the signal's spectrum, free once
+        :meth:`inverse` has returned."""
+        return self.spectrum.view(np.float64)[:self.size]
 
 
 def convolve(signal: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
@@ -562,16 +593,7 @@ def convolve(signal: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
     through the calling thread's workspace (see :data:`_WORKSPACE_POINTS`);
     the result is a fresh array that shares no memory with it.
     """
-    if signal.sample_rate != ir.sample_rate:
-        raise InvalidArgumentError(
-            f"sample-rate mismatch: {signal.sample_rate} vs {ir.sample_rate}"
-        )
-    if len(signal) == 0 or len(ir) == 0:
-        raise InvalidArgumentError("convolve requires non-empty inputs")
-    size = len(signal) + len(ir) - 1
-    n = _fast_length(size)
-    a, b, real = _fft_buffers(n)
-    spectrum = np.fft.rfft(signal.samples, n, out=a)
-    spectrum *= np.fft.rfft(ir.samples, n, out=b)
-    out = np.fft.irfft(spectrum, n, out=real)[:size].copy()  # never a view of the buffers
+    conv = _Convolution(signal, len(ir), ir.sample_rate)
+    conv.forward()
+    out = conv.inverse(ir).copy()  # never a view of the buffers
     return AudioBuffer(out, signal.sample_rate)

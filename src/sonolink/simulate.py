@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AudioBuffer, _scratch, convolve
+from .core import AudioBuffer, _Convolution, _halves, convolve
 from .dereverb import decay_constant
 from .errors import InvalidArgumentError, SonolinkError, _check_fields, _positive
 from .wavio import wav_read, wav_write
@@ -86,59 +86,101 @@ class CorpusEntry:
     rt60: float | None = None
 
 
+def _rir_length(spec: RirSpec, sample_rate: int) -> int:
+    """The samples of ``spec``'s impulse response at ``sample_rate``."""
+    n = round(spec.effective_length * sample_rate)
+    if n < 2:
+        raise InvalidArgumentError(
+            f"RIR length {spec.effective_length} s is under 2 samples at {sample_rate} Hz"
+        )
+    return n
+
+
 def synth_rir(spec: RirSpec, sample_rate: int) -> AudioBuffer:
     """Generate a reproducible impulse response with known decay rate.
 
     Sample 0 carries the direct path; samples 1..n-1 carry seeded Gaussian
     noise under the envelope e^(-delta*t), rescaled so the tail energy hits
     the target exactly (the generator's empirical decay then matches the
-    requested rt60 up to the noise realization).
+    requested rt60 up to the noise realization).  The tail is drawn into
+    the result and the envelope built in place, so beside the response it
+    allocates one envelope, not a temporary per step.
     """
-    n = round(spec.effective_length * sample_rate)
-    if n < 2:
-        raise InvalidArgumentError(
-            f"RIR length {spec.effective_length} s is under 2 samples at {sample_rate} Hz"
-        )
-    delta = decay_constant(spec.rt60)
-    t = np.arange(1, n, dtype=np.float64) / sample_rate
-    rng = np.random.default_rng(spec.seed)
-    tail = rng.standard_normal(n - 1) * np.exp(-delta * t)
+    n = _rir_length(spec, sample_rate)
+    envelope = np.arange(1, n, dtype=np.float64)
+    envelope /= sample_rate
+    envelope *= -decay_constant(spec.rt60)
+    np.exp(envelope, out=envelope)
+    samples = np.empty(n, dtype=np.float64)
+    tail = np.random.default_rng(spec.seed).standard_normal(n - 1, out=samples[1:])
+    tail *= envelope
     tail_energy = float(np.dot(tail, tail))
     if tail_energy == 0.0:
         raise InvalidArgumentError("degenerate RIR tail (zero energy)")
     tail *= np.sqrt(spec.rt60 / tail_energy)
-
-    samples = np.empty(n, dtype=np.float64)
     samples[0] = spec.direct_gain
-    samples[1:] = tail
     return AudioBuffer(samples, sample_rate)
+
+
+def _calls(fns) -> list:
+    """Each of ``fns`` called in turn: a half of a ``_halves`` split of steps."""
+    return [fn() for fn in fns]
+
+
+def _wet(signal: AudioBuffer, chan: ChannelSpec) -> np.ndarray:
+    """``signal`` through the channel's room and noise, in the two
+    :func:`~sonolink.core._halves` steps of :func:`apply_channel`."""
+    spec, rate = chan.rir, signal.sample_rate
+    synthetic, noisy = isinstance(spec, RirSpec), chan.snr_db is not None
+    if synthetic:
+        conv = _Convolution(signal, _rir_length(spec, rate), rate)
+    else:
+        conv = _Convolution(signal, len(spec), spec.sample_rate)
+    if noisy and not signal.samples.any():  # so is its convolution: fail before any task
+        raise InvalidArgumentError("cannot set an SNR against a silent signal")
+
+    first = [conv.forward] + ([lambda: synth_rir(spec, rate)] if synthetic else [])
+    _, made = _halves(_calls, first)
+    rir = made[0] if synthetic else spec
+    if not noisy:
+        return conv.inverse(rir).copy()
+    samples = np.empty(conv.size)
+
+    def noise() -> None:
+        np.random.default_rng(chan.noise_seed).standard_normal(conv.size, out=samples)
+
+    (wet,), _ = _halves(_calls, [lambda: conv.inverse(rir), noise])
+    squares = np.square(wet, out=conv.scratch())  # scratch for both powers
+    signal_power = float(np.mean(squares))
+    if signal_power == 0.0:
+        raise InvalidArgumentError("cannot set an SNR against a silent signal")
+    noise_power = float(np.mean(np.square(samples, out=squares)))
+    target_power = signal_power * 10.0 ** (-chan.snr_db / 10.0)
+    samples *= np.sqrt(target_power / noise_power)
+    samples += wet  # fl(s·n + c) = fl(c + s·n): the bytes of adding the noise in
+    return samples
 
 
 def apply_channel(signal: AudioBuffer, chan: ChannelSpec) -> AudioBuffer:
     """Convolve with the channel RIR, then add noise / normalize as asked.
 
     Noise is scaled so its measured power is exactly the convolved signal
-    power times 10^(-snr_db/10).  The noise and its squares are drawn into
-    the thread's convolution workspace and the convolution's fresh output
-    is changed in place, so the returned samples are the call's one new
-    signal-sized array.
+    power times 10^(-snr_db/10).  A room given as samples with no SNR is
+    one :func:`~sonolink.core.convolve`.  Otherwise the convolution runs in
+    two steps on the calling thread, and the helper thread works beside
+    each: while the caller transforms the signal the helper synthesises a
+    RirSpec's response, and while the caller transforms the response,
+    multiplies and inverts, the helper draws the seeded noise straight into
+    the result array, which the caller made before.  The caller then takes
+    both powers in its convolution workspace, scales the noise in place and
+    adds the convolution into it.  The returned samples are the call's one
+    new signal-sized array, with the same bytes on any thread: see
+    :func:`~sonolink.core._halves` for where the helper's work runs.
     """
-    rir = chan.rir
-    if isinstance(rir, RirSpec):
-        rir = synth_rir(rir, signal.sample_rate)
-    samples = convolve(signal, rir).samples
-
-    if chan.snr_db is not None:
-        squares, noise = _scratch(samples.size)
-        squares = np.square(samples, out=squares)  # scratch for both powers
-        signal_power = float(np.mean(squares))
-        if signal_power == 0.0:
-            raise InvalidArgumentError("cannot set an SNR against a silent signal")
-        noise = np.random.default_rng(chan.noise_seed).standard_normal(samples.size, out=noise)
-        noise_power = float(np.mean(np.square(noise, out=squares)))
-        target_power = signal_power * 10.0 ** (-chan.snr_db / 10.0)
-        noise *= np.sqrt(target_power / noise_power)
-        samples += noise
+    if isinstance(chan.rir, AudioBuffer) and chan.snr_db is None:
+        samples = convolve(signal, chan.rir).samples  # nothing for the helper to do
+    else:
+        samples = _wet(signal, chan)
 
     if chan.normalize is not None:
         peak = float(max(samples.max(), -samples.min()))  # max |x|, without an |x| array

@@ -1,20 +1,27 @@
-"""The grid passes' helper thread.  ``core._halves`` is the one way to it:
-``stft``, ``lsd`` and ``rr`` split their blocks into halves, and
-``estimate_rt60`` and the overlap-add pipeline that ``istft`` and
-``dereverberate`` share (``core._overlap_add``) split each block's two
-steps.  The helper's half runs on the helper pool when the main thread
-makes a split of two or more items, and in the caller, first, on a worker
-thread, which never hands the pool a task, with one usable CPU and for one
-item; ``istft`` shapes no block, so it runs every step in the caller on any
+"""The grid passes' and the channel's helper thread.  ``core._halves`` is
+the one way to it: ``stft``, ``lsd`` and ``rr`` split their blocks into
+halves, and ``estimate_rt60``, the overlap-add pipeline that ``istft`` and
+``dereverberate`` share (``core._overlap_add``) and ``apply_channel`` split
+each block's, or each convolution step's, two parts.  ``apply_channel``'s
+helper synthesises a RirSpec's room while the caller transforms the
+signal, and draws the noise into the result while the caller transforms
+the room and inverts, so it gets a task for each step with work in it: two
+for a RirSpec with an SNR, none for a room given as samples without one.
+The helper's half runs on the helper pool when the main thread makes a
+split of two or more items, and in the caller, first, on a worker thread,
+which never hands the pool a task, with one usable CPU and for one item;
+``istft`` shapes no block, so it runs every step in the caller on any
 thread.  Both give the same bytes, equal to the whole-grid references of
-``test_block_grid.py`` and, for ``estimate_rt60``, to the one-thread block
-form below.  No helper task allocates more than a 64-row block of its
-grid, no split leaves the helper's half running, an error in either half
-reaches the caller only after the helper's half has ended, a pass of an
-empty grid fails before any task, a forked child does not inherit the
-parent's pool, passes still run in an atexit callback, when the pool takes
-no more tasks, and only a one-worker ``run_benchmark`` runs its rooms where
-the helper is used."""
+``test_block_grid.py``, for ``estimate_rt60`` to the one-thread block form
+below and for ``apply_channel`` to ``test_workspace.py``'s fresh-array
+reference.  No helper task allocates more than a 64-row block of its grid,
+or more than the room in ``apply_channel``; no split leaves the helper's
+half running; an error in either half reaches the caller only after the
+helper's half has ended; a pass of an empty grid and a channel with bad
+inputs fail before any task; a forked child does not inherit the parent's
+pool; passes still run in an atexit callback, when the pool takes no more
+tasks; and only a one-worker ``run_benchmark`` runs its rooms where the
+helper is used."""
 
 import dataclasses
 import math
@@ -49,8 +56,9 @@ from test_block_grid import (
     _silence_in_second_block,
     signals,
 )
+from test_workspace import CAP, _apply_channel_reference
 
-from sonolink import core, metrics, rt60
+from sonolink import core, metrics, rt60, simulate
 from sonolink.bench import run_benchmark
 from sonolink.core import (BLOCK_FRAMES, AudioBuffer, Spectrogram, _halves, _power,
                            default_stft_config, istft, stft)
@@ -58,6 +66,7 @@ from sonolink.dereverb import DereverbConfig, dereverberate
 from sonolink.errors import InvalidArgumentError, SonolinkError
 from sonolink.metrics import lsd, rr
 from sonolink.rt60 import estimate_rt60
+from sonolink.simulate import ChannelSpec, RirSpec, apply_channel, synth_rir
 
 
 class _CountingPool(ThreadPoolExecutor):
@@ -575,3 +584,110 @@ def test_passes_run_in_an_atexit_callback(made):
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
     lines = proc.stdout.split()
     assert len(lines) == 3 * (1 + made) and lines[:3] == lines[-3:]
+
+
+def _channels(rate):
+    """A channel of each kind: a RirSpec or a room as samples, each with an
+    SNR or without, some peak-normalised, and the tasks each hands the pool
+    on the main thread: one for each step with work for the helper."""
+    spec = RirSpec(rt60=0.4, direct_gain=0.7, seed=5)
+    room = synth_rir(RirSpec(rt60=0.3, seed=6), rate)
+    return [(ChannelSpec(spec, snr_db=3.0, noise_seed=8), 2),
+            (ChannelSpec(spec, snr_db=-5.0, normalize=0.5, noise_seed=9), 2),
+            (ChannelSpec(spec, normalize=0.9), 1),
+            (ChannelSpec(room, snr_db=10.0, noise_seed=1), 1),
+            (ChannelSpec(room), 0)]
+
+
+def _one_cpu(fn, *args):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_pool", None)
+        patch.setattr(core, "_usable_cpus", lambda: 1)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("rate, n", [(8000, 5_000), (44100, 30_000), (8000, CAP)])
+def test_apply_channel_gives_the_same_bytes_everywhere(pool, rate, n):
+    # below the workspace cap and above it; the helper synthesises the room
+    # in the first step and draws the noise in the second, and a room as
+    # samples with no noise is one convolve, with nothing for the helper
+    signal = AudioBuffer(np.random.default_rng(n).standard_normal(n), rate)
+    for chan, want_tasks in _channels(rate):
+        want = _apply_channel_reference(signal, chan).samples.tobytes()
+        tasks = pool.tasks
+        assert apply_channel(signal, chan).samples.tobytes() == want
+        assert pool.tasks - tasks == want_tasks, chan
+        for where in (_in_a_worker, _one_cpu):
+            assert where(apply_channel, signal, chan).samples.tobytes() == want
+        assert pool.tasks - tasks == want_tasks and pool.foreign == 0
+
+
+def test_a_synthesis_error_reaches_the_caller_after_both_halves(pool, monkeypatch):
+    # a decay that zeroes the tail makes synthesis fail on the helper; the
+    # caller transforms the signal meanwhile, and gets today's error once
+    # both halves have ended, before the second step hands over a task
+    signal = AudioBuffer(np.random.default_rng(1).standard_normal(20_000), 8000)
+    chan = ChannelSpec(RirSpec(rt60=0.5, seed=2), snr_db=5.0)
+    monkeypatch.setattr(simulate, "decay_constant", lambda rt60: np.inf)
+    with pytest.raises(InvalidArgumentError, match="degenerate RIR tail") as direct:
+        synth_rir(chan.rir, 8000)
+    ended, synth, forward = [], simulate.synth_rir, core._Convolution.forward
+
+    def slow_synth(*args):
+        time.sleep(0.2)
+        try:
+            return synth(*args)
+        finally:
+            ended.append(("synthesis", threading.current_thread() is threading.main_thread()))
+
+    def recorded_forward(self):
+        forward(self)
+        ended.append(("forward", threading.current_thread() is threading.main_thread()))
+
+    monkeypatch.setattr(simulate, "synth_rir", slow_synth)
+    monkeypatch.setattr(core._Convolution, "forward", recorded_forward)
+    tasks = pool.tasks
+    with pytest.raises(InvalidArgumentError) as got:
+        apply_channel(signal, chan)
+    assert str(got.value) == str(direct.value)
+    assert ended == [("forward", True), ("synthesis", False)]
+    assert pool.tasks == tasks + 1
+
+
+@pytest.mark.parametrize("signal, chan, match", [
+    (AudioBuffer(np.ones(4000), 8000), ChannelSpec(AudioBuffer(np.ones(50), 16000), snr_db=0.0),
+     "sample-rate mismatch"),
+    (AudioBuffer(np.zeros(0), 8000), ChannelSpec(RirSpec(rt60=0.3), snr_db=0.0),
+     "non-empty inputs"),
+    (AudioBuffer(np.zeros(0), 8000), ChannelSpec(RirSpec(rt60=0.3)), "non-empty inputs"),
+    (AudioBuffer(np.zeros(4000), 8000), ChannelSpec(RirSpec(rt60=0.3), snr_db=0.0),
+     "SNR against a silent signal"),
+    (AudioBuffer(np.zeros(4000), 8000), ChannelSpec(AudioBuffer(np.ones(50), 8000), snr_db=0.0),
+     "SNR against a silent signal"),
+    (AudioBuffer(np.ones(4000), 8000), ChannelSpec(RirSpec(rt60=1e-4, length=1e-4), snr_db=0.0),
+     "under 2 samples"),
+])
+def test_apply_channel_checks_its_inputs_before_any_task(pool, monkeypatch, signal, chan, match):
+    monkeypatch.setattr(simulate, "synth_rir", lambda *args: pytest.fail("synthesised"))
+    tasks = pool.tasks
+    with pytest.raises(InvalidArgumentError, match=match):
+        apply_channel(signal, chan)
+    assert pool.tasks == tasks
+
+
+SLACK = 16_384  # bytes of small objects: the generators, their seeds, the task's frames
+
+
+def test_the_channel_helper_allocates_only_the_room(monkeypatch):
+    # the helper's first half allocates the synthesised response, its
+    # envelope and AudioBuffer's finiteness mask (a byte a sample), and its
+    # second draws the noise straight into the caller's result, so neither
+    # comes near a noise-sized array
+    monkeypatch.setattr(core, "_pool", _TracingPool())
+    rate, spec = 44100, RirSpec(rt60=0.3, seed=3)
+    signal = AudioBuffer(np.random.default_rng(4).standard_normal(4 * rate), rate)
+    room = len(synth_rir(spec, rate))
+    wet = apply_channel(signal, ChannelSpec(spec, snr_db=0.0))
+    synthesis, noise = core._pool.peaks
+    assert synthesis <= 17 * room + SLACK and noise <= SLACK
+    assert 17 * room + SLACK < wet.samples.nbytes / 4

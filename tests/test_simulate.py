@@ -5,8 +5,11 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.io.wavfile
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonolink.core import AudioBuffer
+from sonolink.dereverb import decay_constant
 from sonolink.errors import InvalidArgumentError
 from sonolink.simulate import (
     ChannelSpec,
@@ -99,7 +102,43 @@ class TestSpecs:
 # ---------------------------------------------------------------------------
 
 
+def _synth_rir_reference(spec, sample_rate):
+    """synth_rir as one expression with a fresh array for each step."""
+    n = round(spec.effective_length * sample_rate)
+    t = np.arange(1, n, dtype=np.float64) / sample_rate
+    tail = np.random.default_rng(spec.seed).standard_normal(n - 1) * np.exp(-decay_constant(spec.rt60) * t)
+    tail *= np.sqrt(spec.rt60 / float(np.dot(tail, tail)))
+    return np.concatenate([[spec.direct_gain], tail])
+
+
+def _empty_at(offset):
+    """np.empty whose arrays start ``offset`` float64s past a 64-byte line."""
+    empty = np.empty
+
+    def at(shape, dtype=np.float64):
+        buf = empty(np.prod(shape) + 8, dtype)
+        skip = (offset - buf.ctypes.data // buf.itemsize) % 8
+        return buf[skip:skip + np.prod(shape)].reshape(shape)
+    return at
+
+
 class TestSynthRir:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(0.05, 2.0), st.sampled_from([None, 0.5, 1.0]), st.floats(0.1, 1.0),
+           st.integers(0, 2**32 - 1), st.sampled_from([37, 8000, 22050, 44100, 48000]),
+           st.integers(0, 7))
+    def test_tail_is_built_in_place_with_the_same_bytes(self, rt60, length, gain, seed, rate,
+                                                        offset):
+        # the tail is drawn into the result at one sample past its start, and
+        # np.dot reads it there: its bytes must not depend on where in a cache
+        # line the result starts, short lengths, long ones and odd rates alike
+        length = None if length is None else max(length, rt60 / 2.0)
+        spec = RirSpec(rt60=rt60, length=length, direct_gain=gain, seed=seed)
+        with mock.patch.object(np, "empty", _empty_at(offset)):
+            got = synth_rir(spec, rate).samples
+        assert got.ctypes.data // got.itemsize % 8 == offset
+        assert got.tobytes() == _synth_rir_reference(spec, rate).tobytes()
+
     def test_deterministic(self):
         spec = RirSpec(rt60=0.6, seed=7)
         a = synth_rir(spec, FS)

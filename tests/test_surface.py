@@ -176,6 +176,24 @@ def test_only_halves_hands_the_helper_a_task():
     assert inside and not outside, f"tasks handed to a pool outside core._halves: {outside}"
 
 
+def _fft_owners(tree: ast.AST):
+    """The class around each ``<x>.fft.<name>`` in a module; None outside any."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "attr", None) == "fft":
+            yield next((c.name for c in classes if c.lineno <= node.lineno <= c.end_lineno), None)
+
+
+def test_only_core_runs_the_fft():
+    # numpy's FFT runs in core alone: in the STFT's frames, the overlap-add's
+    # transform and the one FFT convolution, which convolve and
+    # apply_channel both drive
+    owners = {(path.relative_to(ROOT).as_posix(), owner)
+              for path, tree in _trees(CALLER_DIRS).items() for owner in _fft_owners(tree)}
+    core = "src/sonolink/core.py"
+    assert owners == {(core, "_Frames"), (core, "_OverlapAdd"), (core, "_Convolution")}, owners
+
+
 def test_package_root_exports_only_the_version():
     public = {n for n in vars(sonolink) if not n.startswith("_")}
     assert public <= set(MODULES)  # submodules appear once imported

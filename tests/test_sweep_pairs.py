@@ -45,14 +45,41 @@ def test_no_slower_allows_the_tolerance(factor, no_slower):
     ([20.0, 20.0, 20.0, 21.0, 21.0], [20.0] * 5, True),
     # a spread of 18% of the median at a 5% tolerance, as in BENCH_22.json's 1-thread sweep
     ([28.7, 28.7, 31.0, 34.3, 34.3], [30.0, 31.0, 31.5, 32.0, 35.0], False),
-    # as wide, but every change run is faster than every base run
-    ([28.7, 28.7, 31.0, 34.3, 34.3], [20.0, 21.0, 22.0, 23.0, 28.0], True),
+    # as wide, but every change run is faster than every base run (and the
+    # base drifts from neither half of the pairs to the other)
+    ([28.7, 34.3, 31.0, 28.7, 34.3], [20.0, 21.0, 22.0, 23.0, 28.0], True),
     # one change run ties the fastest base run
     ([28.7, 28.7, 31.0, 34.3, 34.3], [20.0, 21.0, 22.0, 23.0, 28.7], False),
 ])
 def test_resolved_needs_a_narrow_base_or_a_clean_sweep(base, change, resolved):
     out = sweep_pairs.summarise(_runs(base, change), 1)
     assert out["resolved"] is resolved
+
+
+@pytest.mark.parametrize("base, drift", [
+    ([10.0, 10.0, 99.0, 11.0, 11.0], 0.1),  # the middle run counts for neither half
+    ([10.0, 12.0, 11.0, 13.0], 12.0 / 11.0 - 1.0),
+    ([10.0, 9.0], -0.1),
+    ([10.0], None),
+], ids=["five runs", "four runs", "two runs", "one run"])
+def test_base_drift_is_the_later_half_against_the_earlier(base, drift):
+    got = sweep_pairs.summarise(_runs(base, base), 1)["base_drift"]
+    assert got == (None if drift is None else pytest.approx(drift))
+
+
+@pytest.mark.parametrize("base, resolved", [
+    # every change run is faster, but the base's median moved 10% from the
+    # earlier pairs to the later, more than the 5% tolerance
+    ([20.0, 20.0, 20.0, 22.0, 22.0], False),
+    ([22.0, 22.0, 20.0, 20.0, 20.0], False),
+    # the same runs in an order that does not drift
+    ([20.0, 22.0, 20.0, 20.0, 22.0], True),
+    # a drift of the tolerance itself is allowed
+    ([20.0, 20.0, 20.0, 21.0, 21.0], True),
+])
+def test_a_drifting_base_leaves_the_series_unresolved(base, resolved):
+    out = sweep_pairs.summarise(_runs(base, [15.0] * 5), 1)
+    assert out["change_wins"] == 5 and out["resolved"] is resolved
 
 
 def test_only_complete_pairs_of_one_thread_count_count():
