@@ -33,8 +33,8 @@ the larger temporaries, always runs in the caller: :func:`_overlap_add`'s
 caller shapes a block while the helper task transforms the one before it
 and fills the one after it, and the estimator's caller fits a block of
 retained bands' decay curves while the helper task builds the next
-block's.  ``simulate.apply_channel`` splits the two steps of a
-:class:`_Convolution`: the helper task synthesises the room while the
+block's.  ``simulate.apply_channel`` with an SNR splits the two steps
+of a :class:`_Convolution`: the helper task synthesises the room while the
 caller transforms the signal, and draws the noise into the result while the
 caller transforms the room, multiplies and inverts, so every FFT runs in
 the caller.  On the main thread of a process that may use more than one CPU,

@@ -127,23 +127,21 @@ def _calls(fns) -> list:
     return [fn() for fn in fns]
 
 
-def _wet(signal: AudioBuffer, chan: ChannelSpec) -> np.ndarray:
-    """``signal`` through the channel's room and noise, in the two
-    :func:`~sonolink.core._halves` steps of :func:`apply_channel`."""
+def _noisy(signal: AudioBuffer, chan: ChannelSpec) -> np.ndarray:
+    """``signal`` through the channel's room with its noise added, in the
+    two :func:`~sonolink.core._halves` steps of :func:`apply_channel`."""
     spec, rate = chan.rir, signal.sample_rate
-    synthetic, noisy = isinstance(spec, RirSpec), chan.snr_db is not None
+    synthetic = isinstance(spec, RirSpec)
     if synthetic:
         conv = _Convolution(signal, _rir_length(spec, rate), rate)
     else:
         conv = _Convolution(signal, len(spec), spec.sample_rate)
-    if noisy and not signal.samples.any():  # so is its convolution: fail before any task
+    if not signal.samples.any():  # so is its convolution: fail before any task
         raise InvalidArgumentError("cannot set an SNR against a silent signal")
 
     first = [conv.forward] + ([lambda: synth_rir(spec, rate)] if synthetic else [])
     _, made = _halves(_calls, first)
     rir = made[0] if synthetic else spec
-    if not noisy:
-        return conv.inverse(rir).copy()
     samples = np.empty(conv.size)
 
     def noise() -> None:
@@ -165,22 +163,26 @@ def apply_channel(signal: AudioBuffer, chan: ChannelSpec) -> AudioBuffer:
     """Convolve with the channel RIR, then add noise / normalize as asked.
 
     Noise is scaled so its measured power is exactly the convolved signal
-    power times 10^(-snr_db/10).  A room given as samples with no SNR is
-    one :func:`~sonolink.core.convolve`.  Otherwise the convolution runs in
-    two steps on the calling thread, and the helper thread works beside
-    each: while the caller transforms the signal the helper synthesises a
-    RirSpec's response, and while the caller transforms the response,
-    multiplies and inverts, the helper draws the seeded noise straight into
-    the result array, which the caller made before.  The caller then takes
-    both powers in its convolution workspace, scales the noise in place and
-    adds the convolution into it.  The returned samples are the call's one
-    new signal-sized array, with the same bytes on any thread: see
+    power times 10^(-snr_db/10).  With no SNR the channel is one
+    :func:`~sonolink.core.convolve` with the room.  With one, the
+    convolution runs in ``convolve``'s two steps on the calling thread, and
+    the helper thread works beside them: while the caller transforms the
+    signal the helper synthesises a RirSpec's response, and while the
+    caller transforms the response, multiplies and inverts, the helper
+    draws the seeded noise straight into the result array, which the
+    caller made before.  The caller then takes both powers in its
+    convolution workspace, scales the noise in place and adds the
+    convolution into it.  The returned samples are the call's one new
+    signal-sized array, with the same bytes on any thread: see
     :func:`~sonolink.core._halves` for where the helper's work runs.
     """
-    if isinstance(chan.rir, AudioBuffer) and chan.snr_db is None:
-        samples = convolve(signal, chan.rir).samples  # nothing for the helper to do
+    if chan.snr_db is None:  # no noise to draw beside the convolution
+        rir = chan.rir
+        if isinstance(rir, RirSpec):
+            rir = synth_rir(rir, signal.sample_rate)
+        samples = convolve(signal, rir).samples
     else:
-        samples = _wet(signal, chan)
+        samples = _noisy(signal, chan)
 
     if chan.normalize is not None:
         peak = float(max(samples.max(), -samples.min()))  # max |x|, without an |x| array

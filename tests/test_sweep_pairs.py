@@ -50,6 +50,9 @@ def test_no_slower_allows_the_tolerance(factor, no_slower):
     ([28.7, 34.3, 31.0, 28.7, 34.3], [20.0, 21.0, 22.0, 23.0, 28.0], True),
     # one change run ties the fastest base run
     ([28.7, 28.7, 31.0, 34.3, 34.3], [20.0, 21.0, 22.0, 23.0, 28.7], False),
+    # a clean sweep again, but the base climbs 19.5% from the earlier half
+    # of the pairs to the later one
+    ([28.7, 28.7, 31.0, 34.3, 34.3], [20.0, 21.0, 22.0, 23.0, 28.0], False),
 ])
 def test_resolved_needs_a_narrow_base_or_a_clean_sweep(base, change, resolved):
     out = sweep_pairs.summarise(_runs(base, change), 1)
