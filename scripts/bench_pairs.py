@@ -12,10 +12,12 @@ quartiles, the change's wins counted over pairs (ties count for neither side), w
 rule holds (the change wins at least 9 of 10 pairs and the medians differ
 by more than the base's interquartile range), whether the no-regression
 rule holds (the change's median is worse than the base's by no more than
-the metric's relative bound in BENCHMARK.json) and whether the runs
-resolve that bound at all (the base's interquartile range is within the
-bound, or every change run reads better than every base run; otherwise
-the metric is unresolved, not unchanged).
+the metric's relative bound in BENCHMARK.json), the base's drift (its
+median over the later half of the pairs against the earlier half) and
+whether the runs resolve that bound at all (the base's interquartile range
+is within the bound, or every change run reads better than every base run,
+and the base drifted by no more than the bound; otherwise the metric is
+unresolved, not unchanged).
 
     python3 scripts/bench_pairs.py --base ../parent --change . \\
         --workloads modem,long_recording,sweep --seeds 1-10 \\
@@ -104,6 +106,20 @@ def resolved(base: list[float], change: list[float], bound: float, sign: float =
             or max(sign * v for v in change) < min(sign * v for v in base))
 
 
+def base_drift(base: list[float], tolerance: float) -> tuple[float | None, bool]:
+    """The base's median over the later half of its runs, in pair order,
+    relative to its median over the earlier half (a middle run counts for
+    neither), and whether it moved by no more than ``tolerance`` of the
+    earlier; (None, True) for fewer than two runs.  The machine can drift
+    between series by more than one series spreads, and a base that drifts
+    within a series shows it."""
+    half = len(base) // 2
+    if not half:
+        return None, True
+    early, late = statistics.median(base[:half]), statistics.median(base[-half:])
+    return late / early - 1.0, abs(late - early) <= tolerance * early
+
+
 def paired_runs(runs_file: Path, pairs: list[tuple[int, dict]], run) -> list[dict]:
     """Both sides of every pair, run or read back from ``runs_file``.
 
@@ -175,6 +191,7 @@ def summarise(runs: list[dict], workload: str, metrics: dict[str, dict]) -> dict
         wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
         losses = sum(sign * (b - c) < 0 for b, c in zip(base, change))
         b, c = quartiles(base), quartiles(change)
+        drift, steady = base_drift(base, rule["bound"])
         out["metrics"][name] = {
             "better": better,
             "base": b,
@@ -186,7 +203,8 @@ def summarise(runs: list[dict], workload: str, metrics: dict[str, dict]) -> dict
             and sign * (b["median"] - c["median"]) > b["q3"] - b["q1"],
             "bound": rule["bound"],
             "within_bound": sign * (c["median"] - b["median"]) <= rule["bound"] * b["median"],
-            "resolved": resolved(base, change, rule["bound"], sign),
+            "base_drift": drift,
+            "resolved": resolved(base, change, rule["bound"], sign) and steady,
         }
     return out
 

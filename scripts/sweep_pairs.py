@@ -33,14 +33,13 @@ import argparse
 import hashlib
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import complete_pairs, machine, paired_runs, quartiles, resolved
+from bench_pairs import base_drift, complete_pairs, machine, paired_runs, quartiles, resolved
 
 TOLERANCE = 0.05  # the change's median may be this much slower and still count as no slower
 
@@ -67,27 +66,13 @@ def run_once(checkout: Path, threads: int) -> dict:
                 "report_csv_sha256": _sha256(Path(out) / "report.csv")}
 
 
-def base_drift(base: list[float]) -> tuple[float | None, bool]:
-    """The base's median over the later half of its runs, in pair order,
-    relative to its median over the earlier half (a middle run counts for
-    neither), and whether it moved by no more than ``TOLERANCE`` of the
-    earlier; (None, True) for fewer than two runs.  The machine can drift
-    between series by more than one series spreads, and a base that drifts
-    within a series shows it."""
-    half = len(base) // 2
-    if not half:
-        return None, True
-    early, late = statistics.median(base[:half]), statistics.median(base[-half:])
-    return late / early - 1.0, abs(late - early) <= TOLERANCE * early
-
-
 def summarise(runs: list[dict], threads: int) -> dict:
     """Both sides' wall times at one thread count, over the complete pairs."""
     pairs = complete_pairs(runs, "pair", threads=threads)
     base = [p["base"]["seconds"] for p in pairs]
     change = [p["change"]["seconds"] for p in pairs]
     b, c = quartiles(base), quartiles(change)
-    drift, steady = base_drift(base)
+    drift, steady = base_drift(base, TOLERANCE)
     return {
         "pairs": len(pairs),
         "base": b,

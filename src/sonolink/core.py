@@ -47,9 +47,9 @@ writes into one of its buffers.  A forked child drops the parent's pool and
 makes its own.
 
 ``convolve`` runs :class:`_Convolution`'s two steps back to back, and they
-write their FFTs into a workspace of the calling thread, kept between calls
-up to :data:`_WORKSPACE_POINTS` points, so a stream of room convolutions
-does not fault fresh pages in for every call.
+write their FFTs into a workspace of the calling thread, two spectra kept
+between calls up to :data:`_WORKSPACE_POINTS` points, so a stream of room
+convolutions does not fault fresh pages in for every call.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ __all__ = [
 BLOCK_FRAMES = 64
 
 # FFT length up to which a convolution's buffers stay in its thread's
-# workspace between calls: 3 * (n // 2 + 1) complex values, 6.3 MB at 2^18.
+# workspace between calls: 2 * (n // 2 + 1) complex values, 4.2 MB at 2^18.
 # Longer convolutions allocate and free their buffers on every call.
 _WORKSPACE_POINTS = 1 << 18
 
@@ -143,7 +143,9 @@ class AudioBuffer:
         if self.samples.ndim != 1:
             raise InvalidArgumentError("AudioBuffer samples must be one-dimensional")
         self.sample_rate = _sample_rate(self.sample_rate)
-        if self.samples.size and not np.isfinite(self.samples).all():
+        # min and max propagate NaN and hold any infinity, with no per-sample mask
+        if self.samples.size and not (np.isfinite(self.samples.min())
+                                      and np.isfinite(self.samples.max())):
             raise InvalidArgumentError("AudioBuffer samples must be finite")
 
     def __len__(self) -> int:
@@ -532,18 +534,18 @@ def _fast_length(n: int) -> int:
 
 
 def _fft_buffers(n: int):
-    """Two spectra of n // 2 + 1 complex values and one of n real values for
-    an n-point real FFT convolution.  For n <= _WORKSPACE_POINTS they are
-    views of the calling thread's workspace, grown to the largest n asked
-    for; its contents are whatever the last user left.  Above that, each is
-    None, so numpy allocates and frees it as it goes."""
+    """The two spectra of n // 2 + 1 complex values of an n-point real FFT
+    convolution.  For n <= _WORKSPACE_POINTS they are views of the calling
+    thread's workspace, grown to the largest n asked for; its contents are
+    whatever the last user left.  Above that, each is None, so numpy
+    allocates and frees it as it goes."""
     if n > _WORKSPACE_POINTS:
-        return None, None, None
+        return None, None
     m = n // 2 + 1
     work = getattr(_workspace, "buffer", None)
-    if work is None or work.size < 3 * m:
-        work = _workspace.buffer = np.empty(3 * m, np.complex128)
-    return work[:m], work[m:2 * m], work[2 * m:3 * m].view(np.float64)[:n]
+    if work is None or work.size < 2 * m:
+        work = _workspace.buffer = np.empty(2 * m, np.complex128)
+    return work[:m], work[m:2 * m]
 
 
 class _Convolution:
@@ -567,14 +569,18 @@ class _Convolution:
         self.n = _fast_length(self.size)
 
     def forward(self) -> None:
-        spectrum, self.ir_spectrum, self.real = _fft_buffers(self.n)
+        spectrum, self.ir_spectrum = _fft_buffers(self.n)
         self.spectrum = np.fft.rfft(self.signal.samples, self.n, out=spectrum)
 
     def inverse(self, ir: AudioBuffer) -> np.ndarray:
         """The convolution's samples, in the workspace until the thread's
-        next convolution (a fresh array above the cap)."""
-        self.spectrum *= np.fft.rfft(ir.samples, self.n, out=self.ir_spectrum)
-        return np.fft.irfft(self.spectrum, self.n, out=self.real)[:self.size]
+        next convolution (a fresh array above the cap).  The impulse
+        response's spectrum is dead once multiplied in, so the inverse
+        transform writes its n real values over it, at either size."""
+        ir_spectrum = np.fft.rfft(ir.samples, self.n, out=self.ir_spectrum)
+        self.spectrum *= ir_spectrum
+        real = ir_spectrum.view(np.float64)[:self.n]
+        return np.fft.irfft(self.spectrum, self.n, out=real)[:self.size]
 
     def scratch(self) -> np.ndarray:
         """``size`` float64 values in the signal's spectrum, free once

@@ -206,8 +206,10 @@ def _tone_bank(profile: ProtocolProfile, sample_rate: int) -> np.ndarray:
     """One ramped sinusoid per tone, shape [tone_count, symbol_samples]."""
     freqs = tone_frequencies(profile, sample_rate)
     n = profile.symbol_samples(sample_rate)
-    t = np.arange(n) / sample_rate
-    bank = profile.amplitude * np.sin(2.0 * np.pi * np.outer(freqs, t))
+    bank = np.multiply.outer(freqs, np.arange(n) / sample_rate)
+    bank *= 2.0 * np.pi
+    np.sin(bank, out=bank)
+    bank *= profile.amplitude
     ramp = int(round(profile.ramp_time * sample_rate))
     # raised-cosine attack/release over the first/last ramp samples
     shape = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
@@ -232,25 +234,37 @@ def encode_packet(pkt: Packet, profile: ProtocolProfile, sample_rate: int) -> Au
 # ---------------------------------------------------------------------------
 # analysis
 
+def _slot_window(sym: int) -> tuple[int, int]:
+    """(skip, core) of a symbol slot of ``sym`` samples: demodulation reads
+    the ``core`` samples after the first ``skip``, its central 80%."""
+    skip = int(round(0.1 * sym))
+    return skip, sym - 2 * skip
+
+
 @lru_cache(maxsize=8)
 def _dtft_tables(profile: ProtocolProfile, sample_rate: int):
     """The receiver's DTFT kernel and the preamble scan's block rotations.
 
-    Returns (hop, kernel, rotations).  ``kernel`` is [symbol x 2*tones] with
+    Returns (hop, kernel, rotations).  ``kernel`` is [core x 2*tones] with
     interleaved cos/-sin columns, so a real matmul of length-L rows against
-    ``kernel[:L]``, viewed as complex, is each row's per-tone DTFT.  Row j
-    of ``rotations`` is exp(-i*omega*j*hop): the phase that places scan
-    block j at its offset within a scan window, for j < sym // hop (8 at
-    every rate whose Nyquist clears a profile's band).
+    ``kernel[:L]``, viewed as complex, is each row's per-tone DTFT.  Its
+    ``core`` rows (see :func:`_slot_window`) are the longest row that
+    ``_partials`` reads: a slot's window, which is longer than a scan
+    block.  Row j of ``rotations`` is exp(-i*omega*j*hop): the phase that
+    places scan block j at its offset within a scan window, for j < sym //
+    hop (8 at every rate whose Nyquist clears a profile's band).
     """
     freqs = tone_frequencies(profile, sample_rate)
     omega = 2.0 * np.pi * freqs / sample_rate
     sym = profile.symbol_samples(sample_rate)
     hop = sym // 8
-    phase = np.outer(np.arange(sym), omega)
-    kernel = np.empty((sym, 2 * freqs.size))
-    kernel[:, 0::2] = np.cos(phase)
-    kernel[:, 1::2] = -np.sin(phase)
+    _, core = _slot_window(sym)
+    kernel = np.empty((core, 2 * freqs.size))
+    phase = kernel[:, 1::2]  # each phase is read by its cosine before its sine overwrites it
+    np.multiply.outer(np.arange(core), omega, out=phase)
+    np.cos(phase, out=kernel[:, 0::2])
+    np.sin(phase, out=phase)
+    np.negative(phase, out=phase)
     rotations = np.exp(-1j * np.outer(np.arange(sym // hop) * hop, omega))
     kernel.setflags(write=False)
     rotations.setflags(write=False)
@@ -346,8 +360,7 @@ def _slot_magnitudes(
     x = buf.samples
     _, kernel, _ = _dtft_tables(profile, buf.sample_rate)
     sym = profile.symbol_samples(buf.sample_rate)
-    skip = int(round(0.1 * sym))
-    core = sym - 2 * skip
+    skip, core = _slot_window(sym)
     first_start = start + skip
     if start < 0 or first_start + (count - 1) * sym + core > x.size:
         return None

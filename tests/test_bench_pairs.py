@@ -76,12 +76,46 @@ def test_no_regression_bound_on_a_higher_is_better_metric(factor, within):
     assert m["metrics"]["audio_s_per_s"]["within_bound"] is within
 
 
+# interquartile range 30, 30% of the median, with no drift: both halves'
+# medians are 100
+WIDE_STEADY_BASE = [85.0, 115.0, 85.0, 115.0, 100.0, 115.0, 85.0, 115.0, 85.0, 100.0]
+
+
 @pytest.mark.parametrize("shift, resolved", [(0.0, False), (-40.0, True)])
 def test_base_spread_wider_than_the_bound_is_unresolved(shift, resolved):
-    base = [85.0, 115.0] * 5  # interquartile range 30, 30% of the median
+    base = WIDE_STEADY_BASE
     out = bench_pairs.summarise(_pairs(base, [v + shift for v in base]), "w", RULES)
     for name in RULES:  # a shift of -40 puts every change run past every base run
         assert out["metrics"][name]["resolved"] is resolved
+
+
+@pytest.mark.parametrize("base, drift", [
+    ([100.0] * 10, 0.0),
+    (WIDE_STEADY_BASE, 0.0),
+    ([100.0] * 5 + [120.0] * 5, 0.2),
+    ([100.0, 100.0, 90.0, 80.0, 80.0], -0.2),  # the middle pair counts for neither half
+    ([85.0, 115.0] * 5, 115.0 / 85.0 - 1.0),
+])
+def test_base_drift_is_the_later_half_against_the_earlier(base, drift):
+    out = bench_pairs.summarise(_pairs(base, base), "w", RULES)
+    assert out["metrics"]["item_ms_p50"]["base_drift"] == pytest.approx(drift)
+    assert out["metrics"]["audio_s_per_s"]["base_drift"] == pytest.approx(1.0 / (1.0 + drift) - 1.0)
+
+
+@pytest.mark.parametrize("late, resolved", [(125.0, True), (126.0, False), (75.0, True),
+                                            (74.0, False)])
+def test_a_base_that_drifts_past_the_bound_is_unresolved(late, resolved):
+    # every change run beats every base run, which alone would resolve it
+    base = [100.0] * 5 + [late] * 5
+    out = bench_pairs.summarise(_pairs(base, [50.0] * 10), "w", RULES)
+    m = out["metrics"]["item_ms_p50"]
+    assert m["base_drift"] == pytest.approx(late / 100.0 - 1.0)
+    assert m["resolved"] is resolved
+
+
+def test_one_pair_has_no_drift():
+    m = bench_pairs.summarise(_pairs([100.0], [90.0]), "w", RULES)["metrics"]["item_ms_p50"]
+    assert m["base_drift"] is None and m["resolved"]
 
 
 def test_unpaired_runs_and_changed_counts():

@@ -1,6 +1,8 @@
 """Tests for the sample/STFT primitives: windows, COLA, round trips, convolve."""
 
 import itertools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +60,42 @@ def _with_rate(kind, rate):
     if kind == "default_stft_config":
         return default_stft_config(rate)
     return Spectrogram(np.zeros((257, 1)), StftConfig(512, 16), rate, 512)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # ±max float, subnormals, -0.0
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(FINITE, max_size=40), st.data())
+def test_audio_buffer_refuses_any_non_finite_sample(values, data):
+    AudioBuffer(np.array(values, dtype=np.float64), 8000)  # finite arrays construct
+    index = data.draw(st.integers(0, len(values)))
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    samples = np.insert(np.array(values, dtype=np.float64), index, bad)
+    with pytest.raises(InvalidArgumentError, match="^AudioBuffer samples must be finite$"):
+        AudioBuffer(samples, 8000)
+
+
+@pytest.mark.parametrize("extreme", [sys.float_info.max, -sys.float_info.max, 5e-324,
+                                     -5e-324, sys.float_info.min, -0.0])
+def test_audio_buffer_takes_extreme_finite_samples(extreme):
+    samples = np.full(5, extreme)
+    samples[2] = -extreme
+    assert AudioBuffer(samples, 8000).samples is samples
+
+
+def test_audio_buffer_checks_finiteness_without_a_sample_sized_allocation():
+    samples = np.random.default_rng(1).standard_normal(44100)  # 1 s, 353 KB
+    AudioBuffer(samples, 44100)
+    tracemalloc.start()
+    try:
+        AudioBuffer(samples, 44100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # min and max each take about 1 KB whatever the length, the object a few
+    # hundred bytes; a one-byte-per-sample mask would be 44100
+    assert peak < 2048
 
 
 @pytest.mark.parametrize("kind", ["AudioBuffer", "Spectrogram", "default_stft_config"])

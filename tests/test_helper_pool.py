@@ -683,15 +683,15 @@ SLACK = 16_384  # bytes of small objects: the generators, their seeds, the task'
 
 
 def test_the_channel_helper_allocates_only_the_room(monkeypatch):
-    # the helper's first half allocates the synthesised response, its
-    # envelope and AudioBuffer's finiteness mask (a byte a sample), and its
-    # second draws the noise straight into the caller's result, so neither
-    # comes near a noise-sized array
+    # the helper's first half allocates the synthesised response and its
+    # envelope (AudioBuffer checks finiteness without a per-sample mask), and
+    # its second draws the noise straight into the caller's result, so
+    # neither comes near a noise-sized array
     monkeypatch.setattr(core, "_pool", _TracingPool())
     rate, spec = 44100, RirSpec(rt60=0.3, seed=3)
     signal = AudioBuffer(np.random.default_rng(4).standard_normal(4 * rate), rate)
     room = len(synth_rir(spec, rate))
     wet = apply_channel(signal, ChannelSpec(spec, snr_db=0.0))
     synthesis, noise = core._pool.peaks
-    assert synthesis <= 17 * room + SLACK and noise <= SLACK
-    assert 17 * room + SLACK < wet.samples.nbytes / 4
+    assert synthesis <= 16 * room + SLACK and noise <= SLACK
+    assert 16 * room + SLACK < wet.samples.nbytes / 4

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,108 @@ def test_noise_never_raises_mean_confidence():
         )
         below += conf.mean() <= clean_mean
     assert below == 100
+
+
+# ---------------------------------------------------------------------------
+# the transmitter's and the receiver's tables
+# ---------------------------------------------------------------------------
+
+TABLE_CASES = [
+    (profile, fs)
+    for profile in (AUDIBLE, ULTRASONIC)
+    for fs in (22050, 24000, 32000, 44100, 48000, 96000)
+    if profile.band_high < fs / 2
+]
+TABLE_IDS = [f"{profile.name}-{fs}" for profile, fs in TABLE_CASES]
+
+
+def _first_tone_bank(profile, fs):
+    """The tone bank as first written: a temporary per step."""
+    freqs = tone_frequencies(profile, fs)
+    n = profile.symbol_samples(fs)
+    t = np.arange(n) / fs
+    bank = profile.amplitude * np.sin(2.0 * np.pi * np.outer(freqs, t))
+    ramp = int(round(profile.ramp_time * fs))
+    shape = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
+    bank[:, :ramp] *= shape
+    bank[:, n - ramp:] *= shape[::-1]
+    return bank
+
+
+def _first_kernel(profile, fs):
+    """The DTFT kernel as first written: a row per sample of the symbol."""
+    freqs = tone_frequencies(profile, fs)
+    omega = 2.0 * np.pi * freqs / fs
+    phase = np.outer(np.arange(profile.symbol_samples(fs)), omega)
+    kernel = np.empty((phase.shape[0], 2 * freqs.size))
+    kernel[:, 0::2] = np.cos(phase)
+    kernel[:, 1::2] = -np.sin(phase)
+    return kernel
+
+
+@pytest.mark.parametrize("profile, fs", TABLE_CASES, ids=TABLE_IDS)
+def test_tables_equal_their_first_expressions_byte_for_byte(profile, fs):
+    assert modem._tone_bank(profile, fs).tobytes() == _first_tone_bank(profile, fs).tobytes()
+    _, kernel, _ = modem._dtft_tables(profile, fs)
+    _, core = modem._slot_window(profile.symbol_samples(fs))
+    assert kernel.shape == (core, 2 * profile.tone_count) and kernel.flags.c_contiguous
+    assert kernel.tobytes() == _first_kernel(profile, fs)[:core].tobytes()
+
+
+@pytest.mark.parametrize("profile, fs", TABLE_CASES, ids=TABLE_IDS)
+def test_every_dtft_read_fits_the_kernel_and_one_reads_all_of_it(monkeypatch, profile, fs):
+    reads = []
+    partials = modem._partials
+
+    def spy(x, length, count, step, kernel):
+        reads.append((length, kernel.shape[0]))
+        return partials(x, length, count, step, kernel)
+
+    monkeypatch.setattr(modem, "_partials", spy)
+    sym = profile.symbol_samples(fs)
+    payload = b"sonolink kernel!"  # two RS blocks
+    wave = encode_packet(Packet(payload), profile, fs).samples
+    buf = AudioBuffer(np.concatenate([np.zeros(sym), wave, np.zeros(sym)]), fs)
+    assert decode_packet(buf, profile).payload == payload
+    rows = modem._dtft_tables(profile, fs)[1].shape[0]
+    assert {r for _, r in reads} == {rows}
+    assert max(length for length, _ in reads) == rows  # the kernel has no unread row
+
+
+@pytest.mark.parametrize("profile, fs", TABLE_CASES, ids=TABLE_IDS)
+def test_tables_are_built_in_place(profile, fs):
+    # a temporary per step holds two tables' worth or more at once; in place,
+    # only the time axis and numpy's buffers for strided operands (up to
+    # 0.3 of the smallest table) come on top
+    for build, tables in ((modem._tone_bank, lambda bank: [bank]),
+                          (modem._dtft_tables, lambda out: out[1:])):
+        tracemalloc.start()
+        try:
+            made = build.__wrapped__(profile, fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sum(t.nbytes for t in tables(made))
+
+
+def test_a_first_receive_per_profile_and_rate_holds_only_its_tables():
+    cases = [(profile, fs) for profile in (AUDIBLE, ULTRASONIC) for fs in (44100, 48000)]
+    packet = Packet(b"held")
+    decode_packet(encode_packet(packet, AUDIBLE, 32000), AUDIBLE)  # numpy's and rs's first uses
+    modem._tone_bank.cache_clear()
+    modem._dtft_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for profile, fs in cases:
+            assert decode_packet(encode_packet(packet, profile, fs), profile).ok
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    tables = sum(modem._tone_bank(profile, fs).nbytes
+                 + sum(t.nbytes for t in modem._dtft_tables(profile, fs)[1:])
+                 for profile, fs in cases)
+    assert tables <= held <= tables + 16_384
 
 
 # ---------------------------------------------------------------------------

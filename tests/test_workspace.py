@@ -158,4 +158,50 @@ def test_no_workspace_memory_remains_above_the_cap():
     assert not thread.is_alive()
     assert traced["large"] < 16_384
     # the same measure sees the workspace a convolution under the cap keeps
-    assert traced["small"] >= 3 * (_fast_length(100_999) // 2 + 1) * 16
+    assert traced["small"] >= 2 * (_fast_length(100_999) // 2 + 1) * 16
+
+
+def test_the_workspace_is_two_spectra():
+    rng = np.random.default_rng(8)
+    signal, ir = _signal(rng, 100_000), _signal(rng, 1_000)
+    convolve(signal, ir)  # numpy.fft imports its modules on first use
+    n = _fast_length(100_999)
+    traced = {}
+
+    def measure() -> None:  # a fresh thread starts with no workspace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            convolve(signal, ir)
+            traced["held"] = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=measure)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    spectra = 2 * (n // 2 + 1) * 16
+    assert spectra <= traced["held"] < spectra + 1024  # the array object and its slot
+
+
+@pytest.mark.parametrize("signal_len", [5_000, CAP + 10])  # below the cap and above it
+def test_the_inverse_writes_over_the_rooms_spectrum(signal_len):
+    rng = np.random.default_rng(signal_len)
+    signal, ir = _signal(rng, signal_len), _signal(rng, 300)
+    conv = core._Convolution(signal, len(ir), RATE)
+    conv.forward()
+    spectra = {}
+    rfft = np.fft.rfft
+
+    def recording_rfft(x, n, out=None):
+        spectrum = rfft(x, n, out=out)
+        spectra.setdefault("room", spectrum)  # the one transform inverse() takes
+        return spectrum
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.fft, "rfft", recording_rfft)
+        out = conv.inverse(ir)
+    assert np.shares_memory(out, spectra["room"])
+    assert not np.shares_memory(out, conv.scratch())
+    assert np.array_equal(out, scipy.signal.fftconvolve(signal.samples, ir.samples))
