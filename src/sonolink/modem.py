@@ -206,7 +206,7 @@ def _tone_bank(profile: ProtocolProfile, sample_rate: int) -> np.ndarray:
     """One ramped sinusoid per tone, shape [tone_count, symbol_samples]."""
     freqs = tone_frequencies(profile, sample_rate)
     n = profile.symbol_samples(sample_rate)
-    bank = np.multiply.outer(freqs, np.arange(n) / sample_rate)
+    bank = np.outer(freqs, np.arange(n) / sample_rate)
     bank *= 2.0 * np.pi
     np.sin(bank, out=bank)
     bank *= profile.amplitude

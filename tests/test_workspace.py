@@ -186,7 +186,7 @@ def test_the_workspace_is_two_spectra():
 
 
 @pytest.mark.parametrize("signal_len", [5_000, CAP + 10])  # below the cap and above it
-def test_the_inverse_writes_over_the_rooms_spectrum(signal_len):
+def test_the_inverse_writes_over_the_rooms_spectrum(monkeypatch, signal_len):
     rng = np.random.default_rng(signal_len)
     signal, ir = _signal(rng, signal_len), _signal(rng, 300)
     conv = core._Convolution(signal, len(ir), RATE)
@@ -199,9 +199,8 @@ def test_the_inverse_writes_over_the_rooms_spectrum(signal_len):
         spectra.setdefault("room", spectrum)  # the one transform inverse() takes
         return spectrum
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.fft, "rfft", recording_rfft)
-        out = conv.inverse(ir)
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    out = conv.inverse(ir)
     assert np.shares_memory(out, spectra["room"])
     assert not np.shares_memory(out, conv.scratch())
     assert np.array_equal(out, scipy.signal.fftconvolve(signal.samples, ir.samples))
