@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _BLAS_THREADS
 from .core import AudioBuffer, _usable_cpus, default_stft_config, stft
-from .dereverb import DereverbConfig, dereverberate
+from .dereverb import dereverberate
 from .errors import (EstimationError, InvalidArgumentError, SonolinkError, _check_fields,
                      _integer, _non_negative, _positive, _real, _sample_rate)
 from .metrics import lsd, rr
@@ -186,7 +186,6 @@ def _process_rir(cfg: BenchConfig, profile, rt_index, rir_index, entry: CorpusEn
     fs = entry.audio.sample_rate
     stft_cfg = default_stft_config(fs)
     want_dereverb = cfg.dereverb == "both"
-    dcfg = DereverbConfig(stft=stft_cfg)
 
     before_hits = 0
     after_hits = 0
@@ -221,7 +220,7 @@ def _process_rir(cfg: BenchConfig, profile, rt_index, rir_index, entry: CorpusEn
                     estimated = None
 
             if want_dereverb:
-                processed, _diag = dereverberate(wet_spec, dcfg, rt60=estimated)
+                processed, _diag = dereverberate(wet_spec, rt60=estimated)
                 after_hit = decode_packet(processed, profile).payload == payload
 
                 clean = np.zeros(len(wet))

@@ -33,23 +33,23 @@ the larger temporaries, always runs in the caller: :func:`_overlap_add`'s
 caller shapes a block while the helper task transforms the one before it
 and fills the one after it, and the estimator's caller fits a block of
 retained bands' decay curves while the helper task builds the next
-block's.  ``simulate.apply_channel`` with an SNR splits the two steps
-of a :class:`_Convolution`: the helper task synthesises the room while the
-caller transforms the signal, and draws the noise into the result while the
-caller transforms the room, multiplies and inverts, so every FFT runs in
-the caller.  On the main thread of a process that may use more than one CPU,
-a split of two or more items hands its helper task to a one-thread helper
-pool, made by the first such split; anywhere else (``sonolink bench``'s
-workers, one usable CPU, a one-block pass, ``istft``, interpreter exit)
-the caller runs it.  The bytes are the same either way, every thread holds
+block's.  ``simulate.apply_channel`` splits the two steps of a
+:class:`_Convolution`: the helper task synthesises a RirSpec's room while
+the caller transforms the signal, and draws an SNR's noise into the result
+while the caller transforms the room, multiplies and inverts, so every FFT
+runs in the caller.  On the main thread of a process that may use more
+than one CPU, a split of two or more items hands its helper task to a
+one-thread helper pool, made by the first such split; anywhere else
+(``sonolink bench``'s workers, one usable CPU, a one-block pass,
+``istft``, interpreter exit) the caller runs it.  The bytes are the same either way, every thread holds
 the helper task's block buffers, and no pass returns while the helper still
 writes into one of its buffers.  A forked child drops the parent's pool and
 makes its own.
 
-``convolve`` runs :class:`_Convolution`'s two steps back to back, and they
-write their FFTs into a workspace of the calling thread, two spectra kept
-between calls up to :data:`_WORKSPACE_POINTS` points, so a stream of room
-convolutions does not fault fresh pages in for every call.
+:class:`_Convolution`, the one FFT convolution, writes its FFTs into a
+workspace of the calling thread, two spectra kept between calls up to
+:data:`_WORKSPACE_POINTS` points, so a stream of room convolutions does not
+fault fresh pages in for every call.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ __all__ = [
     "stft",
     "as_spectrogram",
     "istft",
-    "convolve",
 ]
 
 # Frames per block in whole-grid passes.  At the 44.1 kHz default (1025
@@ -550,12 +549,15 @@ def _fft_buffers(n: int):
 
 class _Convolution:
     """The full linear convolution of ``signal`` with an impulse response of
-    ``ir_length`` samples at ``ir_rate``, in :func:`convolve`'s two steps:
-    :meth:`forward` transforms the signal, and :meth:`inverse` the impulse
-    response, which it then multiplies in and inverts.  Its caller may run
-    other work between them, or hand the helper work while each runs; both
-    must run on one thread, whose workspace holds the spectra.  The checks
-    run when it is made, before either step."""
+    ``ir_length`` samples at ``ir_rate``, in two steps: :meth:`forward`
+    transforms the signal, and :meth:`inverse` the impulse response, which
+    it then multiplies in and inverts.  Its caller may run other work
+    between them, or hand the helper work while each runs; both must run on
+    one thread, whose workspace holds the spectra.  The checks run when it
+    is made, before either step.  It takes numpy's real FFT at the smallest
+    5-smooth length that holds the output, as ``scipy.signal.fftconvolve``
+    does, so the two agree bit for bit (unless an input is one sample long:
+    scipy multiplies that directly)."""
 
     def __init__(self, signal: AudioBuffer, ir_length: int, ir_rate: int):
         if signal.sample_rate != ir_rate:
@@ -563,7 +565,7 @@ class _Convolution:
                 f"sample-rate mismatch: {signal.sample_rate} vs {ir_rate}"
             )
         if len(signal) == 0 or ir_length == 0:
-            raise InvalidArgumentError("convolve requires non-empty inputs")
+            raise InvalidArgumentError("a convolution requires non-empty inputs")
         self.signal = signal
         self.size = len(signal) + ir_length - 1
         self.n = _fast_length(self.size)
@@ -586,20 +588,3 @@ class _Convolution:
         """``size`` float64 values in the signal's spectrum, free once
         :meth:`inverse` has returned."""
         return self.spectrum.view(np.float64)[:self.size]
-
-
-def convolve(signal: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
-    """Full linear convolution of a signal with an impulse response.
-
-    Output length is ``len(signal) + len(ir) - 1``.  It always takes numpy's
-    real FFT at the smallest 5-smooth length that holds the output, which is
-    ``scipy.signal.fftconvolve``'s arithmetic, so the two agree bit for bit
-    (unless an input is one sample long: scipy multiplies that directly);
-    it agrees with the direct sum to ~1e-15 relative.  The transforms go
-    through the calling thread's workspace (see :data:`_WORKSPACE_POINTS`);
-    the result is a fresh array that shares no memory with it.
-    """
-    conv = _Convolution(signal, len(ir), ir.sample_rate)
-    conv.forward()
-    out = conv.inverse(ir).copy()  # never a view of the buffers
-    return AudioBuffer(out, signal.sample_rate)

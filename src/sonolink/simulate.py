@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AudioBuffer, _Convolution, _halves, convolve
+from .core import AudioBuffer, _Convolution, _halves
 from .dereverb import decay_constant
 from .errors import InvalidArgumentError, SonolinkError, _check_fields, _positive
 from .wavio import wav_read, wav_write
@@ -127,16 +127,30 @@ def _calls(fns) -> list:
     return [fn() for fn in fns]
 
 
-def _noisy(signal: AudioBuffer, chan: ChannelSpec) -> np.ndarray:
-    """``signal`` through the channel's room with its noise added, in the
-    two :func:`~sonolink.core._halves` steps of :func:`apply_channel`."""
-    spec, rate = chan.rir, signal.sample_rate
+def apply_channel(signal: AudioBuffer, chan: ChannelSpec) -> AudioBuffer:
+    """Convolve with the channel RIR, then add noise / normalize as asked.
+
+    Noise is scaled so its measured power is exactly the convolved signal
+    power times 10^(-snr_db/10); the call raises if that does not fit in
+    float64.  Every channel runs a :class:`~sonolink.core._Convolution`'s
+    two steps on the calling thread, and the helper thread works beside
+    them: while the caller transforms the signal the helper synthesises a
+    RirSpec's response, and while the caller transforms the response,
+    multiplies and inverts, the helper draws any seeded noise straight into
+    the result array, which the caller made before.  The caller then takes
+    both powers in its convolution workspace, scales the noise in place and
+    adds the convolution into it, or copies the convolution into the
+    result.  The returned samples are the call's one new signal-sized
+    array, with the same bytes on any thread: see
+    :func:`~sonolink.core._halves` for where the helper's work runs.
+    """
+    spec, rate, noisy = chan.rir, signal.sample_rate, chan.snr_db is not None
     synthetic = isinstance(spec, RirSpec)
     if synthetic:
         conv = _Convolution(signal, _rir_length(spec, rate), rate)
     else:
         conv = _Convolution(signal, len(spec), spec.sample_rate)
-    if not signal.samples.any():  # so is its convolution: fail before any task
+    if noisy and not signal.samples.any():  # so is its convolution: fail before any task
         raise InvalidArgumentError("cannot set an SNR against a silent signal")
 
     first = [conv.forward] + ([lambda: synth_rir(spec, rate)] if synthetic else [])
@@ -147,42 +161,22 @@ def _noisy(signal: AudioBuffer, chan: ChannelSpec) -> np.ndarray:
     def noise() -> None:
         np.random.default_rng(chan.noise_seed).standard_normal(conv.size, out=samples)
 
-    (wet,), _ = _halves(_calls, [lambda: conv.inverse(rir), noise])
-    squares = np.square(wet, out=conv.scratch())  # scratch for both powers
-    signal_power = float(np.mean(squares))
-    if signal_power == 0.0:
-        raise InvalidArgumentError("cannot set an SNR against a silent signal")
-    noise_power = float(np.mean(np.square(samples, out=squares)))
-    target_power = signal_power * 10.0 ** (-chan.snr_db / 10.0)
-    samples *= np.sqrt(target_power / noise_power)
-    samples += wet  # fl(s·n + c) = fl(c + s·n): the bytes of adding the noise in
-    return samples
-
-
-def apply_channel(signal: AudioBuffer, chan: ChannelSpec) -> AudioBuffer:
-    """Convolve with the channel RIR, then add noise / normalize as asked.
-
-    Noise is scaled so its measured power is exactly the convolved signal
-    power times 10^(-snr_db/10).  With no SNR the channel is one
-    :func:`~sonolink.core.convolve` with the room.  With one, the
-    convolution runs in ``convolve``'s two steps on the calling thread, and
-    the helper thread works beside them: while the caller transforms the
-    signal the helper synthesises a RirSpec's response, and while the
-    caller transforms the response, multiplies and inverts, the helper
-    draws the seeded noise straight into the result array, which the
-    caller made before.  The caller then takes both powers in its
-    convolution workspace, scales the noise in place and adds the
-    convolution into it.  The returned samples are the call's one new
-    signal-sized array, with the same bytes on any thread: see
-    :func:`~sonolink.core._halves` for where the helper's work runs.
-    """
-    if chan.snr_db is None:  # no noise to draw beside the convolution
-        rir = chan.rir
-        if isinstance(rir, RirSpec):
-            rir = synth_rir(rir, signal.sample_rate)
-        samples = convolve(signal, rir).samples
+    (wet,), _ = _halves(_calls, [lambda: conv.inverse(rir)] + ([noise] if noisy else []))
+    if not noisy:
+        np.copyto(samples, wet)
     else:
-        samples = _noisy(signal, chan)
+        try:
+            with np.errstate(over="raise"):  # an overflow raises instead of warning
+                squares = np.square(wet, out=conv.scratch())  # scratch for both powers
+                signal_power = np.mean(squares)
+                if signal_power == 0.0:
+                    raise InvalidArgumentError("cannot set an SNR against a silent signal")
+                noise_power = np.mean(np.square(samples, out=squares))
+                target_power = signal_power * 10.0 ** (-chan.snr_db / 10.0)
+                samples *= np.sqrt(target_power / noise_power)
+                samples += wet  # fl(s·n + c) = fl(c + s·n): the bytes of adding the noise in
+        except (OverflowError, FloatingPointError):
+            raise InvalidArgumentError(f"snr_db {chan.snr_db} puts the noise out of float64's range") from None
 
     if chan.normalize is not None:
         peak = float(max(samples.max(), -samples.min()))  # max |x|, without an |x| array

@@ -187,6 +187,11 @@ class TestSyntheticRun:
         (row,) = report.rows
         assert row.failures == TINY.packets_per_rir
 
+    def test_an_snr_past_float64_counts_as_failures(self):
+        report = run_benchmark(dataclasses.replace(TINY, snr_db=-4000.0))
+        assert report.errors == []
+        assert [row.failures for row in report.rows] == [TINY.packets_per_rir] * 4
+
     def test_failed_packet_leaves_no_partial_results(self, monkeypatch):
         # the packet decodes before and after dereverb, then rr raises: its
         # hits and LSD values must not stay in the row beside a failure

@@ -192,6 +192,15 @@ def test_simulate_channel_on_input(tmp_path):
     assert np.max(np.abs(out.samples)) == pytest.approx(0.5, abs=1e-6)
 
 
+def test_simulate_with_an_snr_past_float64_is_an_error(tmp_path, capsys):
+    dry = str(tmp_path / "dry.wav")
+    main(["encode", "--payload", "0102", "--rate", str(RATE), "-o", dry])
+    wet = tmp_path / "wet.wav"
+    code = main(["simulate", "--input", dry, "--rt60", "0.5", "--snr", "-4000", "-o", str(wet)])
+    assert code == 1 and not wet.exists()
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: snr_db -4000.0 ")
+
+
 def test_simulate_corpus_out(tmp_path):
     corpus = tmp_path / "corpus"
     code = main(

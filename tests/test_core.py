@@ -1,4 +1,5 @@
-"""Tests for the sample/STFT primitives: windows, COLA, round trips, convolve."""
+"""Tests for the sample/STFT primitives: windows, COLA, round trips, and the
+FFT convolution that ``apply_channel`` runs for a room given as samples."""
 
 import itertools
 import sys
@@ -15,14 +16,13 @@ from sonolink.core import (
     StftConfig,
     _fast_length,
     _make_window,
-    convolve,
     default_stft_config,
     istft,
     stft,
 )
 from sonolink.errors import InvalidArgumentError
 from sonolink.modem import PROFILES, Packet, encode_packet
-from sonolink.simulate import RirSpec, synth_rir
+from sonolink.simulate import ChannelSpec, RirSpec, apply_channel, synth_rir
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +313,32 @@ class TestRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# convolve
+# convolution: a room given as samples, with no noise
 # ---------------------------------------------------------------------------
+
+
+def _convolve(signal: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
+    return apply_channel(signal, ChannelSpec(rir=ir))
 
 
 class TestConvolve:
     def test_oracle_small(self):
         a = AudioBuffer([1.0, 2.0, 3.0], 8000)
         b = AudioBuffer([1.0, -1.0], 8000)
-        out = convolve(a, b)
+        out = _convolve(a, b)
         assert np.allclose(out.samples, np.convolve([1, 2, 3], [1, -1]), atol=1e-12)
 
     def test_length(self):
         a = AudioBuffer(np.ones(100), 8000)
         b = AudioBuffer(np.ones(30), 8000)
-        assert len(convolve(a, b)) == 129
+        assert len(_convolve(a, b)) == 129
 
     def test_commutative(self):
         rng = np.random.default_rng(0)
         a = AudioBuffer(rng.standard_normal(400), 8000)
         b = AudioBuffer(rng.standard_normal(50), 8000)
-        ab = convolve(a, b).samples
-        ba = convolve(b, a).samples
+        ab = _convolve(a, b).samples
+        ba = _convolve(b, a).samples
         assert np.max(np.abs(ab - ba)) / np.max(np.abs(ab)) < 1e-9
 
     def test_linear(self):
@@ -342,17 +346,17 @@ class TestConvolve:
         a = AudioBuffer(rng.standard_normal(300), 8000)
         b = AudioBuffer(rng.standard_normal(300), 8000)
         ir = AudioBuffer(rng.standard_normal(40), 8000)
-        lhs = convolve(AudioBuffer(a.samples + b.samples, 8000), ir).samples
-        rhs = convolve(a, ir).samples + convolve(b, ir).samples
+        lhs = _convolve(AudioBuffer(a.samples + b.samples, 8000), ir).samples
+        rhs = _convolve(a, ir).samples + _convolve(b, ir).samples
         assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)) < 1e-9
 
     def test_rate_mismatch(self):
         with pytest.raises(InvalidArgumentError, match="mismatch"):
-            convolve(AudioBuffer([1.0], 8000), AudioBuffer([1.0], 44100))
+            _convolve(AudioBuffer([1.0], 8000), AudioBuffer([1.0], 44100))
 
     def test_empty(self):
         with pytest.raises(InvalidArgumentError):
-            convolve(AudioBuffer(np.zeros(0), 8000), AudioBuffer([1.0], 8000))
+            _convolve(AudioBuffer(np.zeros(0), 8000), AudioBuffer([1.0], 8000))
 
     # the acceptance sweep's rooms against short, default and longest packets
     @pytest.mark.parametrize("fs", [44100, 48000])
@@ -365,7 +369,7 @@ class TestConvolve:
             for n_bytes in (1, 4, 16):
                 packet = encode_packet(Packet(bytes(range(n_bytes))), PROFILES[profile], fs)
                 want = scipy.signal.fftconvolve(packet.samples, rir.samples)
-                assert np.array_equal(convolve(packet, rir).samples, want), (rt60, n_bytes)
+                assert np.array_equal(_convolve(packet, rir).samples, want), (rt60, n_bytes)
 
 
 def _smooth_5(n: int) -> bool:

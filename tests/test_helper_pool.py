@@ -2,13 +2,13 @@
 the one way to it: ``stft``, ``lsd`` and ``rr`` split their blocks into
 halves, and ``estimate_rt60``, the overlap-add pipeline that ``istft`` and
 ``dereverberate`` share (``core._overlap_add``) and ``apply_channel`` split
-each block's, or each convolution step's, two parts.  With an SNR,
-``apply_channel``'s helper synthesises a RirSpec's room while the caller
-transforms the signal, and draws the noise into the result while the
-caller transforms the room and inverts, so it gets a task for each step
-with work in it: two for a RirSpec with an SNR and one for a room given as
-samples with one.  Without an SNR the channel is one ``convolve``, with no
-task.
+each block's, or each convolution step's, two parts.  ``apply_channel``'s
+helper synthesises a RirSpec's room while the caller transforms the
+signal, and draws an SNR's noise into the result while the caller
+transforms the room and inverts, so it gets a task for each step with work
+in it: two for a RirSpec with an SNR, one for a RirSpec without one or a
+room given as samples with one, and none for a room given as samples
+without one.
 The helper's half runs on the helper pool when the main thread makes a
 split of two or more items, and in the caller, first, on a worker thread,
 which never hands the pool a task, with one usable CPU and for one item;
@@ -591,13 +591,13 @@ def test_passes_run_in_an_atexit_callback(made):
 def _channels(rate):
     """A channel of each kind: a RirSpec or a room as samples, each with an
     SNR or without, some peak-normalised, and the tasks each hands the pool
-    on the main thread: one for each step with work for the helper, and
-    none without an SNR, which is one convolve."""
+    on the main thread: one for each step with work for the helper, which
+    a room given as samples with no SNR does not have."""
     spec = RirSpec(rt60=0.4, direct_gain=0.7, seed=5)
     room = synth_rir(RirSpec(rt60=0.3, seed=6), rate)
     return [(ChannelSpec(spec, snr_db=3.0, noise_seed=8), 2),
             (ChannelSpec(spec, snr_db=-5.0, normalize=0.5, noise_seed=9), 2),
-            (ChannelSpec(spec, normalize=0.9), 0),
+            (ChannelSpec(spec, normalize=0.9), 1),
             (ChannelSpec(room, snr_db=10.0, noise_seed=1), 1),
             (ChannelSpec(room), 0)]
 
@@ -612,8 +612,8 @@ def _one_cpu(fn, *args):
 @pytest.mark.parametrize("rate, n", [(8000, 5_000), (44100, 30_000), (8000, CAP)])
 def test_apply_channel_gives_the_same_bytes_everywhere(pool, rate, n):
     # below the workspace cap and above it; the helper synthesises the room
-    # in the first step and draws the noise in the second, and a channel
-    # with no noise is one convolve, with nothing for the helper
+    # in the first step and draws the noise in the second, and a room given
+    # as samples with no noise leaves nothing for the helper
     signal = AudioBuffer(np.random.default_rng(n).standard_normal(n), rate)
     for chan, want_tasks in _channels(rate):
         want = _apply_channel_reference(signal, chan).samples.tobytes()
@@ -685,13 +685,15 @@ SLACK = 16_384  # bytes of small objects: the generators, their seeds, the task'
 def test_the_channel_helper_allocates_only_the_room(monkeypatch):
     # the helper's first half allocates the synthesised response and its
     # envelope (AudioBuffer checks finiteness without a per-sample mask), and
-    # its second draws the noise straight into the caller's result, so
-    # neither comes near a noise-sized array
-    monkeypatch.setattr(core, "_pool", _TracingPool())
+    # its second, with an SNR, draws the noise straight into the caller's
+    # result, so neither comes near a noise-sized array
     rate, spec = 44100, RirSpec(rt60=0.3, seed=3)
     signal = AudioBuffer(np.random.default_rng(4).standard_normal(4 * rate), rate)
     room = len(synth_rir(spec, rate))
-    wet = apply_channel(signal, ChannelSpec(spec, snr_db=0.0))
-    synthesis, noise = core._pool.peaks
-    assert synthesis <= 16 * room + SLACK and noise <= SLACK
-    assert 16 * room + SLACK < wet.samples.nbytes / 4
+    for snr_db in (0.0, None):
+        monkeypatch.setattr(core, "_pool", _TracingPool())
+        wet = apply_channel(signal, ChannelSpec(spec, snr_db=snr_db))
+        synthesis, *noise = core._pool.peaks
+        assert synthesis <= 16 * room + SLACK
+        assert len(noise) == (snr_db is not None) and all(peak <= SLACK for peak in noise)
+        assert 16 * room + SLACK < wet.samples.nbytes / 4

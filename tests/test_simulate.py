@@ -1,5 +1,8 @@
 """Synthetic RIR generator, channel application, and corpus IO."""
 
+import re
+import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -238,6 +241,26 @@ class TestApplyChannel:
             apply_channel(silence, ChannelSpec(rir=rir, snr_db=20.0))
         with pytest.raises(InvalidArgumentError, match="peak-normalize a silent"):
             apply_channel(silence, ChannelSpec(rir=rir, normalize=1.0))
+
+    # noise at -3000 dB below a unit signal is about 1e150: finite; below a
+    # loud one, at -4000 dB below either, or below a signal whose own power
+    # overflows, its power is not
+    @pytest.mark.parametrize("snr_db, amplitude, finite", [
+        (-3000.0, 1.0, True), (-3000.0, 1e100, False),
+        (-4000.0, 1.0, False), (-4000.0, 1e100, False),
+        (-sys.float_info.max, 1.0, False), (-sys.float_info.max, 1e100, False),
+        (10.0, 1e200, False),
+    ])
+    def test_an_extreme_snr_gives_finite_samples_or_a_typed_error(self, snr_db, amplitude, finite):
+        sig = AudioBuffer(amplitude * _tone().samples, FS)
+        chan = ChannelSpec(rir=RirSpec(rt60=0.4), snr_db=snr_db)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the test
+            if finite:
+                assert np.isfinite(apply_channel(sig, chan).samples).all()
+            else:  # not OverflowError
+                with pytest.raises(InvalidArgumentError, match=f"^{re.escape(f'snr_db {snr_db} ')}"):
+                    apply_channel(sig, chan)
 
 
 # ---------------------------------------------------------------------------

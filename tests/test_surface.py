@@ -186,8 +186,7 @@ def _fft_owners(tree: ast.AST):
 
 def test_only_core_runs_the_fft():
     # numpy's FFT runs in core alone: in the STFT's frames, the overlap-add's
-    # transform and the one FFT convolution, which convolve and
-    # apply_channel both drive
+    # transform and the one FFT convolution, which apply_channel drives
     owners = {(path.relative_to(ROOT).as_posix(), owner)
               for path, tree in _trees(CALLER_DIRS).items() for owner in _fft_owners(tree)}
     core = "src/sonolink/core.py"

@@ -1,5 +1,6 @@
-"""The per-thread convolution workspace: ``convolve`` and ``apply_channel``
-give the bits they gave with fresh buffers, results never share memory with
+"""The per-thread convolution workspace: ``apply_channel``, with a room
+given as samples and no noise or with a RirSpec, an SNR and a peak target,
+gives the bits it gave with fresh buffers, results never share memory with
 the workspace, threads do not see each other's buffers, and a convolution
 above the cap leaves no workspace memory behind."""
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sonolink import core
-from sonolink.core import _WORKSPACE_POINTS, AudioBuffer, _fast_length, convolve
+from sonolink.core import _WORKSPACE_POINTS, AudioBuffer, _fast_length
 from sonolink.errors import InvalidArgumentError
 from sonolink.simulate import ChannelSpec, RirSpec, apply_channel, synth_rir
 
@@ -26,9 +27,14 @@ def _signal(rng, n: int) -> AudioBuffer:
     return AudioBuffer(rng.standard_normal(n), RATE)
 
 
+def _convolve(signal: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
+    """The channel of a room given as samples, with no noise: one convolution."""
+    return apply_channel(signal, ChannelSpec(rir=ir))
+
+
 def _apply_channel_reference(signal: AudioBuffer, chan: ChannelSpec) -> AudioBuffer:
     """``apply_channel`` with a fresh array for every step, and
-    ``fftconvolve`` (the same arithmetic as ``convolve``) for the room."""
+    ``fftconvolve`` (the same arithmetic as ``core._Convolution``) for the room."""
     rir = chan.rir
     if isinstance(rir, RirSpec):
         rir = synth_rir(rir, signal.sample_rate)
@@ -64,7 +70,7 @@ def test_convolve_equals_fftconvolve_across_the_cap(lengths, seed):
     for signal_len, ir_len in lengths:  # small, large, small, large, small in turn
         a, b = _signal(rng, signal_len), _signal(rng, ir_len)
         want = scipy.signal.fftconvolve(a.samples, b.samples)
-        assert np.array_equal(convolve(a, b).samples, want), (signal_len, ir_len)
+        assert np.array_equal(_convolve(a, b).samples, want), (signal_len, ir_len)
 
 
 def test_results_stay_unchanged_and_share_no_memory():
@@ -73,7 +79,7 @@ def test_results_stay_unchanged_and_share_no_memory():
     inputs = [(_signal(rng, n), _signal(rng, m)) for n, m in calls]
     results, copies = [], []
     for a, b in inputs:
-        out = convolve(a, b)
+        out = _convolve(a, b)
         results.append(out.samples)
         copies.append(out.samples.copy())
         chan = ChannelSpec(RirSpec(rt60=0.3, seed=len(a)), snr_db=5.0, normalize=0.5)
@@ -105,7 +111,7 @@ def test_threads_get_the_single_thread_results():
     rng = np.random.default_rng(5)
     lengths = [(90_000, 1_500), (30_000, 700), (150_000, 3_000), (7_000, 60)]
     inputs = [(_signal(rng, n), _signal(rng, m)) for n, m in lengths]
-    want = [convolve(a, b).samples for a, b in inputs]
+    want = [_convolve(a, b).samples for a, b in inputs]
     start = threading.Barrier(len(inputs))
     wrong, done = [], []
 
@@ -113,7 +119,7 @@ def test_threads_get_the_single_thread_results():
         a, b = inputs[i]
         start.wait(timeout=30)
         for _ in range(15):
-            if not np.array_equal(convolve(a, b).samples, want[i]):
+            if not np.array_equal(_convolve(a, b).samples, want[i]):
                 wrong.append(i)
         done.append(i)
 
@@ -136,17 +142,17 @@ def test_no_workspace_memory_remains_above_the_cap():
     ir = _signal(rng, 1_000)
     large = _signal(rng, CAP - 998)  # an output one sample past the cap
     small = _signal(rng, 100_000)
-    convolve(small, ir)  # numpy.fft imports its modules on first use
+    _convolve(small, ir)  # numpy.fft imports its modules on first use
     traced = {}
 
     def measure() -> None:  # a fresh thread starts with no workspace
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = convolve(large, ir)
+            out = _convolve(large, ir)
             del out
             traced["large"] = tracemalloc.get_traced_memory()[0] - before
-            out = convolve(small, ir)
+            out = _convolve(small, ir)
             del out
             traced["small"] = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -164,7 +170,7 @@ def test_no_workspace_memory_remains_above_the_cap():
 def test_the_workspace_is_two_spectra():
     rng = np.random.default_rng(8)
     signal, ir = _signal(rng, 100_000), _signal(rng, 1_000)
-    convolve(signal, ir)  # numpy.fft imports its modules on first use
+    _convolve(signal, ir)  # numpy.fft imports its modules on first use
     n = _fast_length(100_999)
     traced = {}
 
@@ -172,7 +178,7 @@ def test_the_workspace_is_two_spectra():
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            convolve(signal, ir)
+            _convolve(signal, ir)
             traced["held"] = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
