@@ -22,7 +22,8 @@ from sonolink.core import (
 )
 from sonolink.errors import InvalidArgumentError
 from sonolink.modem import PROFILES, Packet, encode_packet
-from sonolink.simulate import ChannelSpec, RirSpec, apply_channel, synth_rir
+from sonolink.simulate import RirSpec, synth_rir
+from test_workspace import _convolve
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +316,6 @@ class TestRoundTrip:
 # ---------------------------------------------------------------------------
 # convolution: a room given as samples, with no noise
 # ---------------------------------------------------------------------------
-
-
-def _convolve(signal: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
-    return apply_channel(signal, ChannelSpec(rir=ir))
 
 
 class TestConvolve:
