@@ -16,7 +16,11 @@ bit for bit, what a single pass over the whole grid would give.
 time, and :func:`_overlap_add` resynthesises blocks of bins that it copies
 from a grid or takes from those frames.  ``istft`` and the suppressor both
 run that one pipeline; the suppressor shapes each block on the way, so it
-needs no grid.
+needs no grid.  A silent frame (all its samples zero) is neither
+transformed nor written: ``stft`` makes a grid with one as a zeroed
+mapping of its own, so its silent rows never become resident, and only
+such a grid, since one written whole would only take a page fault per
+page for it.  ``tracemalloc`` does not count that mapping.
 
 Each pass has one block schedule, in which a helper task works on other
 blocks while the caller works on its own.  :func:`_halves` is the one way
@@ -54,6 +58,7 @@ fault fresh pages in for every call.
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -347,18 +352,32 @@ class _Frames:
         return np.empty((BLOCK_FRAMES, self.window.size))
 
     def rfft(self, s: int, out: np.ndarray, buffer: np.ndarray) -> None:
-        """The bins of frames s .. s + len(out) - 1 into ``out``, a frame per
-        row, with zeros in the rows of dead frames.  The frames are windowed
-        into ``buffer``, one of :meth:`buffer`'s."""
+        """The bins of the live frames among s .. s + len(out) - 1 into
+        ``out``, a frame per row.  The rows of dead frames are left as they
+        are, so ``out`` must hold zeros there: ``stft``'s zeroed grid does,
+        and a reused block buffer is zeroed there by its caller, never here,
+        so a silent row of the grid is never touched.  The frames are
+        windowed into ``buffer``, one of :meth:`buffer`'s."""
         last = self.n_frames - 1 - s  # the last frame's row, if out holds it
-        live = self.live[s:s + len(out)]
-        out[~live] = 0.0
-        for a, b in _blocks(live):
+        for a, b in _blocks(self.live[s:s + len(out)]):
             windowed, inside = buffer[: b - a], min(b, last)
             np.multiply(self.frames[s + a:s + inside], self.window, out=windowed[: inside - a])
             if b > last:
                 np.multiply(self.last, self.window, out=windowed[-1])
             np.fft.rfft(windowed, axis=1, out=out[a:b])
+
+
+def _zeroed(shape: tuple[int, int], dtype) -> np.ndarray:
+    """A zeroed array in a private anonymous mapping of its own, which the
+    OS hands over zeroed and takes back whole when the array is freed; a
+    page never written is never made resident.  ``np.zeros`` where ``mmap``
+    has no such mapping (Windows)."""
+    try:
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+    except AttributeError:
+        return np.zeros(shape, dtype)
+    nbytes = shape[0] * shape[1] * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, nbytes, flags=flags), dtype).reshape(shape)
 
 
 def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
@@ -367,6 +386,18 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     Frame ``l`` covers samples ``[l*hop, l*hop + window_length)``; the final
     frame is zero-padded past the end of the signal so every sample is
     analyzed.  No padding is applied before the first sample.
+
+    A frame whose samples are all zero is not transformed, and its row of
+    the grid is never written.  A grid with such a frame is a zeroed
+    mapping of its own (:func:`_zeroed`), so its silent rows cost no
+    resident memory, even when ``lsd`` or ``rr`` reads them, and a
+    zero-padded signal's grid costs about its live frames.  ``tracemalloc``
+    does not count that mapping.  A grid with no silent frame is written
+    whole and comes from ``np.empty``: mapping it too would only add a page
+    fault per page of every fresh grid (on 2 CPUs the benchmark's ``sweep``
+    items ran about 16% slower so).  ``np.zeros`` would not do for a grid
+    with silent frames: it hands out recycled heap memory and writes its
+    zeros there.
 
     Parameters
     ----------
@@ -382,7 +413,8 @@ def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     """
     frames = _Frames(buf.samples, cfg)
     # frame-major, so a block of frames is one slab
-    bins = np.empty((frames.n_frames, cfg.num_bins), dtype=np.complex128)
+    allocate = np.empty if frames.live.all() else _zeroed
+    bins = allocate((frames.n_frames, cfg.num_bins), np.complex128)
 
     def transform(starts) -> None:
         windowed = frames.buffer()

@@ -276,6 +276,7 @@ def dereverberate(
         n_frames, num_samples, dtype = frames.n_frames, len(buf), np.complex128
         frame_buffer = frames.buffer()
         def fill(s: int, block: np.ndarray) -> None:
+            block[~frames.live[s:s + len(block)]] = 0.0  # rfft leaves dead rows; the block is reused
             frames.rfft(s, block, frame_buffer)
 
     estimated = fallback = False

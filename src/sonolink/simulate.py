@@ -182,7 +182,12 @@ def apply_channel(signal: AudioBuffer, chan: ChannelSpec) -> AudioBuffer:
         peak = float(max(samples.max(), -samples.min()))  # max |x|, without an |x| array
         if peak == 0.0:
             raise InvalidArgumentError("cannot peak-normalize a silent signal")
-        samples *= chan.normalize / peak
+        scale = chan.normalize / peak
+        if np.isfinite(scale):
+            samples *= scale
+        else:  # a subnormal peak: the scale overflows where x / peak * normalize does not
+            samples /= peak
+            samples *= chan.normalize
 
     return AudioBuffer(samples, signal.sample_rate)
 

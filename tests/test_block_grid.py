@@ -4,7 +4,7 @@ The references below are the frame-by-frame and whole-grid forms of
 ``stft``, ``istft``, ``Spectrogram.power``, ``spectral_gain`` and ``lsd``,
 and the edge-padded 3-tap sum of ``reverberant_psd``.  Outputs must be
 equal, not close.  ``stft`` leaves frames whose samples are all zero
-untransformed, and ``lsd`` logs only the active clean frames; signals and
+untransformed and their rows unwritten, and ``lsd`` logs only the active clean frames; signals and
 grids below carry zero runs so both shortcuts are reached.  ``spectral_gain`` runs its a-priori SNR recursion as
 prio = coef * carry + update in every cell, carrying ``carry`` and the
 bins' seen-valid flags from block to block; the reference branches per
@@ -17,14 +17,20 @@ overlap-add, must also equal its stages called one by one, byte for byte.
 """
 
 import math
+import mmap
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sonolink import core
 from sonolink.core import (
     BLOCK_FRAMES,
     AudioBuffer,
@@ -597,11 +603,105 @@ def _half_silent(buf):
 
 
 def test_stft_memory_is_one_grid():
+    # a grid with a silent frame is a mapping that tracemalloc does not
+    # see, so on the half-silent signal this bounds the heap part only;
+    # the resident-memory test below measures that grid
     buf, cfg, grid_bytes = _long_noise()
     for on in THREADS:
         for signal in (buf, _half_silent(buf)):
             peak = _traced_peak(on, stft, signal, cfg.stft)
             assert peak < MAX_STFT_PEAK_GRIDS * grid_bytes, (on.__name__, peak / grid_bytes)
+
+
+# On the 10 s half-silent signal about 0.55 of the grid is resident: its
+# live half, and the pages its live rows share with silent ones.  A grid
+# written whole, silent rows too, is 1.0.
+MAX_HALF_SILENT_RESIDENT_GRIDS = 0.7
+
+RESIDENT = """
+import numpy as np
+from sonolink.core import AudioBuffer, _band_peaks, default_stft_config, stft
+
+def resident():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmRSS:"))
+
+fs = 44100
+x = 0.1 * np.random.default_rng(3).standard_normal(10 * fs)
+x[x.size // 2:] = 0.0
+cfg = default_stft_config(fs)
+stft(AudioBuffer(x[:fs], fs), cfg)  # the helper pool, numpy's FFT set-up
+before = resident()
+grid = stft(AudioBuffer(x, fs), cfg)
+written = resident() - before
+_band_peaks(grid.bins)  # reads every row, as lsd and rr do
+print(written / grid.bins.nbytes, (resident() - before) / grid.bins.nbytes)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_stft_leaves_silent_rows_of_a_grid_unresident():
+    # in a fresh process, so the heap holds no freed grid stft could reuse
+    src = Path(core.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", RESIDENT], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    written, read = map(float, proc.stdout.split())
+    assert written < MAX_HALF_SILENT_RESIDENT_GRIDS, written
+    assert read < MAX_HALF_SILENT_RESIDENT_GRIDS, read
+
+
+def _dirty_heap(*sizes):
+    """Frees a NaN-filled array of each byte size, so the allocator has
+    dirty memory to hand the next allocations of those sizes."""
+    for nbytes in sizes:
+        np.full(nbytes // 8, np.nan)
+
+
+def _half_silent_cases():
+    # a grid small enough for the heap, and the 10 s one
+    rng = np.random.default_rng(9)
+    small = AudioBuffer(rng.standard_normal(4000), 8000)
+    return [(_half_silent(small), StftConfig(64, 16)),
+            (_half_silent(_long_noise()[0]), default_stft_config(44100))]
+
+
+@pytest.mark.parametrize("case", _half_silent_cases())
+def test_silent_rows_are_positive_zeros_on_a_dirty_heap(case):
+    buf, cfg = case
+    want = _reference_stft(buf, cfg)
+    live = core._Frames(buf.samples, cfg).live
+    assert live.any() and not live.all()
+    _dirty_heap(want.bins.nbytes)
+    got = stft(buf, cfg)
+    assert np.array_equal(got.bins[:, live], want.bins[:, live])
+    assert not np.ascontiguousarray(got.bins[:, ~live]).view(np.uint64).any()  # +0.0, bit for bit
+
+    dcfg = DereverbConfig(stft=cfg)
+    block = BLOCK_FRAMES * cfg.num_bins * np.dtype(np.complex128).itemsize
+    _dirty_heap(want.bins.nbytes, block, block)
+    out, _ = dereverberate(buf, dcfg, rt60=0.8)
+    assert np.array_equal(out.samples, _reference_dereverberate(buf, dcfg, 0.8)[0].samples)
+
+
+def _memory_owner(a):
+    """The object holding an array's memory: an mmap for a mapped grid."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+def test_grids_without_anonymous_mappings_are_the_same_bytes(monkeypatch):
+    # where mmap has no private anonymous mapping (Windows) a grid with a
+    # silent frame comes from np.zeros
+    buf, cfg = _half_silent_cases()[0]
+    want = stft(buf, cfg).bins
+    monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
+    monkeypatch.delattr(mmap, "MAP_ANONYMOUS", raising=False)
+    got = stft(buf, cfg).bins
+    assert isinstance(_memory_owner(want), mmap.mmap) or sys.platform == "win32"
+    assert not isinstance(_memory_owner(got), mmap.mmap)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_lsd_memory_logs_only_active_frames():

@@ -8,7 +8,11 @@ divides the symbol, the second preamble window's rows of the one scan grid
 equal a separate scan of the recording shifted by one symbol, bit for bit.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -204,3 +208,35 @@ def test_long_recording_scan_memory_is_bounded():
     assert peak < 32 * 2**20
     hop = AUDIBLE.symbol_samples(fs) // 8
     assert any(abs(c - offset) < hop for c in candidates)
+
+
+def test_row_medians_equal_numpys_median():
+    # numpy's median is the mean of the two middle values of a partition,
+    # with a NaN check that imports numpy.ma; the scan's floor computes it
+    # inline, and must give the same bytes on rows with NaN, inf and ties
+    rng = np.random.default_rng(11)
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
+    for i in range(5000):
+        rows, cols = rng.integers(1, 40), 2 * rng.integers(1, 20)
+        a = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300)
+        if i % 3 == 0:
+            mask = rng.random(a.shape) < 0.1
+            a[mask] = rng.choice(specials, mask.sum())
+        if i % 5 == 0:
+            a = np.round(a)
+        with np.errstate(all="ignore"):  # inf - inf, and middles whose sum overflows
+            want, got = np.median(a, axis=1), modem._row_medians(a)
+        assert got.tobytes() == want.tobytes(), i
+
+
+def test_a_decode_does_not_import_numpy_ma():
+    # importing numpy.ma cost a fresh process's first decode about 10 ms
+    code = ("import sys\n"
+            "from sonolink.modem import AUDIBLE, Packet, decode_packet, encode_packet\n"
+            "assert decode_packet(encode_packet(Packet(b'hi'), AUDIBLE, 44100), AUDIBLE).payload == b'hi'\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(modem.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

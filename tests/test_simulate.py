@@ -234,6 +234,13 @@ class TestApplyChannel:
         )
         assert np.max(np.abs(out.samples)) == pytest.approx(0.25, rel=1e-12)
 
+    def test_normalize_reaches_its_peak_from_a_subnormal_one(self):
+        # normalize / peak overflows for a subnormal peak; x / peak * normalize does not
+        tiny = AudioBuffer(np.full(100, 1e-320), FS)
+        out = apply_channel(tiny, ChannelSpec(rir=AudioBuffer(np.array([1.0, 0.5]), FS), normalize=1.0))
+        assert np.isfinite(out.samples).all()
+        assert np.max(np.abs(out.samples)) == pytest.approx(1.0, rel=1e-12)
+
     def test_silent_signal_errors(self):
         silence = AudioBuffer(np.zeros(1000), FS)
         rir = AudioBuffer(np.zeros(100), FS)
